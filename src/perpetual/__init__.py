@@ -18,6 +18,7 @@ from .framework import (
     default_p,
     disappointed_count,
     log_potential_component,
+    normalized,
     one_step_growth_bound,
     one_step_growth_check,
     profile_psi,
@@ -41,6 +42,7 @@ __all__ = [
     "default_p",
     "disappointed_count",
     "log_potential_component",
+    "normalized",
     "one_step_growth_bound",
     "one_step_growth_check",
     "profile_psi",

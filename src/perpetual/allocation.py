@@ -1,16 +1,16 @@
-"""Online item allocation instantiations: PROP-times-c, EF-times-c, and
-classical EFc via threshold counts.
+"""Online item allocation instantiations: PROP-times-c (optionally
+gamma-discounted), EF-times-c, and classical EFc via threshold counts.
 
 Each state stores running aggregates only (bundle values, totals, missed-item
 maxima, pair scales, threshold counts) -- never item lists -- except the EFc
 checker, which optionally keeps per-pair sorted top-value lists.  Deficits are
 recomputed from aggregates each round; aggregates update incrementally.
+Candidate builders return every action's touched entries as one array.
 """
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .framework import (
     DimensionMismatch,
     MomentWitness,
     PotentialParams,
-    safe_div,
+    normalized,
 )
 
 
@@ -27,13 +27,34 @@ class ValueNotInLedger(ValueError):
     pass
 
 
+class GammaOutOfRange(ValueError):
+    pass
+
+
 def _as_values(values, n: int) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     if v.shape != (n,):
         raise DimensionMismatch(f"item has shape {v.shape}, expected ({n},)")
-    if np.any(v < 0):
-        raise ValueError("item values must be nonnegative")
+    if not (v.min() >= 0.0 and v.max() < math.inf):
+        raise ValueError("item values must be finite and nonnegative")
     return v
+
+
+def _missed(x: np.ndarray, recipient: int) -> np.ndarray:
+    """The item's values to everyone but the recipient (0 for the recipient)."""
+    out = x.copy()
+    out[recipient] = 0.0
+    return out
+
+
+def proportional_delta(s: np.ndarray) -> np.ndarray:
+    """Case-1 increments for normalized item sizes s: Delta_i(i) = -(1-1/n) s_i
+    and Delta_i(a) = s_i / n otherwise.  Rows sum to 0 exactly and row squared
+    sums are (n-1) s_i^2 / n <= 1."""
+    n = len(s)
+    delta = np.repeat(s[:, None] / n, n, axis=1)
+    np.fill_diagonal(delta, -(1.0 - 1.0 / n) * s)
+    return delta
 
 
 # ---------------------------------------------------------------------------
@@ -41,165 +62,105 @@ def _as_values(values, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class PropxState:
-    """Per-agent aggregates: v_i(P_i), v_i(G), and missed-item max U_i."""
+    """Per-agent aggregates: bundle value v_i(P_i), total value v_i(G), and
+    missed-item max U_i.
 
-    def __init__(self, n: int):
+    With gamma < 1 the value aggregates are discounted by decay-then-add
+    updates (multiply by gamma, then add the round's contribution), matching
+    the gamma^(t-r) weights exactly; gamma = 1 multiplies by 1.0, which is
+    exact, so it is the undiscounted state.  The scale U_i is never decayed:
+    a decaying scale would shrink the recipient's denominator along with its
+    deficit and break the gamma-shift moment conditions, whereas the plain
+    running maximum carries the Case-1 Delta formulas over verbatim.
+    """
+
+    def __init__(self, n: int, gamma: float = 1.0):
         if n < 2:
             raise ValueError("need at least 2 agents")
+        if not 0.0 < gamma <= 1.0:
+            raise GammaOutOfRange("gamma must lie in (0, 1]")
         self.n = n
+        self.gamma = float(gamma)
         self.bundle_value = np.zeros(n)
         self.total_value = np.zeros(n)
         self.missed_max = np.zeros(n)
+        self._touched = np.arange(n)[:, None]  # candidate a swaps entry a
 
     def deficits(self) -> np.ndarray:
         """d_i = v_i(G)/n - v_i(P_i), sign kept."""
         return self.total_value / self.n - self.bundle_value
 
     def profile(self) -> np.ndarray:
-        d = self.deficits()
-        return np.array([safe_div(max(di, 0.0), u) for di, u in zip(d, self.missed_max)])
+        return normalized(self.deficits(), self.missed_max)
 
     def apply(self, values, recipient: int) -> None:
         x = _as_values(values, self.n)
+        self.bundle_value *= self.gamma
+        self.total_value *= self.gamma
         self.total_value += x
         self.bundle_value[recipient] += x[recipient]
-        for i in range(self.n):
-            if i != recipient and x[i] > self.missed_max[i]:
-                self.missed_max[i] = x[i]
+        np.maximum(self.missed_max, _missed(x, recipient), out=self.missed_max)
 
 
 def propx_candidates(s: PropxState, values) -> CandidateSet:
-    """Hypothetical profiles per recipient, in base+patch (single-swap) form:
-    the base is the everyone-missed profile; candidate a swaps entry a."""
+    """Post-decay hypothetical profiles per recipient: the base is the
+    everyone-missed profile; candidate a swaps entry a."""
     n = s.n
     x = _as_values(values, n)
-    d = s.deficits()
-    z_miss = np.empty(n)
-    patches = {}
-    for i in range(n):
-        u_miss = max(s.missed_max[i], x[i])
-        z_miss[i] = safe_div(max(d[i] + x[i] / n, 0.0), u_miss)
-        z_recv = safe_div(max(d[i] - (1.0 - 1.0 / n) * x[i], 0.0), s.missed_max[i])
-        patches[i] = [(i, z_recv)]
-    return CandidateSet.from_patches(z_miss, patches)
+    d = s.gamma * s.deficits()
+    z_miss = normalized(d + x / n, np.maximum(s.missed_max, x))
+    z_recv = normalized(d - (1.0 - 1.0 / n) * x, s.missed_max)
+    return CandidateSet(z_miss, s._touched, z_recv[:, None])
 
 
 def propx_witness(s: PropxState, values) -> MomentWitness:
-    """Reference actions are the n recipients; s_i = x_i / max{U_i, x_i};
-    Delta_i(i) = -(1-1/n) s_i, Delta_i(a) = s_i / n otherwise.  Rows sum to 0
-    exactly and row squared sums are (n-1) s_i^2 / n <= 1."""
-    n = s.n
-    x = _as_values(values, n)
-    delta = np.zeros((n, n))
-    for i in range(n):
-        si = safe_div(x[i], max(s.missed_max[i], x[i]))
-        delta[i, :] = si / n
-        delta[i, i] = -(1.0 - 1.0 / n) * si
-    return MomentWitness(ref_actions=tuple(range(n)), delta=delta)
+    """Reference actions are the n recipients, with s_i = x_i / max{U_i, x_i}
+    in ``proportional_delta``.  For gamma < 1 the same Delta is verified
+    against the gamma-shift form [gamma z + Delta]_+."""
+    x = _as_values(values, s.n)
+    delta = proportional_delta(normalized(x, np.maximum(s.missed_max, x)))
+    return MomentWitness(ref_actions=tuple(range(s.n)), delta=delta)
 
 
 def propx_params(n: int, p: float = 0.0) -> PotentialParams:
     return PotentialParams(m=n, n_ref=n, sigma_sq=1.0, p=p)
 
 
-def run_propx_potential(stream, n: int, params: PotentialParams | None = None):
-    """Tight loop for long proportionality runs of the potential rule.
-
-    Chooses argmin_a Phi(a) via the single-term swap
-    Phi(a) = Phi_miss - f(z_miss[a]) + f(z_recv[a]) (so argmin of the f
-    difference), which is the same rule as choose_action(propx_candidates(...))
-    without per-round object construction.  Tracks the prefix-wise guarantee
-    [d_i]_+ <= ct_threshold(t) * U_i and the one-step Psi growth along the way.
-
-    Returns a dict with the final state and the worst slack observed for both
-    checks (negative slack everywhere = all checks passed).
-    """
-    from .framework import ct_threshold, one_step_growth_bound
-
-    params = params or propx_params(n)
-    p, m = params.p, params.m
-    four_p2 = 4.0 * p * p
-    ct_scale = math.exp(math.log(m) / p)
-    ct_rate = 2.0 * math.sqrt(math.e) * p * params.sigma_sq / params.n_ref
-    growth = one_step_growth_bound(params)
-    inv_p = 1.0 / p
-
-    state = PropxState(n)
-    total = [0.0] * n
-    bundle = [0.0] * n
-    missed = [0.0] * n
-    psi_prev = (m * four_p2 ** p) ** inv_p
-    worst_prefix = -math.inf
-    worst_growth = -math.inf
-    t = 0
-    rng_range = range(n)
-
-    for values in stream:
-        t += 1
-        x = [float(v) for v in values]
-        z_miss = [0.0] * n
-        f_miss = [0.0] * n
-        f_recv = [0.0] * n
-        z_recv = [0.0] * n
-        phi_miss = 0.0
-        best = 0
-        best_diff = math.inf
-        for i in rng_range:
-            d = total[i] / n - bundle[i]
-            xi = x[i]
-            u_miss = missed[i] if missed[i] > xi else xi
-            dm = d + xi / n
-            zm = dm / u_miss if (dm > 0.0 and u_miss > 0.0) else 0.0
-            dr = d - (1.0 - 1.0 / n) * xi
-            zr = dr / missed[i] if (dr > 0.0 and missed[i] > 0.0) else 0.0
-            fm = (zm * zm + four_p2) ** p
-            fr = (zr * zr + four_p2) ** p
-            z_miss[i] = zm
-            z_recv[i] = zr
-            f_miss[i] = fm
-            f_recv[i] = fr
-            phi_miss += fm
-            diff = fr - fm
-            if diff < best_diff:
-                best_diff = diff
-                best = i
-        a = best
-        # realized update
-        for i in rng_range:
-            total[i] += x[i]
-            if i != a and x[i] > missed[i]:
-                missed[i] = x[i]
-        bundle[a] += x[a]
-        # growth check
-        psi = (phi_miss + best_diff) ** inv_p
-        g = psi - psi_prev - growth
-        if g > worst_growth:
-            worst_growth = g
-        psi_prev = psi
-        # prefix-wise PROP x c check
-        ct = ct_scale * math.sqrt(four_p2 + ct_rate * t)
-        for i in rng_range:
-            d = total[i] / n - bundle[i]
-            if d > 0.0:
-                s = d - ct * missed[i]
-                if s > worst_prefix:
-                    worst_prefix = s
-
-    state.total_value = np.asarray(total)
-    state.bundle_value = np.asarray(bundle)
-    state.missed_max = np.asarray(missed)
-    return {
-        "rounds": t,
-        "state": state,
-        "worst_prefix_slack": worst_prefix,
-        "worst_growth_slack": worst_growth,
-        "final_psi": psi_prev,
-    }
-
-
 def bprop_check(s: PropxState, c: float, tol: float = 1e-9) -> bool:
     """Bounded proportionality: max_i d_i <= c (for [0,1]-bounded values)."""
     return bool(np.max(s.deficits()) <= c + tol)
+
+
+# ---------------------------------------------------------------------------
+# Pairwise quality variables (Cases 3 and 4)
+# ---------------------------------------------------------------------------
+
+def _off_diagonal(n: int) -> np.ndarray:
+    return ~np.eye(n, dtype=bool)
+
+
+def _touching(into: np.ndarray, out_of: np.ndarray) -> np.ndarray:
+    """Per action a, the entries of the ordered pairs that contain a, in patch
+    order: for each i != a, into[i, a] then out_of[a, i] -- single entries for
+    (n, n) inputs, interleaved per threshold l for (n, n, L) inputs.  Returns
+    shape (n, 2 (n-1) L)."""
+    n = into.shape[0]
+    both = np.stack([np.swapaxes(into, 0, 1), out_of], axis=-1)
+    return both[_off_diagonal(n)].reshape(n, -1)
+
+
+def _pair_delta(step: np.ndarray) -> np.ndarray:
+    """Witness increments of pairwise quality variables: row (i, j[, l]) has
+    +step at reference action j and -step at i.  ``step`` is (n, n) or
+    (n, n, L), indexed by the row's own (i, j[, l]); the diagonal is unused."""
+    n = step.shape[0]
+    i, j = np.nonzero(_off_diagonal(n))
+    per_pair = step[i, j].reshape(len(i), -1)
+    rows = np.arange(per_pair.size)
+    delta = np.zeros((per_pair.size, n))
+    delta[rows, np.repeat(j, per_pair.shape[1])] = per_pair.ravel()
+    delta[rows, np.repeat(i, per_pair.shape[1])] = -per_pair.ravel()
+    return delta
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +177,10 @@ class EfxState:
         self.n = n
         self.cross_value = np.zeros((n, n))
         self.pair_scale = np.zeros((n, n))  # diagonal unused
+        self._off = _off_diagonal(n)
+        pairs = np.zeros((n, n), dtype=np.intp)
+        pairs[self._off] = np.arange(self.m)  # pair_index(i, j)
+        self._touched = _touching(pairs, pairs)
 
     @property
     def m(self) -> int:
@@ -224,66 +189,38 @@ class EfxState:
     def pair_index(self, i: int, j: int) -> int:
         return i * (self.n - 1) + (j if j < i else j - 1)
 
-    def pairs(self):
-        for i in range(self.n):
-            for j in range(self.n):
-                if i != j:
-                    yield i, j
-
-    def envy(self, i: int, j: int) -> float:
-        return self.cross_value[i, j] - self.cross_value[i, i]
+    def _envy(self) -> np.ndarray:
+        """envy[i, j] = v_i(P_j) - v_i(P_i)."""
+        return self.cross_value - np.diag(self.cross_value)[:, None]
 
     def profile(self) -> np.ndarray:
-        z = np.zeros(self.m)
-        for i, j in self.pairs():
-            z[self.pair_index(i, j)] = safe_div(
-                max(self.envy(i, j), 0.0), self.pair_scale[i, j]
-            )
-        return z
+        return normalized(self._envy(), self.pair_scale)[self._off]
 
     def apply(self, values, recipient: int) -> None:
         x = _as_values(values, self.n)
         self.cross_value[:, recipient] += x
-        for i in range(self.n):
-            if i != recipient and x[i] > self.pair_scale[i, recipient]:
-                self.pair_scale[i, recipient] = x[i]
+        col = self.pair_scale[:, recipient]
+        np.maximum(col, _missed(x, recipient), out=col)
 
 
 def efx_candidates(s: EfxState, values) -> CandidateSet:
     """Base = current profile; candidate r patches only the 2(n-1) pairs that
-    contain r (envy toward r grows, r's own envy shrinks)."""
-    n = s.n
-    x = _as_values(values, n)
-    base = s.profile()
-    patches = {}
-    for r in range(n):
-        ps = []
-        for i in range(n):
-            if i == r:
-                continue
-            # pair (i, r): i's envy toward r after r receives the item
-            envy_ir = s.envy(i, r) + x[i]
-            scale_ir = max(s.pair_scale[i, r], x[i])
-            ps.append((s.pair_index(i, r), safe_div(max(envy_ir, 0.0), scale_ir)))
-            # pair (r, i): r's envy toward i shrinks by r's own value
-            envy_ri = s.envy(r, i) - x[r]
-            ps.append((s.pair_index(r, i), safe_div(max(envy_ri, 0.0), s.pair_scale[r, i])))
-        patches[r] = ps
-    return CandidateSet.from_patches(base, patches)
+    contain r: (i, r), where i's envy toward r grows by x_i, and (r, i), where
+    r's envy toward i shrinks by x_r."""
+    x = _as_values(values, s.n)
+    envy = s._envy()
+    into = normalized(envy + x[:, None], np.maximum(s.pair_scale, x[:, None]))
+    out_of = normalized(envy - x[:, None], s.pair_scale)
+    return CandidateSet(s.profile(), s._touched, _touching(into, out_of))
 
 
 def efx_witness(s: EfxState, values) -> MomentWitness:
     """Pair (i,j) row: alpha = x_i / max{s_(i,j), x_i}; +alpha at reference
     action j, -alpha at i, zeros elsewhere.  sigma^2 = 2."""
-    n = s.n
-    x = _as_values(values, n)
-    delta = np.zeros((s.m, n))
-    for i, j in s.pairs():
-        alpha = safe_div(x[i], max(s.pair_scale[i, j], x[i]))
-        q = s.pair_index(i, j)
-        delta[q, j] = alpha
-        delta[q, i] = -alpha
-    return MomentWitness(ref_actions=tuple(range(n)), delta=delta)
+    x = _as_values(values, s.n)
+    alpha = normalized(np.broadcast_to(x[:, None], (s.n, s.n)),
+                       np.maximum(s.pair_scale, x[:, None]))
+    return MomentWitness(ref_actions=tuple(range(s.n)), delta=_pair_delta(alpha))
 
 
 def efx_params(n: int, p: float = 0.0) -> PotentialParams:
@@ -317,6 +254,11 @@ class EfcThresholdState:
         self.top_k_cap = top_k_cap
         # top_values[i][j]: v_i values of items in P_j, sorted descending
         self.top_values = [[[] for _ in range(n)] for _ in range(n)]
+        self._theta = np.array(th)
+        self._off = _off_diagonal(n)
+        quality = np.zeros((n, n, self.L), dtype=np.intp)
+        quality[self._off] = np.arange(self.m).reshape(-1, self.L)  # quality_index
+        self._touched = _touching(quality, quality)
 
     @property
     def m(self) -> int:
@@ -329,24 +271,18 @@ class EfcThresholdState:
     def _indicator_counts(self, values) -> np.ndarray:
         """s[i, l] = 1 if v_i(g) >= theta[l]."""
         x = _as_values(values, self.n)
-        s = np.zeros((self.n, self.L), dtype=np.int64)
-        for i in range(self.n):
-            if x[i] > 0 and x[i] not in self.theta:
-                raise ValueNotInLedger(f"value {x[i]} not in the declared ledger")
-            k = bisect.bisect_right(self.theta, x[i])
-            s[i, :k] = 1
-        return s
+        stray = (x > 0) & ~np.isin(x, self._theta)
+        if np.any(stray):
+            raise ValueNotInLedger(f"value {x[stray][0]} not in the declared ledger")
+        return (x[:, None] >= self._theta).astype(np.int64)
+
+    def _gaps(self) -> np.ndarray:
+        """gap[i, j, l] = C[i, j, l] - C[i, i, l]."""
+        own = self.counts[np.arange(self.n), np.arange(self.n)]
+        return self.counts - own[:, None, :]
 
     def profile(self) -> np.ndarray:
-        z = np.zeros(self.m)
-        for i in range(self.n):
-            for j in range(self.n):
-                if i == j:
-                    continue
-                gap = self.counts[i, j] - self.counts[i, i]
-                for l in range(self.L):
-                    z[self.quality_index(i, j, l)] = max(float(gap[l]), 0.0)
-        return z
+        return np.maximum(self._gaps()[self._off], 0).ravel().astype(float)
 
     def apply(self, values, recipient: int) -> None:
         x = _as_values(values, self.n)
@@ -362,41 +298,21 @@ class EfcThresholdState:
 
 
 def efc_candidates(s: EfcThresholdState, values) -> CandidateSet:
-    """Base = current profile; candidate a touches only the O(nL) entries of
+    """Base = current profile; candidate a touches only the 2(n-1)L entries of
     pairs containing a."""
-    n, L = s.n, s.L
-    ind = s._indicator_counts(values)
-    base = s.profile()
-    patches = {}
-    for a in range(n):
-        ps = []
-        for i in range(n):
-            if i == a:
-                continue
-            gap_ia = s.counts[i, a] - s.counts[i, i] + ind[i]
-            gap_ai = s.counts[a, i] - s.counts[a, a] - ind[a]
-            for l in range(L):
-                ps.append((s.quality_index(i, a, l), max(float(gap_ia[l]), 0.0)))
-                ps.append((s.quality_index(a, i, l), max(float(gap_ai[l]), 0.0)))
-        patches[a] = ps
-    return CandidateSet.from_patches(base, patches)
+    ind = s._indicator_counts(values)[:, None, :]
+    gaps = s._gaps()
+    into = np.maximum(gaps + ind, 0)
+    out_of = np.maximum(gaps - ind, 0)
+    return CandidateSet(s.profile(), s._touched, _touching(into, out_of))
 
 
 def efc_witness(s: EfcThresholdState, values) -> MomentWitness:
     """Row (i,j,l): -1[v_i >= theta_l] at reference action i, +1[v_i >= theta_l]
     at j, zeros elsewhere.  sigma^2 = 2."""
-    n = s.n
-    ind = s._indicator_counts(values)
-    delta = np.zeros((s.m, n))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            for l in range(s.L):
-                q = s.quality_index(i, j, l)
-                delta[q, j] = float(ind[i, l])
-                delta[q, i] = -float(ind[i, l])
-    return MomentWitness(ref_actions=tuple(range(n)), delta=delta)
+    ind = s._indicator_counts(values).astype(float)
+    step = np.broadcast_to(ind[:, None, :], (s.n, s.n, s.L))
+    return MomentWitness(ref_actions=tuple(range(s.n)), delta=_pair_delta(step))
 
 
 def efc_params(n: int, L: int, p: float = 0.0) -> PotentialParams:

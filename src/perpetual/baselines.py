@@ -34,7 +34,7 @@ STREAM_KINDS = (
     "choice",
 )
 
-_RANDOM_KINDS = ("uniform_random", "bernoulli", "choice")
+RANDOM_KINDS = ("uniform_random", "bernoulli", "choice")
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ def stream_generate(spec: StreamSpec):
     CSV goldens are portable.
     """
     n, par = spec.n, spec.params
-    rng = Xoshiro256StarStar(spec.seed) if spec.kind in _RANDOM_KINDS else None
+    rng = Xoshiro256StarStar(spec.seed) if spec.kind in RANDOM_KINDS else None
 
     for t in range(1, spec.length + 1):
         if spec.kind == "round_robin_alt":
@@ -254,9 +254,11 @@ class PotentialPropxPolicy(ItemPolicy):
 
 class ExpExactPolicy(ItemPolicy):
     """The exact survival-maximizing policy, driven by AUX on cached D^k
-    frontiers.  Float game quantities are converted losslessly to rationals
-    (every float is a dyadic rational); the exact solver itself never sees
-    floats."""
+    frontiers.  Utilities, totals and item values are converted to rationals
+    losslessly (every float is a dyadic rational).  The float c is not: it is
+    rounded by ``limit_denominator(10**6)`` to the nearest fraction with
+    denominator at most 10**6 (0.1 becomes 1/10, not the float's dyadic
+    value).  The exact solver itself never sees floats."""
 
     def __init__(self, n: int, c: float, k_max: int = 12):
         super().__init__(n)

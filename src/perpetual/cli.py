@@ -1,16 +1,13 @@
 """Command-line interface.
 
-Subcommands: simulate, verify-moments, lowerbound, exact (aux | frontier | exp),
-bench.  Exit codes: 0 success, 1 assertion/guarantee failure, 2 config error.
+Subcommands: simulate, verify-moments, lowerbound, exact (aux | frontier | exp).
+Exit codes: 0 success, 1 assertion/guarantee failure, 2 config error.
 """
 from __future__ import annotations
 
 import argparse
 import sys
-import time
 from fractions import Fraction
-
-import numpy as np
 
 from .baselines import POLICY_NAMES, make_policy, run_lb_game
 from .simulate import ConfigInvalid, RunConfig, run_simulation, verify_moments_run
@@ -90,37 +87,6 @@ def _cmd_exact(args) -> int:
     raise ConfigInvalid(f"unknown exact subcommand {args.exact_cmd!r}")
 
 
-def _cmd_bench(args) -> int:
-    """Smoke benchmark: per-round cost should scale ~linearly in n for the
-    proportionality instantiation and ~quadratically for pairwise envy."""
-    from . import allocation
-    from .framework import choose_action
-    from .prng import Xoshiro256StarStar
-
-    sizes = [4, 8, 16, 32]
-    results = {}
-    for label, make_state, cands, params in (
-        ("propx", allocation.PropxState, allocation.propx_candidates, allocation.propx_params),
-        ("efx", allocation.EfxState, allocation.efx_candidates, allocation.efx_params),
-    ):
-        times = []
-        for n in sizes:
-            state = make_state(n)
-            pp = params(n)
-            rng = Xoshiro256StarStar(7)
-            items = [[rng.next_double() for _ in range(n)] for _ in range(args.rounds)]
-            t0 = time.perf_counter()
-            for it in items:
-                a = choose_action(cands(state, np.asarray(it)), pp)
-                state.apply(np.asarray(it), a)
-            times.append((time.perf_counter() - t0) / args.rounds)
-        exponent = float(np.polyfit(np.log(sizes), np.log(times), 1)[0])
-        results[label] = exponent
-        per_round = ", ".join(f"n={n}: {t*1e6:.1f}us" for n, t in zip(sizes, times))
-        print(f"{label}: fitted exponent {exponent:.2f} ({per_round})")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="perpetual",
                                      description="Perpetual online fair decision-making toolkit")
@@ -158,8 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--item", required=True)
     p_exp.add_argument("--k-max", type=int, default=12)
 
-    p_bench = sub.add_parser("bench", help="per-round scaling smoke benchmark")
-    p_bench.add_argument("--rounds", type=int, default=200)
     return parser
 
 
@@ -175,8 +139,6 @@ def cli_dispatch(argv=None) -> int:
             return _cmd_lowerbound(args)
         if args.cmd == "exact":
             return _cmd_exact(args)
-        if args.cmd == "bench":
-            return _cmd_bench(args)
     except ConfigInvalid as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

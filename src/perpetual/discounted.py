@@ -1,14 +1,9 @@
 """Limited-memory variants: windowed deficits (for the counterexample) and
-gamma-discounted proportionality with the discounted p-potential rule.
+the bounds of gamma-discounted proportionality.
 
-Discounted aggregates use decay-then-add updates (multiply by gamma, then add
-the round's contribution), matching the gamma^(t-r) weights exactly.  The
-scale normalizing the discounted deficit is the plain (undecayed) running
-maximum of missed item values: decaying the scale breaks the gamma-shift
-moment conditions for the recipient (the deficit decays but its denominator
-would shrink too, inflating the normalized deficit beyond what the increment
-certificate allows), whereas the undecayed maximum carries the Case-1 Delta
-formulas over verbatim.
+The discounted state is ``allocation.PropxState(n, gamma)``: the same
+candidates, witness and parameters as the undiscounted case, with the moment
+witness verified against the gamma-shift form.
 """
 from __future__ import annotations
 
@@ -17,18 +12,8 @@ from collections import deque
 
 import numpy as np
 
-from .framework import (
-    CandidateSet,
-    DimensionMismatch,
-    MomentWitness,
-    PotentialParams,
-    SQRT_E,
-    safe_div,
-)
-
-
-class GammaOutOfRange(ValueError):
-    pass
+from .allocation import GammaOutOfRange, PropxState
+from .framework import SQRT_E, PotentialParams, normalized
 
 
 def _check_gamma(gamma: float) -> float:
@@ -56,84 +41,6 @@ def windowed_deficit(s: WindowState, agent: int) -> float:
     prop = sum(v[agent] for v, _ in s.buffer) / s.n
     got = sum(v[agent] for v, r in s.buffer if r == agent)
     return float(prop - got)
-
-
-class DiscountedPropState:
-    """Discounted aggregates u, T, and scale V per agent."""
-
-    def __init__(self, n: int, gamma: float):
-        if n < 2:
-            raise ValueError("need at least 2 agents")
-        self.n = n
-        self.gamma = _check_gamma(gamma)
-        self.disc_util = np.zeros(n)
-        self.disc_total = np.zeros(n)
-        self.disc_scale = np.zeros(n)
-
-    def deficits(self) -> np.ndarray:
-        return self.disc_total / self.n - self.disc_util
-
-    def profile(self) -> np.ndarray:
-        d = self.deficits()
-        return np.array([safe_div(max(di, 0.0), vi) for di, vi in zip(d, self.disc_scale)])
-
-    def apply(self, values, recipient: int) -> None:
-        x = np.asarray(values, dtype=float)
-        if x.shape != (self.n,):
-            raise DimensionMismatch(f"item shape {x.shape}, expected ({self.n},)")
-        g = self.gamma
-        self.disc_util *= g
-        self.disc_total *= g
-        self.disc_total += x
-        self.disc_util[recipient] += x[recipient]
-        for i in range(self.n):
-            if i != recipient and x[i] > self.disc_scale[i]:
-                self.disc_scale[i] = x[i]
-
-
-def discounted_step(s: DiscountedPropState, values, recipient: int) -> DiscountedPropState:
-    """Functional form of the update (returns a new state)."""
-    out = DiscountedPropState(s.n, s.gamma)
-    out.disc_util = s.disc_util.copy()
-    out.disc_total = s.disc_total.copy()
-    out.disc_scale = s.disc_scale.copy()
-    out.apply(values, recipient)
-    return out
-
-
-def discounted_candidates(s: DiscountedPropState, values) -> CandidateSet:
-    """Post-decay hypothetical profiles per recipient, base+patch form, the
-    exact analog of the undiscounted proportionality candidates."""
-    n, g = s.n, s.gamma
-    x = np.asarray(values, dtype=float)
-    if x.shape != (n,):
-        raise DimensionMismatch(f"item shape {x.shape}, expected ({n},)")
-    d = g * s.deficits()
-    z_miss = np.empty(n)
-    patches = {}
-    for i in range(n):
-        scale_miss = max(s.disc_scale[i], x[i])
-        z_miss[i] = safe_div(max(d[i] + x[i] / n, 0.0), scale_miss)
-        z_recv = safe_div(max(d[i] - (1.0 - 1.0 / n) * x[i], 0.0), s.disc_scale[i])
-        patches[i] = [(i, z_recv)]
-    return CandidateSet.from_patches(z_miss, patches)
-
-
-def discounted_witness(s: DiscountedPropState, values) -> MomentWitness:
-    """Same Delta formulas as the undiscounted case; verified against the
-    gamma-shift form [gamma z + Delta]_+."""
-    n = s.n
-    x = np.asarray(values, dtype=float)
-    delta = np.zeros((n, n))
-    for i in range(n):
-        si = safe_div(x[i], max(s.disc_scale[i], x[i]))
-        delta[i, :] = si / n
-        delta[i, i] = -(1.0 - 1.0 / n) * si
-    return MomentWitness(ref_actions=tuple(range(n)), delta=delta)
-
-
-def discounted_params(n: int, p: float = 0.0) -> PotentialParams:
-    return PotentialParams(m=n, n_ref=n, sigma_sq=1.0, p=p)
 
 
 def g_gamma(t: int, gamma: float) -> float:
@@ -171,32 +78,26 @@ def inflation_equiv_check(gamma: float, rounds, rel_tol: float = 1e-9,
     """
     _check_gamma(gamma)
     beta = 1.0 / gamma
-    first = True
+    decay = None
     worst = 0.0
     weight = 1.0  # beta^t
     for t, (values, recipient) in enumerate(rounds, start=1):
         if t > max_rounds:
             break
         x = np.asarray(values, dtype=float)
-        if first:
-            n = len(x)
-            decay = DiscountedPropState(n, gamma)
-            bar_util = np.zeros(n)
-            bar_total = np.zeros(n)
-            bar_scale = np.zeros(n)
-            first = False
+        if decay is None:
+            decay = PropxState(len(x), gamma)
+            bar_util = np.zeros(len(x))
+            bar_total = np.zeros(len(x))
         decay.apply(x, recipient)
         weight *= beta
         bar_total += weight * x
         bar_util[recipient] += weight * x[recipient]
-        for i in range(n):
-            if i != recipient and x[i] > bar_scale[i]:
-                bar_scale[i] = x[i]
-        d_bar = bar_total / n - bar_util
-        z_bar = np.array([safe_div(max(di, 0.0), vi) for di, vi in zip(d_bar, bar_scale)])
+        # the scale is undecayed in both ledgers
+        z_bar = normalized(bar_total / decay.n - bar_util, decay.missed_max)
         z = decay.profile()
         z_from_bar = z_bar / weight
         denom = np.maximum(np.abs(z), np.abs(z_from_bar))
         rel = np.where(denom > 0, np.abs(z - z_from_bar) / np.maximum(denom, 1e-300), 0.0)
-        worst = max(worst, float(np.max(rel)) if len(rel) else 0.0)
+        worst = max(worst, float(np.max(rel)))
     return worst <= rel_tol, worst

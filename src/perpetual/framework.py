@@ -67,108 +67,83 @@ def log_potential_component(u: float, p: float) -> float:
     return p * math.log(u * u + 4.0 * p * p)
 
 
-def _log_phi(z: np.ndarray, p: float) -> float:
-    """ln Phi = ln sum_q f(z_q), evaluated via log-sum-exp."""
-    logf = p * np.log(z * z + 4.0 * p * p)
-    mx = float(np.max(logf))
-    return mx + math.log(float(np.sum(np.exp(logf - mx))))
-
-
 def profile_psi(z, params: PotentialParams) -> float:
     """Psi = Phi^(1/p), computed as exp(logsumexp / p)."""
     z = np.asarray(z, dtype=float)
     if z.shape != (params.m,):
         raise DimensionMismatch(f"profile length {z.shape} != m={params.m}")
-    return math.exp(_log_phi(z, params.p) / params.p)
+    p = params.p
+    logf = p * np.log(z * z + 4.0 * p * p)
+    mx = float(np.max(logf))
+    return math.exp((mx + math.log(float(np.sum(np.exp(logf - mx))))) / p)
 
 
 class CandidateSet:
     """Hypothetical post-step deficit profiles, one per feasible action.
 
-    Two interchangeable internal forms:
-
-    * dense -- an explicit profile per action;
-    * patched -- a shared base profile plus, per action, the handful of
-      entries that action changes.  This is what keeps per-round candidate
-      construction O(touched entries) for the allocation instantiations.
-
-    ``profile(a)`` and ``log_phi_by_action`` behave identically for both.
+    One array form: a base profile of length m plus, per action, the entries
+    that action changes -- ``idx`` and ``val`` of shape (actions, touched),
+    where the action id is the row index.  Candidate a is the base with
+    ``base[idx[a]] = val[a]``.  The allocation instantiations touch O(n) or
+    O(nL) entries per action; pdm touches all of them.
     """
 
-    def __init__(self, *, base=None, patches=None, profiles=None):
-        if profiles is not None:
-            self._dense = [(int(a), np.asarray(z, dtype=float)) for a, z in profiles]
-            if not self._dense:
-                raise EmptyCandidateSet("no candidate profiles")
-            m = len(self._dense[0][1])
-            if any(len(z) != m for _, z in self._dense):
-                raise DimensionMismatch("candidate profiles differ in length")
-            self._base = None
-            self._patches = None
-        else:
-            if base is None or patches is None or not patches:
-                raise EmptyCandidateSet("no candidate profiles")
-            self._dense = None
-            self._base = np.asarray(base, dtype=float)
-            self._patches = {int(a): list(ps) for a, ps in patches.items()}
+    def __init__(self, base, idx, val):
+        self.base = np.asarray(base, dtype=float)
+        self.idx = np.asarray(idx, dtype=np.intp)
+        self.val = np.asarray(val, dtype=float)
+        if self.idx.ndim != 2 or self.idx.shape[0] == 0:
+            raise EmptyCandidateSet("no candidate profiles")
+        if self.idx.shape[1] == 0 or self.val.shape != self.idx.shape:
+            raise DimensionMismatch(f"need idx and val of one shape (actions, touched >= 1); "
+                                    f"got {self.idx.shape} and {self.val.shape}")
 
     @classmethod
     def from_profiles(cls, profiles) -> "CandidateSet":
-        return cls(profiles=profiles)
-
-    @classmethod
-    def from_patches(cls, base, patches) -> "CandidateSet":
-        """``patches``: {action_id: [(quality_index, new_z_value), ...]}."""
-        return cls(base=base, patches=patches)
+        """Dense constructor from (action_id, profile) pairs with ids 0, 1, ...
+        in order: every action touches every entry of a zero base."""
+        profiles = [(int(a), np.asarray(z, dtype=float)) for a, z in profiles]
+        if not profiles:
+            raise EmptyCandidateSet("no candidate profiles")
+        if [a for a, _ in profiles] != list(range(len(profiles))):
+            raise ValueError("action ids must be 0, 1, ... in order")
+        m = len(profiles[0][1])
+        if any(z.shape != (m,) for _, z in profiles):
+            raise DimensionMismatch("candidate profiles differ in length")
+        val = np.array([z for _, z in profiles])
+        return cls(np.zeros(m), np.broadcast_to(np.arange(m), val.shape), val)
 
     @property
     def m(self) -> int:
-        if self._dense is not None:
-            return len(self._dense[0][1])
-        return len(self._base)
+        return len(self.base)
 
     def action_ids(self) -> list[int]:
-        if self._dense is not None:
-            return [a for a, _ in self._dense]
-        return sorted(self._patches)
+        return list(range(self.idx.shape[0]))
 
     def profile(self, action_id: int) -> np.ndarray:
-        if self._dense is not None:
-            for a, z in self._dense:
-                if a == action_id:
-                    return z
-            raise KeyError(action_id)
-        z = self._base.copy()
-        for q, v in self._patches[action_id]:
-            z[q] = v
+        z = self.base.copy()
+        z[self.idx[action_id]] = self.val[action_id]
         return z
 
-    def log_phi_by_action(self, params: PotentialParams) -> dict[int, float]:
-        """ln Phi per action.  For the patched form only the touched entries
-        are re-evaluated (single-term swaps around the shared base sum)."""
+    def log_phi(self, params: PotentialParams) -> np.ndarray:
+        """ln Phi of every action, by single-term swaps around the shared base
+        sum: Phi(a) = Phi(base) + sum_k (f(val[a, k]) - f(base[idx[a, k]])),
+        scaled by the base's largest term.  Each row accumulates its swaps
+        left to right, so actions with equal entries get equal sums."""
         p = params.p
-        if self._dense is not None:
-            return {a: _log_phi(z, p) for a, z in self._dense}
-        base = self._base
-        logf = p * np.log(base * base + 4.0 * p * p)
-        mx = float(np.max(logf))
+        four_p2 = 4.0 * p * p
+        logf = p * np.log(self.base * self.base + four_p2)
+        mx = logf.max()
         scaled = np.exp(logf - mx)
-        total = float(np.sum(scaled))
-        out = {}
-        for a, ps in self._patches.items():
-            s = total
-            for q, v in ps:
-                s += math.exp(log_potential_component(v, p) - mx) - scaled[q]
-            out[a] = mx + math.log(s)
-        return out
+        terms = np.exp(p * np.log(self.val * self.val + four_p2) - mx)
+        terms -= scaled[self.idx]
+        terms[:, 0] += scaled.sum()
+        return mx + np.log(np.add.accumulate(terms, axis=1)[:, -1])
 
 
 def choose_action(candidates: CandidateSet, params: PotentialParams) -> int:
-    """argmin_a Psi(a); ties broken by lowest action id (deterministic)."""
-    logphi = candidates.log_phi_by_action(params)
-    if not logphi:
-        raise EmptyCandidateSet("no candidate profiles")
-    return min(logphi, key=lambda a: (logphi[a], a))
+    """argmin_a Psi(a); exact ties go to the lowest action id."""
+    return int(np.argmin(candidates.log_phi(params)))
 
 
 def disappointed_count(z, c: float) -> int:
@@ -291,3 +266,11 @@ def safe_div(x: float, y: float) -> float:
     """Total scale division: x / y when y > 0, else 0 (the 0/0 convention
     used by every scale-normalized deficit)."""
     return x / y if y > 0 else 0.0
+
+
+def normalized(d, scale) -> np.ndarray:
+    """Elementwise [d]_+ / scale with the 0/0 convention of ``safe_div``:
+    entries whose scale is not positive are 0.  ``scale`` broadcasts against
+    ``d``, which sets the shape."""
+    d = np.maximum(d, 0.0)
+    return np.divide(d, scale, out=np.zeros(d.shape), where=scale > 0)

@@ -8,14 +8,17 @@ outcome).
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from .allocation import proportional_delta
 from .framework import (
     CandidateSet,
     DimensionMismatch,
     MomentWitness,
     PotentialParams,
-    safe_div,
+    normalized,
 )
 
 
@@ -37,16 +40,15 @@ class PdmState:
             raise DimensionMismatch(
                 f"round has shape {v.shape}, expected ({self.n},{self.num_outcomes})"
             )
-        if np.any(v < 0):
-            raise ValueError("round values must be nonnegative")
+        if not (v.min() >= 0.0 and v.max() < math.inf):
+            raise ValueError("round values must be finite and nonnegative")
         return v
 
     def deficits(self) -> np.ndarray:
         return self.prop - self.util
 
     def profile(self) -> np.ndarray:
-        d = self.deficits()
-        return np.array([safe_div(max(di, 0.0), vi) for di, vi in zip(d, self.run_max)])
+        return normalized(self.deficits(), self.run_max)
 
     def apply(self, values, outcome: int) -> None:
         v = self._round_values(values)
@@ -57,33 +59,22 @@ class PdmState:
 
 
 def pdm_candidates(s: PdmState, values) -> CandidateSet:
-    """One dense profile per outcome; the scale V' = max{V, M} is computed
-    once, independent of the outcome (asserted structurally by construction)."""
+    """Outcome o's profile in row o, every entry touched; the scale
+    V' = max{V, M} is computed once, independent of the outcome."""
     v = s._round_values(values)
     m_fav = v.max(axis=1)
-    v_new = np.maximum(s.run_max, m_fav)
-    d_base = s.deficits() + m_fav / s.n
-    profiles = []
-    for o in range(s.num_outcomes):
-        d = d_base - v[:, o]
-        z = np.array([safe_div(max(di, 0.0), vi) for di, vi in zip(d, v_new)])
-        profiles.append((o, z))
-    return CandidateSet.from_profiles(profiles)
+    d = s.deficits() + m_fav / s.n
+    z = normalized(d - v.T, np.maximum(s.run_max, m_fav))
+    return CandidateSet(np.zeros(s.n), np.broadcast_to(np.arange(s.n), z.shape), z)
 
 
 def pdm_witness(s: PdmState, values) -> MomentWitness:
     """Reference action k = agent k's favorite outcome (lowest index on ties);
-    s_i = M_i / V'_i; Delta_i(i) = -(1-1/n) s_i, Delta_i(k) = s_i / n."""
+    s_i = M_i / V'_i in ``proportional_delta``."""
     v = s._round_values(values)
     m_fav = v.max(axis=1)
-    v_new = np.maximum(s.run_max, m_fav)
-    ref = tuple(int(np.argmax(v[k])) for k in range(s.n))
-    delta = np.zeros((s.n, s.n))
-    for i in range(s.n):
-        si = safe_div(m_fav[i], v_new[i])
-        delta[i, :] = si / s.n
-        delta[i, i] = -(1.0 - 1.0 / s.n) * si
-    return MomentWitness(ref_actions=ref, delta=delta)
+    delta = proportional_delta(normalized(m_fav, np.maximum(s.run_max, m_fav)))
+    return MomentWitness(ref_actions=tuple(int(o) for o in np.argmax(v, axis=1)), delta=delta)
 
 
 def pdm_params(n: int, p: float = 0.0) -> PotentialParams:

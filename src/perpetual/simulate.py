@@ -7,8 +7,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import allocation, discounted as disc, public_decisions as pdm_mod
-from .baselines import POLICY_NAMES, STREAM_KINDS, StreamSpec, make_policy, stream_generate
+from . import allocation, public_decisions as pdm_mod
+from .baselines import (
+    POLICY_NAMES,
+    RANDOM_KINDS,
+    STREAM_KINDS,
+    StreamSpec,
+    make_policy,
+    stream_generate,
+)
 from .framework import PotentialParams, choose_action, disappointed_count, profile_psi, ct_threshold
 from .metrics import gini, gmd, gmd_bound
 
@@ -17,11 +24,9 @@ INSTANTIATIONS = ("propx", "efx", "efc", "pdm", "discounted")
 CSV_COLUMNS = ("t", "action", "max_deficit", "ct_bound", "psi",
                "disappointed", "gini", "gmd", "gmd_bound")
 
-_RANDOM_KINDS = ("uniform_random", "bernoulli", "choice")
-
 _TOP_KEYS = {
     "instantiation", "policy", "stream", "n", "length", "c", "p", "theta",
-    "num_outcomes", "gamma", "window", "seed", "output", "benade_T", "k_max",
+    "num_outcomes", "gamma", "seed", "output", "benade_T", "k_max",
 }
 _STREAM_KEYS = {"kind", "seed", "params"}
 
@@ -42,7 +47,6 @@ class RunConfig:
     theta: list | None = None
     num_outcomes: int | None = None
     gamma: float | None = None
-    window: int | None = None
     output: str | None = None
     benade_T: int = 400
     k_max: int = 12
@@ -78,7 +82,7 @@ class RunConfig:
         if kind not in STREAM_KINDS:
             raise ConfigInvalid(f"unknown stream kind {kind!r}")
         seed = sraw.get("seed", raw.get("seed"))
-        if kind in _RANDOM_KINDS and seed is None:
+        if kind in RANDOM_KINDS and seed is None:
             raise ConfigInvalid(f"stream kind {kind!r} requires a seed")
         width = 1
         if inst == "pdm":
@@ -87,10 +91,13 @@ class RunConfig:
             width = int(raw["num_outcomes"])
             if policy != "potential":
                 raise ConfigInvalid("pdm supports only the potential policy")
+            if kind not in RANDOM_KINDS:
+                raise ConfigInvalid("pdm requires a random stream kind")
         if inst == "efc" and not raw.get("theta"):
             raise ConfigInvalid("efc requires a nonempty theta ledger")
-        if inst == "discounted" and raw.get("gamma") is None:
-            raise ConfigInvalid("discounted requires gamma")
+        if inst == "discounted" and (raw.get("gamma") is None
+                                     or not 0.0 < float(raw["gamma"]) < 1.0):
+            raise ConfigInvalid("discounted requires gamma in (0, 1)")
         if policy == "benade2" and n != 2:
             raise ConfigInvalid("benade2 requires n = 2")
 
@@ -107,7 +114,6 @@ class RunConfig:
             theta=raw.get("theta"),
             num_outcomes=raw.get("num_outcomes"),
             gamma=None if raw.get("gamma") is None else float(raw["gamma"]),
-            window=raw.get("window"),
             output=raw.get("output"),
             benade_T=int(raw.get("benade_T", 400)),
             k_max=int(raw.get("k_max", 12)),
@@ -149,9 +155,8 @@ def build_harness(cfg: RunConfig) -> Harness:
         return Harness(pdm_mod.PdmState(n, cfg.num_outcomes), pdm_mod.pdm_params(n, cfg.p),
                        pdm_mod.pdm_candidates, pdm_mod.pdm_witness)
     if cfg.instantiation == "discounted":
-        state = disc.DiscountedPropState(n, cfg.gamma)
-        return Harness(state, disc.discounted_params(n, cfg.p),
-                       disc.discounted_candidates, disc.discounted_witness,
+        return Harness(allocation.PropxState(n, cfg.gamma), allocation.propx_params(n, cfg.p),
+                       allocation.propx_candidates, allocation.propx_witness,
                        shift_gamma=cfg.gamma)
     raise ConfigInvalid(cfg.instantiation)
 

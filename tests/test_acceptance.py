@@ -5,6 +5,7 @@ the pytest verdict, so a verbose run reads as a checklist.
 """
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -15,12 +16,8 @@ from perpetual import allocation, discounted as disc, exact_game as eg, public_d
 from perpetual.baselines import StreamSpec, make_policy, run_lb_game, stream_generate
 from perpetual.cli import cli_dispatch
 from perpetual.discounted import (
-    DiscountedPropState,
     WindowState,
     c_gamma,
-    discounted_candidates,
-    discounted_params,
-    discounted_witness,
     inflation_equiv_check,
     windowed_deficit,
 )
@@ -49,12 +46,35 @@ def _uniform(n, length, seed):
 # 1. prefix-wise proportionality bound
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _propx_run(n, seed):
+    """The potential rule on a 1e4-round uniform stream, through the same path
+    as ``simulate`` (PropxState -> propx_candidates -> choose_action).
+    Returns the worst prefix slack max_{d_i > 0} (d_i - ct * U_i) and the
+    worst one-step growth slack of Psi; criteria 01 and 02 share the run."""
+    state = allocation.PropxState(n)
+    params = allocation.propx_params(n)
+    growth = one_step_growth_bound(params)
+    psi = profile_psi(state.profile(), params)
+    worst_prefix = worst_growth = -math.inf
+    for t, x in enumerate(_uniform(n, 10_000, seed), 1):
+        state.apply(x, choose_action(allocation.propx_candidates(state, x), params))
+        nxt = profile_psi(state.profile(), params)
+        worst_growth = max(worst_growth, nxt - psi - growth)
+        psi = nxt
+        d = state.deficits()
+        owed = d > 0.0
+        if owed.any():
+            slack = d[owed] - ct_threshold(t, params) * state.missed_max[owed]
+            worst_prefix = max(worst_prefix, float(slack.max()))
+    return worst_prefix, worst_growth
+
+
 def test_criterion_01_prefix_proportionality_bound():
     worst = -math.inf
     for n in (2, 3, 5):
         for seed in range(20):
-            res = allocation.run_propx_potential(_uniform(n, 10_000, seed), n)
-            worst = max(worst, res["worst_prefix_slack"])
+            worst = max(worst, _propx_run(n, seed)[0])
     _report(1, "max positive deficit <= ct * missed-scale at every prefix "
                "(n in {2,3,5}, 20 seeds, length 1e4)",
             worst <= 1e-9, f"worst slack {worst:.3e}")
@@ -81,8 +101,7 @@ def test_criterion_02_one_step_growth_bound():
     worst = -math.inf
     for n in (2, 3, 5):
         for seed in range(20):
-            res = allocation.run_propx_potential(_uniform(n, 10_000, seed), n)
-            worst = max(worst, res["worst_growth_slack"])
+            worst = max(worst, _propx_run(n, seed)[1])
     n = 3
     worst = max(worst, _generic_growth_slack(
         allocation.EfxState(n), allocation.efx_candidates,
@@ -223,7 +242,7 @@ def test_criterion_07_classical_ef_up_to_k():
 
 def test_criterion_08_discounted_uniform_bound():
     gamma, n = 0.9, 2
-    params = discounted_params(n)
+    params = allocation.propx_params(n)
     bound = c_gamma(params, gamma)
     worst = -math.inf
     streams = (
@@ -232,16 +251,16 @@ def test_criterion_08_discounted_uniform_bound():
                                    params={"prob": 0.9})),
     )
     for stream in streams:
-        state = DiscountedPropState(n, gamma)
+        state = allocation.PropxState(n, gamma)
         for v in stream:
-            cands = discounted_candidates(state, v)
+            cands = allocation.propx_candidates(state, v)
             state.apply(v, choose_action(cands, params))
             worst = max(worst, float(np.max(state.profile())) - bound)
     # dual-ledger equivalence on a fresh policy-driven prefix
-    state = DiscountedPropState(n, gamma)
+    state = allocation.PropxState(n, gamma)
     run = []
     for v in _uniform(n, 200, seed=303):
-        a = choose_action(discounted_candidates(state, v), params)
+        a = choose_action(allocation.propx_candidates(state, v), params)
         state.apply(v, a)
         run.append((v, a))
     infl_ok, infl_worst = inflation_equiv_check(gamma, run, rel_tol=1e-9)
@@ -418,8 +437,8 @@ def test_criterion_10_oracle_equivalence_suite():
         stream_generate(StreamSpec("uniform_random", 4, 50, seed=4, width=3)),
         lambda h, a, x: _naive_pdm(h, 4, a, x), range(3))
     ok &= _run_candidate_oracle(
-        DiscountedPropState(3, 0.9), discounted_candidates,
-        discounted_params(3), _uniform(3, 50, seed=5),
+        allocation.PropxState(3, 0.9), allocation.propx_candidates,
+        allocation.propx_params(3), _uniform(3, 50, seed=5),
         lambda h, a, x: _naive_discounted(h, 3, 0.9, a, x), range(3))
 
     # lp_solve vs grid oracle
@@ -464,8 +483,8 @@ def test_criterion_10_oracle_equivalence_suite():
                          pdm_mod.pdm_witness, pdm_mod.pdm_params(3),
                          stream_generate(StreamSpec("uniform_random", 3, 1000,
                                                     seed=9, width=3)))
-    ok &= _witness_suite(DiscountedPropState(2, 0.9), discounted_candidates,
-                         discounted_witness, discounted_params(2),
+    ok &= _witness_suite(allocation.PropxState(2, 0.9), allocation.propx_candidates,
+                         allocation.propx_witness, allocation.propx_params(2),
                          _uniform(2, 1000, seed=10), gamma=0.9)
 
     _report(10, "fast paths match naive recomputation; witnesses verify on "

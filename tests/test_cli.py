@@ -90,7 +90,17 @@ def test_exact_exp_cli(capsys):
     assert capsys.readouterr().out.strip() == "0"
 
 
-def test_bench_smoke(capsys):
-    assert cli_dispatch(["bench", "--rounds", "20"]) == 0
-    out = capsys.readouterr().out
-    assert "propx" in out and "efx" in out
+@pytest.mark.parametrize("overrides", [
+    {"window": 3},  # not a config key
+    {"instantiation": "pdm", "num_outcomes": 3},  # pdm on the table1 stream
+    {"instantiation": "discounted", "gamma": 1.0},  # the discounted bounds need gamma < 1
+])
+def test_config_errors_exit_2(tmp_path, capsys, overrides):
+    assert cli_dispatch(["simulate", write_config(tmp_path, **overrides)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_nonfinite_item_exit_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, stream={"kind": "constant", "params": {"value": [0.5, "inf"]}})
+    assert cli_dispatch(["simulate", cfg]) == 2
+    assert "finite" in capsys.readouterr().err

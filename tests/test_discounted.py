@@ -1,26 +1,23 @@
 """Windowed deficits and gamma-discounted proportionality."""
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
 import pytest
 
+from perpetual.allocation import PropxState, propx_candidates, propx_params, propx_witness
 from perpetual.discounted import (
-    DiscountedPropState,
     GammaOutOfRange,
     WindowState,
     c_gamma,
     c_gamma_prefix,
-    discounted_candidates,
-    discounted_params,
-    discounted_step,
-    discounted_witness,
     g_gamma,
     inflation_equiv_check,
     windowed_deficit,
 )
-from perpetual.framework import SQRT_E, choose_action, safe_div, verify_moment_witness
+from perpetual.framework import SQRT_E, choose_action, verify_moment_witness
 from perpetual.prng import Xoshiro256StarStar
 
 
@@ -30,6 +27,13 @@ def _random_run(n, rounds, seed):
     for _ in range(rounds):
         x = [rng.next_double() for _ in range(n)]
         out.append((x, rng.next_index(n)))
+    return out
+
+
+def _step(s, values, recipient):
+    """The state after one more round, leaving ``s`` as it was."""
+    out = copy.deepcopy(s)
+    out.apply(values, recipient)
     return out
 
 
@@ -89,17 +93,22 @@ def test_window_validation():
 # ---------------------------------------------------------------------------
 
 def test_gamma_range():
+    for bad in (0.0, -0.2, 1.5):
+        with pytest.raises(GammaOutOfRange):
+            PropxState(2, bad)
+    assert PropxState(2, 1.0).gamma == 1.0  # the undiscounted state
+    # the discounted bounds need gamma < 1
     for bad in (0.0, 1.0, -0.2, 1.5):
         with pytest.raises(GammaOutOfRange):
-            DiscountedPropState(2, bad)
+            c_gamma(propx_params(2), bad)
 
 
 def test_discounted_step_example():
     """Two unit rounds to agent 0 at gamma = 1/2: agent 1's discounted deficit
     is (1/2) * (1/2) + 1/2 = 3/4."""
-    s = DiscountedPropState(2, 0.5)
-    s = discounted_step(s, [1.0, 1.0], 0)
-    s = discounted_step(s, [1.0, 1.0], 0)
+    s = PropxState(2, 0.5)
+    s = _step(s, [1.0, 1.0], 0)
+    s = _step(s, [1.0, 1.0], 0)
     assert s.deficits()[1] == pytest.approx(0.75, abs=1e-12)
     assert s.deficits()[0] == pytest.approx(-0.75, abs=1e-12)
     assert s.profile()[1] == pytest.approx(0.75, abs=1e-12)  # scale = 1
@@ -108,7 +117,7 @@ def test_discounted_step_example():
 def test_discounted_state_matches_direct_sum():
     n, gamma, T = 3, 0.9, 60
     run = _random_run(n, T, seed=5)
-    s = DiscountedPropState(n, gamma)
+    s = PropxState(n, gamma)
     for t, (x, r) in enumerate(run, 1):
         s.apply(x, r)
         # recompute gamma^(t-r)-weighted sums from scratch
@@ -118,21 +127,21 @@ def test_discounted_state_matches_direct_sum():
             w = gamma ** (t - r_t)
             total += w * np.asarray(xv)
             util[rec] += w * xv[rec]
-        assert np.allclose(s.disc_total, total, rtol=1e-12, atol=1e-12)
-        assert np.allclose(s.disc_util, util, rtol=1e-12, atol=1e-12)
+        assert np.allclose(s.total_value, total, rtol=1e-12, atol=1e-12)
+        assert np.allclose(s.bundle_value, util, rtol=1e-12, atol=1e-12)
 
 
 def test_discounted_candidates_match_step_profiles():
     n, gamma = 3, 0.8
-    s = DiscountedPropState(n, gamma)
-    params = discounted_params(n)
+    s = PropxState(n, gamma)
+    params = propx_params(n)
     rng = Xoshiro256StarStar(9)
     for _ in range(50):
         x = [rng.next_double() for _ in range(n)]
-        cands = discounted_candidates(s, x)
+        cands = propx_candidates(s, x)
         for a in range(n):
             assert np.allclose(
-                cands.profile(a), discounted_step(s, x, a).profile(),
+                cands.profile(a), _step(s, x, a).profile(),
                 rtol=1e-12, atol=1e-12,
             )
         s.apply(x, choose_action(cands, params))
@@ -141,15 +150,15 @@ def test_discounted_candidates_match_step_profiles():
 @pytest.mark.parametrize("gamma", [0.5, 0.9, 0.99])
 def test_discounted_witness_always_verifies(gamma):
     n = 3
-    s = DiscountedPropState(n, gamma)
-    params = discounted_params(n)
+    s = PropxState(n, gamma)
+    params = propx_params(n)
     for x, _ in _random_run(n, 120, seed=int(gamma * 100)):
         rep = verify_moment_witness(
-            s.profile(), discounted_candidates(s, x), discounted_witness(s, x),
+            s.profile(), propx_candidates(s, x), propx_witness(s, x),
             params, gamma=gamma,
         )
         assert rep.ok, rep
-        s.apply(x, choose_action(discounted_candidates(s, x), params))
+        s.apply(x, choose_action(propx_candidates(s, x), params))
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +174,7 @@ def test_g_gamma_values():
 
 def test_c_gamma_example_value():
     # n = 2, p = 1, sigma^2 = 1: closed form e * sqrt(4 + 2 sqrt(e) / (2 (1 - g^2)))
-    params = discounted_params(2)
+    params = propx_params(2)
     assert c_gamma(params, 0.5) == pytest.approx(
         math.e * math.sqrt(4 + 2 * SQRT_E / (2 * 0.75)), rel=1e-12
     )
@@ -176,7 +185,7 @@ def test_c_gamma_example_value():
 
 
 def test_c_gamma_limits_and_monotonicity():
-    params = discounted_params(2)
+    params = propx_params(2)
     # prefix bound increases with t and converges to the uniform bound
     gammas = [0.3, 0.7, 0.95]
     for g in gammas:
@@ -192,11 +201,11 @@ def test_c_gamma_limits_and_monotonicity():
 @pytest.mark.parametrize("gamma,seed", [(0.9, 1), (0.99, 2), (0.5, 3)])
 def test_discounted_run_respects_c_gamma(gamma, seed):
     n = 2
-    s = DiscountedPropState(n, gamma)
-    params = discounted_params(n)
+    s = PropxState(n, gamma)
+    params = propx_params(n)
     bound = c_gamma(params, gamma)
     for t, (x, _) in enumerate(_random_run(n, 2000, seed=seed), 1):
-        cands = discounted_candidates(s, x)
+        cands = propx_candidates(s, x)
         s.apply(x, choose_action(cands, params))
         prefix = c_gamma_prefix(params, gamma, t)
         assert float(np.max(s.profile())) <= prefix + 1e-9

@@ -108,15 +108,31 @@ def test_choose_action_empty_raises():
 
 
 def test_candidate_patch_form_equivalence():
-    params = PotentialParams(m=4, n_ref=2, p=math.log(4))
+    p = math.log(4)
+    params = PotentialParams(m=4, n_ref=2, p=p)
     base = np.array([0.5, 1.0, 0.0, 2.0])
-    patches = {0: [(0, 3.0)], 1: [(1, 0.25), (2, 1.5)], 2: []}
-    patched = CandidateSet.from_patches(base, patches)
+    # action 2 rewrites entry 3 with its base value: the base profile itself
+    patched = CandidateSet(base, [[0, 3], [1, 2], [3, 0]], [[3.0, 2.0], [0.25, 1.5], [2.0, 0.5]])
+    assert patched.action_ids() == [0, 1, 2]
+    assert np.array_equal(patched.profile(0), [3.0, 1.0, 0.0, 2.0])
+    assert np.array_equal(patched.profile(2), base)
     dense = CandidateSet.from_profiles([(a, patched.profile(a)) for a in patched.action_ids()])
-    lp = patched.log_phi_by_action(params)
-    ld = dense.log_phi_by_action(params)
-    for a in lp:
-        assert lp[a] == pytest.approx(ld[a], rel=1e-12)
+    lp, ld = patched.log_phi(params), dense.log_phi(params)
+    for a in patched.action_ids():
+        expected = math.log(brute_force_phi(patched.profile(a), p))
+        assert lp[a] == pytest.approx(expected, rel=1e-12)
+        assert ld[a] == pytest.approx(expected, rel=1e-12)
+
+
+def test_candidate_set_shape_checks():
+    with pytest.raises(EmptyCandidateSet):
+        CandidateSet([0.0, 1.0], np.zeros((0, 1)), np.zeros((0, 1)))
+    with pytest.raises(DimensionMismatch):
+        CandidateSet([0.0, 1.0], [[0], [1]], [[1.0, 2.0], [3.0, 4.0]])
+    with pytest.raises(DimensionMismatch):
+        CandidateSet.from_profiles([(0, [1.0, 2.0]), (1, [1.0])])
+    with pytest.raises(ValueError):
+        CandidateSet.from_profiles([(1, [1.0, 2.0])])  # ids must start at 0
 
 
 def test_disappointed_count():

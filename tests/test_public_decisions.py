@@ -128,6 +128,16 @@ def test_item_allocation_embeds_into_pdm():
         assert np.allclose(pdm.deficits(), prop.deficits(), rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+def test_pdm_rejects_nonfinite_and_negative_values(bad):
+    s = PdmState(2, 2)
+    v = [[0.5, bad], [0.2, 0.1]]
+    with pytest.raises(ValueError):
+        pdm_candidates(s, v)
+    with pytest.raises(ValueError):
+        s.apply(v, 0)
+
+
 def test_pdm_dimension_errors():
     s = PdmState(2, 3)
     with pytest.raises(DimensionMismatch):

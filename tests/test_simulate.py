@@ -49,6 +49,7 @@ def test_config_roundtrip(tmp_path):
     {"mystery_key": 1},
     {"n": 1},
     {"length": -1},
+    {"window": 3},
 ])
 def test_config_rejects_bad_values(bad):
     with pytest.raises(ConfigInvalid):
@@ -82,9 +83,17 @@ def test_instantiation_specific_requirements():
         RunConfig.from_dict(base_config(instantiation="efc"))
     with pytest.raises(ConfigInvalid):
         RunConfig.from_dict(base_config(instantiation="discounted"))
+    for gamma in (0.0, 1.0, 1.5):
+        with pytest.raises(ConfigInvalid):
+            RunConfig.from_dict(base_config(instantiation="discounted", gamma=gamma))
+    for kind in ("constant", "table1", "window_cycle", "round_robin_alt"):
+        with pytest.raises(ConfigInvalid, match="random stream kind"):
+            RunConfig.from_dict(base_config(instantiation="pdm", num_outcomes=3,
+                                            stream={"kind": kind}))
     with pytest.raises(ConfigInvalid):
         RunConfig.from_dict(base_config(policy="benade2", n=3))
-    cfg = RunConfig.from_dict(base_config(instantiation="pdm", num_outcomes=3))
+    cfg = RunConfig.from_dict(base_config(instantiation="pdm", num_outcomes=3,
+                                          stream={"kind": "uniform_random", "seed": 1}))
     assert cfg.stream.width == 3
 
 
@@ -153,6 +162,76 @@ def test_simulation_zero_length(tmp_path):
     cfg = RunConfig.from_dict(base_config(length=0, output=str(out)))
     assert run_simulation(cfg) == []
     assert out.read_text() == ",".join(CSV_COLUMNS) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Tie-heavy streams: exact ties go to the lowest action id, and actions with
+# equal entries get equal potentials.  The sequences were recorded with a
+# scalar per-action evaluation of the same rule; near-ties make them
+# sensitive to the order in which each action's swap terms are summed.
+# ---------------------------------------------------------------------------
+
+ROUND_ROBIN_ALT_ACTIONS = {
+    ("propx", 4): (
+        "012313302010300212233001122330011223300112233001122330011223300112233001"
+        "122330011223300112233001122330011223300112233001122330011223300112233001"
+        "12233001122330011223300112233001122330011232200113233001"
+    ),
+    ("propx", 5): (
+        "012341311024034313320242122330400112233440011223344001122334400112233440"
+        "011223344001122334400112233440011223344001122334400112233440011223344001"
+        "12233440011223344001122334400121133440021223344001122334"
+    ),
+    ("efx", 4): (
+        "001123320123133020103002122330011223300112233001122330011223300112233001"
+        "122330011223300112233001122330011223300112233001122330011232200113322001"
+        "13322001133220011332200113322001133220011332200113322001"
+    ),
+    ("efx", 5): (
+        "001122344301234131102403431332024212233040011223344001122334400112233440"
+        "011223344001122334400112233440011223344001122334400112233440011223344001"
+        "12233440011223344001122334400112233440011223344001122334"
+    ),
+}
+
+EFC_LEDGER_ACTIONS = {
+    (3, 1): (
+        "012102120120102012012012021012201021012012012012012012012012012012012012"
+        "012012012012012012012012012012012012012012012012"
+    ),
+    (3, 2): (
+        "102102102120120102012021012012012011202210021210012201020112012012102012"
+        "012012012012012012012012012012012012021021012012"
+    ),
+    (3, 3): (
+        "012102210210120120102112020120120012012120012012012012012012012012012012"
+        "012102012012012012012012012201201012012012012012"
+    ),
+    (8, 1): "041752631057234623017564320674152517036424310765213047562104",
+    (8, 2): "140536272135607427401536241375061052643710254637450132672140",
+    (8, 3): "032541677142503672345016153426701453062706137245013264754130",
+}
+
+
+def _actions(raw) -> str:
+    return "".join(str(r["action"]) for r in run_simulation(RunConfig.from_dict(raw)))
+
+
+@pytest.mark.parametrize("inst,n", sorted(ROUND_ROBIN_ALT_ACTIONS))
+def test_round_robin_alt_tie_actions(inst, n):
+    expected = ROUND_ROBIN_ALT_ACTIONS[inst, n]
+    raw = base_config(instantiation=inst, n=n, length=len(expected),
+                      stream={"kind": "round_robin_alt", "params": {"eps": 0.01}})
+    assert _actions(raw) == expected
+
+
+@pytest.mark.parametrize("n,seed", sorted(EFC_LEDGER_ACTIONS))
+def test_efc_ledger_tie_actions(n, seed):
+    expected = EFC_LEDGER_ACTIONS[n, seed]
+    theta = [0.25, 0.5, 1.0]
+    raw = base_config(instantiation="efc", n=n, length=len(expected), theta=theta,
+                      stream={"kind": "choice", "seed": seed, "params": {"values": theta}})
+    assert _actions(raw) == expected
 
 
 # ---------------------------------------------------------------------------
