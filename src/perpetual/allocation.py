@@ -1,15 +1,15 @@
 """Online item allocation instantiations: PROP-times-c (optionally
 gamma-discounted), EF-times-c, and classical EFc via threshold counts.
 
-Each state stores running aggregates only (bundle values, totals, missed-item
-maxima, pair scales, threshold counts) -- never item lists -- except the EFc
-checker, which optionally keeps per-pair sorted top-value lists.  Deficits are
-recomputed from aggregates each round; aggregates update incrementally.
+Each state stores fixed-shape running aggregates only (bundle values, totals,
+missed-item maxima, pair scales, threshold counts) -- never item lists; the
+EFc threshold counts alone also answer the classical EF-up-to-k check.
+Deficits are recomputed from aggregates each round; aggregates update
+incrementally.
 Candidate builders return every action's touched entries as one array.
 """
 from __future__ import annotations
 
-import bisect
 import math
 
 import numpy as np
@@ -235,11 +235,13 @@ class EfcThresholdState:
     """Counts C[i, j, l] = #{g in P_j : v_i(g) >= theta[l]} over a fixed
     sorted ledger theta of distinct positive values (known in advance).
 
-    ``top_k_cap`` bounds the per-pair sorted value lists retained for
-    ``check_efk``; ``None`` keeps them unbounded (exact checking).
+    The counts are the whole ledger: with layer widths
+    w_l = theta[l] - theta[l-1] (theta[-1] = 0), agent i's multiset of
+    values in P_j is determined by C[i, j, :], so v_i(P_j) = sum_l w_l C[i, j, l]
+    and the sum of its k largest values is sum_l w_l min(k, C[i, j, l]).
     """
 
-    def __init__(self, n: int, theta, top_k_cap: int | None = 64):
+    def __init__(self, n: int, theta):
         if n < 2:
             raise ValueError("need at least 2 agents")
         th = sorted(float(v) for v in theta)
@@ -249,12 +251,8 @@ class EfcThresholdState:
         self.theta = th
         self.L = len(th)
         self.counts = np.zeros((n, n, self.L), dtype=np.int64)
-        self.cross_value = np.zeros((n, n))
-        self.bundle_sizes = np.zeros(n, dtype=np.int64)
-        self.top_k_cap = top_k_cap
-        # top_values[i][j]: v_i values of items in P_j, sorted descending
-        self.top_values = [[[] for _ in range(n)] for _ in range(n)]
         self._theta = np.array(th)
+        self._widths = np.diff(self._theta, prepend=0.0)
         self._off = _off_diagonal(n)
         quality = np.zeros((n, n, self.L), dtype=np.intp)
         quality[self._off] = np.arange(self.m).reshape(-1, self.L)  # quality_index
@@ -285,16 +283,7 @@ class EfcThresholdState:
         return np.maximum(self._gaps()[self._off], 0).ravel().astype(float)
 
     def apply(self, values, recipient: int) -> None:
-        x = _as_values(values, self.n)
-        s = self._indicator_counts(x)
-        self.counts[:, recipient, :] += s
-        self.cross_value[:, recipient] += x
-        self.bundle_sizes[recipient] += 1
-        for i in range(self.n):
-            lst = self.top_values[i][recipient]
-            bisect.insort(lst, -x[i])  # store negated for descending order
-            if self.top_k_cap is not None and len(lst) > self.top_k_cap:
-                lst.pop()
+        self.counts[:, recipient, :] += self._indicator_counts(values)
 
 
 def efc_candidates(s: EfcThresholdState, values) -> CandidateSet:
@@ -320,22 +309,13 @@ def efc_params(n: int, L: int, p: float = 0.0) -> PotentialParams:
 
 
 def check_efk(s: EfcThresholdState, k: int, tol: float = 1e-9) -> dict[tuple[int, int], bool]:
-    """Envy-free up to k items, brute force per ordered pair: remove the k
-    highest v_i-valued goods from P_j and compare.
-
-    When the stored top list was truncated by ``top_k_cap`` the stored sum is
-    a lower bound on the true top-k sum, so a pass is always sound.
-    """
+    """Envy-free up to k items per ordered pair (i, j): removing the k highest
+    v_i-valued goods from P_j leaves no envy.  Exact for every k, from the
+    layer-cake sums over the threshold counts."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    out = {}
-    for i in range(s.n):
-        for j in range(s.n):
-            if i == j:
-                continue
-            envy = s.cross_value[i, j] - s.cross_value[i, i]
-            stored = s.top_values[i][j]
-            kk = min(k, int(s.bundle_sizes[j]), len(stored))
-            top_sum = -sum(stored[:kk])
-            out[(i, j)] = max(envy, 0.0) <= top_sum + tol
-    return out
+    envy = s._gaps() @ s._widths
+    top_k = np.minimum(s.counts, min(k, int(s.counts.max(initial=0)))) @ s._widths
+    ok = np.maximum(envy, 0.0) <= top_k + tol
+    i, j = np.nonzero(s._off)
+    return {(int(a), int(b)): bool(v) for a, b, v in zip(i, j, ok[s._off])}

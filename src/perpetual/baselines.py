@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -109,29 +110,30 @@ def stream_generate(spec: StreamSpec):
 # Item policies
 # ---------------------------------------------------------------------------
 
-def policy_round_robin(t: int, n: int) -> int:
-    """Agent t mod n (t counted from 0)."""
-    return t % n
-
-
 class ItemPolicy:
     """Minimal interface: choose a recipient for the round's values, then be
-    told the realized allocation.  Policies own whatever aggregates they need."""
+    told the realized allocation.  Every policy sees the same undiscounted
+    proportionality aggregates (``state``) and the number of completed
+    rounds (``t``)."""
 
     def __init__(self, n: int):
         self.n = n
+        self.state = PropxState(n)
         self.t = 0  # rounds completed
 
     def choose(self, values) -> int:
         raise NotImplementedError
 
     def update(self, values, recipient: int) -> None:
+        self.state.apply(values, recipient)
         self.t += 1
 
 
 class RoundRobinPolicy(ItemPolicy):
+    """Agent t mod n (t counted from 0)."""
+
     def choose(self, values) -> int:
-        return policy_round_robin(self.t, self.n)
+        return self.t % self.n
 
 
 class ConstantPolicy(ItemPolicy):
@@ -148,77 +150,38 @@ class ConstantPolicy(ItemPolicy):
 class UtilGreedyPolicy(ItemPolicy):
     """Maximize the post-allocation minimum utility; ties -> lowest index."""
 
-    def __init__(self, n: int):
-        super().__init__(n)
-        self.util = np.zeros(n)
-
     def choose(self, values) -> int:
-        x = np.asarray(values, dtype=float)
-        best, best_min = 0, -math.inf
-        for a in range(self.n):
-            u = self.util.copy()
-            u[a] += x[a]
-            post_min = float(np.min(u))
-            if post_min > best_min:
-                best, best_min = a, post_min
-        return best
-
-    def update(self, values, recipient: int) -> None:
-        self.util[recipient] += float(values[recipient])
-        super().update(values, recipient)
+        # row a: the bundle values after giving the item to agent a
+        post = self.state.bundle_value + np.diag(np.asarray(values, dtype=float))
+        return int(np.argmax(post.min(axis=1)))
 
 
 class DeficitGreedyPolicy(ItemPolicy):
     """Allocate to the agent with the largest current proportionality deficit
     d_i = total_i / n - util_i; ties -> lowest index."""
 
-    def __init__(self, n: int):
-        super().__init__(n)
-        self.util = np.zeros(n)
-        self.total = np.zeros(n)
-
-    def deficits(self) -> np.ndarray:
-        return self.total / self.n - self.util
-
     def choose(self, values) -> int:
-        return int(np.argmax(self.deficits()))
-
-    def update(self, values, recipient: int) -> None:
-        x = np.asarray(values, dtype=float)
-        self.total += x
-        self.util[recipient] += x[recipient]
-        super().update(values, recipient)
-
-
-@dataclass(frozen=True)
-class BenadeParams:
-    T: int
-    s: float = 0.0
-    lam: float = 0.0
-
-    def __post_init__(self):
-        if self.s == 0.0:
-            object.__setattr__(self, "s", math.sqrt(2.0 * math.log(1.0 + 2.0 * math.log(2.0) / self.T)))
-        if self.lam == 0.0:
-            object.__setattr__(self, "lam", 10.0 * math.sqrt(self.T * math.log(2.0) / 2.0))
+        return int(np.argmax(self.state.deficits()))
 
 
 class Benade2Policy(ItemPolicy):
     """Two-agent exponential-envy rule: minimize exp(s f12) + exp(s f21) after
-    the candidate update, where f_ij = v_i(P_j) - v_i(P_i).  Scaling factors
-    cancel within a round, so only s matters; sums are compared on their logs.
+    the candidate update, where f_ij = v_i(P_j) - v_i(P_i) and
+    s = sqrt(2 ln(1 + 2 ln 2 / T)) for horizon T.  Scaling factors cancel
+    within a round, so only s matters; sums are compared on their logs.
+    The envies are kept incrementally because they decide exact ties.
     Ties -> agent 0."""
 
-    def __init__(self, n: int, params: BenadeParams):
+    def __init__(self, n: int, T: int):
         if n != 2:
             raise ValueError("this rule is defined for exactly 2 agents")
         super().__init__(n)
-        self.params = params
+        self.s = math.sqrt(2.0 * math.log(1.0 + 2.0 * math.log(2.0) / T))
         self.f12 = 0.0  # agent 1's envy toward agent 2 (0-indexed: 0 -> 1)
         self.f21 = 0.0
 
     def choose(self, values) -> int:
-        s = self.params.s
+        s = self.s
         v1, v2 = float(values[0]), float(values[1])
         # give to agent 0: f12 -= v1, f21 += v2 ; give to agent 1: mirrored
         give0 = np.logaddexp(s * (self.f12 - v1), s * (self.f21 + v2))
@@ -239,17 +202,12 @@ class Benade2Policy(ItemPolicy):
 class PotentialPropxPolicy(ItemPolicy):
     """The p-potential rule on the PROP-times-c instantiation."""
 
-    def __init__(self, n: int, params: PotentialParams | None = None):
-        super().__init__(n)
-        self.state = PropxState(n)
-        self.params = params or propx_params(n)
+    @cached_property
+    def params(self) -> PotentialParams:
+        return propx_params(self.n)
 
     def choose(self, values) -> int:
         return choose_action(propx_candidates(self.state, values), self.params)
-
-    def update(self, values, recipient: int) -> None:
-        self.state.apply(values, recipient)
-        super().update(values, recipient)
 
 
 class ExpExactPolicy(ItemPolicy):
@@ -268,23 +226,15 @@ class ExpExactPolicy(ItemPolicy):
         self.k_max = k_max
         self.builder = FrontierBuilder(n)
         self._exp_policy = exp_policy
-        self.util = np.zeros(n)
-        self.total = np.zeros(n)
 
     def choose(self, values) -> int:
         n = self.n
         delta = tuple(
-            n * Fraction(float(self.util[i])) - Fraction(float(self.total[i])) + n * self.c
-            for i in range(n)
+            n * Fraction(float(u)) - Fraction(float(g)) + n * self.c
+            for u, g in zip(self.state.bundle_value, self.state.total_value)
         )
         item = tuple(min(Fraction(float(v)), Fraction(1)) for v in values)
         return self._exp_policy(delta, item, n, self.k_max, builder=self.builder)
-
-    def update(self, values, recipient: int) -> None:
-        x = np.asarray(values, dtype=float)
-        self.total += x
-        self.util[recipient] += x[recipient]
-        super().update(values, recipient)
 
 
 POLICY_NAMES = (
@@ -299,9 +249,9 @@ POLICY_NAMES = (
 
 
 def make_policy(name: str, n: int, *, c: float = 1.0, T: int = 400,
-                k_max: int = 12, params: PotentialParams | None = None) -> ItemPolicy:
+                k_max: int = 12) -> ItemPolicy:
     if name == "potential":
-        return PotentialPropxPolicy(n, params)
+        return PotentialPropxPolicy(n)
     if name == "round_robin":
         return RoundRobinPolicy(n)
     if name == "util_greedy":
@@ -309,7 +259,7 @@ def make_policy(name: str, n: int, *, c: float = 1.0, T: int = 400,
     if name == "deficit_greedy":
         return DeficitGreedyPolicy(n)
     if name == "benade2":
-        return Benade2Policy(n, BenadeParams(T=T))
+        return Benade2Policy(n, T)
     if name == "exp_exact":
         return ExpExactPolicy(n, c, k_max)
     if name == "constant":

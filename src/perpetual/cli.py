@@ -38,7 +38,11 @@ def _cmd_verify_moments(args) -> int:
 
 def _cmd_lowerbound(args) -> int:
     n, c = args.n, args.c
-    max_rounds = args.max_rounds or int(4900 * n * c * c) + 1
+    max_rounds = args.max_rounds
+    if max_rounds is None:
+        max_rounds = int(4900 * n * c * c) + 1
+    elif max_rounds <= 0:
+        raise ConfigInvalid("--max-rounds must be positive")
     policy = make_policy(args.policy, n, c=c)
     result = run_lb_game(policy, n, c, max_rounds)
     if result.violation_round is None:
@@ -54,7 +58,7 @@ def _cmd_lowerbound(args) -> int:
 def _cmd_exact(args) -> int:
     from . import exact_game as eg
 
-    builder = eg.FrontierBuilder(args.n, prune=not getattr(args, "no_prune", False))
+    builder = eg.FrontierBuilder(args.n)
     if args.exact_cmd == "aux":
         state = _parse_fractions(args.state) if args.state else tuple(
             [Fraction(args.c_rational) * args.n] * args.n)
@@ -111,12 +115,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_aux.add_argument("--c", dest="c_rational", default="1")
     p_aux.add_argument("--state", default=None, help="comma-separated rationals (default n*c each)")
     p_aux.add_argument("--k-max", type=int, default=12)
-    p_aux.add_argument("--no-prune", action="store_true")
     p_fr = ex_sub.add_parser("frontier", help="emit the D^k point set as CSV")
     p_fr.add_argument("--n", type=int, required=True)
     p_fr.add_argument("--k", type=int, required=True)
     p_fr.add_argument("--out", default=None)
-    p_fr.add_argument("--no-prune", action="store_true")
     p_exp = ex_sub.add_parser("exp", help="survival-maximizing recipient for one item")
     p_exp.add_argument("--n", type=int, required=True)
     p_exp.add_argument("--c", dest="c_rational", default="1")

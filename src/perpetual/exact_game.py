@@ -182,12 +182,16 @@ class FrontierBuilder:
     """Lazily builds and caches D^0, D^1, ... for a fixed n."""
 
     def __init__(self, n: int, cap: int = 10**6, prune: bool = True):
+        if n < 2:
+            raise ValueError("need at least 2 agents")
         self.n = n
         self.cap = cap
         self.prune = prune
         self._frontiers = [d0(n)]
 
     def get(self, k: int) -> frozenset:
+        if k < 0:
+            raise ValueError("k must be >= 0")
         while len(self._frontiers) <= k:
             self._frontiers.append(
                 next_frontier(self._frontiers[-1], self.n, prune=self.prune, cap=self.cap)

@@ -148,7 +148,7 @@ def build_harness(cfg: RunConfig) -> Harness:
         return Harness(allocation.EfxState(n), allocation.efx_params(n, cfg.p),
                        allocation.efx_candidates, allocation.efx_witness)
     if cfg.instantiation == "efc":
-        state = allocation.EfcThresholdState(n, cfg.theta, top_k_cap=None)
+        state = allocation.EfcThresholdState(n, cfg.theta)
         return Harness(state, allocation.efc_params(n, state.L, cfg.p),
                        allocation.efc_candidates, allocation.efc_witness)
     if cfg.instantiation == "pdm":

@@ -169,7 +169,7 @@ def test_criterion_05_deficit_greedy_golden():
         a = pol.choose(v)
         pol.update(v, a)
         choices.append(a + 1)
-    d = pol.deficits()
+    d = pol.state.deficits()
     ok = (choices == [1, 2, 2, 1, 2, 1]
           and abs(d[0] - (2 - 2 * eps) / 2) <= 1e-12
           and abs(d[1] - (3 - 3 * eps) / 2) <= 1e-12)
@@ -216,7 +216,7 @@ def test_criterion_07_classical_ef_up_to_k():
     params = allocation.efc_params(n, len(theta))
     ok = True
     for seed in (70, 71):
-        state = allocation.EfcThresholdState(n, theta, top_k_cap=None)
+        state = allocation.EfcThresholdState(n, theta)
         bundles = [[] for _ in range(n)]
         for t, v in enumerate(stream_generate(
                 StreamSpec("choice", n, 2000, seed=seed,

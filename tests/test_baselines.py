@@ -6,11 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from perpetual.allocation import PropxState
 from perpetual.baselines import (
     Benade2Policy,
-    BenadeParams,
     DeficitGreedyPolicy,
     PrefixAlreadyUnfair,
+    RoundRobinPolicy,
     SlackVector,
     StreamSpec,
     UtilGreedyPolicy,
@@ -18,7 +19,6 @@ from perpetual.baselines import (
     lb_potential_monitor,
     lb_slack_update,
     make_policy,
-    policy_round_robin,
     run_lb_game,
     stream_generate,
 )
@@ -105,9 +105,14 @@ def test_stream_spec_validation():
 # ---------------------------------------------------------------------------
 
 def test_policy_round_robin():
-    assert policy_round_robin(0, 2) == 0
-    assert policy_round_robin(5, 3) == 2
-    assert [policy_round_robin(t, 3) for t in range(6)] == [0, 1, 2, 0, 1, 2]
+    pol = RoundRobinPolicy(3)
+    choices = []
+    for _ in range(6):
+        a = pol.choose([1.0, 1.0, 1.0])
+        pol.update([1.0, 1.0, 1.0], a)
+        choices.append(a)
+    assert choices == [0, 1, 2, 0, 1, 2]
+    assert pol.t == 6
 
 
 def test_util_greedy_fresh_tie():
@@ -156,7 +161,7 @@ def test_deficit_greedy_table1_golden():
         pol.update(v, a)
         choices.append(a + 1)  # 1-indexed like the worked example
     assert choices == [1, 2, 2, 1, 2, 1]
-    d = pol.deficits()
+    d = pol.state.deficits()
     assert d[0] == pytest.approx((2 - 2 * eps) / 2, abs=1e-12)
     assert d[1] == pytest.approx((3 - 3 * eps) / 2, abs=1e-12)
 
@@ -171,22 +176,21 @@ def test_deficit_greedy_growth_every_two_rounds():
         if t >= 3:
             assert v[a] == eps
         pol.update(v, a)
-        maxima.append(float(np.max(pol.deficits())))
+        maxima.append(float(np.max(pol.state.deficits())))
     for t in range(6, 40, 2):
         assert maxima[t - 1] - maxima[t - 3] == pytest.approx((1 - eps) / 2, abs=1e-12)
 
 
 def test_benade_params():
-    p = BenadeParams(T=400)
-    assert p.s == pytest.approx(math.sqrt(2 * math.log(1 + 2 * math.log(2) / 400)))
-    assert p.lam == pytest.approx(10 * math.sqrt(400 * math.log(2) / 2))
+    assert Benade2Policy(2, 400).s == pytest.approx(math.sqrt(2 * math.log(1 + 2 * math.log(2) / 400)))
+    assert make_policy("benade2", 2, T=100).s == Benade2Policy(2, 100).s
 
 
 def test_benade2_symmetric_tie():
-    pol = Benade2Policy(2, BenadeParams(T=100))
+    pol = Benade2Policy(2, 100)
     assert pol.choose([0.5, 0.5]) == 0
     with pytest.raises(ValueError):
-        Benade2Policy(3, BenadeParams(T=100))
+        Benade2Policy(3, 100)
 
 
 def test_benade2_linear_envy_window():
@@ -289,14 +293,14 @@ def test_round_robin_violates_prop_on_alternating_stream():
     ceil(4c/(1-eps)) + 2 rounds (and not much earlier)."""
     eps, c = 0.01, 5.0
     pol = make_policy("round_robin", 2)
-    tracker = DeficitGreedyPolicy(2)  # reuse its deficit bookkeeping
+    tracker = PropxState(2)
     first_violation = None
     limit = math.ceil(4 * c / (1 - eps)) + 2
     for t, v in enumerate(stream_generate(
             StreamSpec("round_robin_alt", 2, limit + 2, params={"eps": eps})), 1):
         a = pol.choose(v)
         pol.update(v, a)
-        tracker.update(v, a)
+        tracker.apply(v, a)
         if first_violation is None and np.max(tracker.deficits()) > c:
             first_violation = t
     assert first_violation is not None

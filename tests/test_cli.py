@@ -62,6 +62,39 @@ def test_lowerbound_no_violation_exit_1(capsys):
     assert "no violation" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["--n", "2", "--k", "-1"],
+    ["--n", "2", "--k", "-3"],
+    ["--n", "0", "--k", "1"],
+])
+def test_exact_frontier_bad_n_or_k_exit_2(capsys, argv):
+    assert cli_dispatch(["exact", "frontier", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error" in captured.err
+
+
+def test_exact_aux_one_agent_exit_2(capsys):
+    assert cli_dispatch(["exact", "aux", "--n", "1", "--state", "1"]) == 2
+    assert "at least 2 agents" in capsys.readouterr().err
+
+
+def test_lowerbound_nonpositive_max_rounds_exit_2(capsys):
+    code = cli_dispatch(["lowerbound", "--n", "2", "--c", "1",
+                         "--policy", "potential", "--max-rounds", "0"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-rounds" in captured.err
+
+
+@pytest.mark.parametrize("policy", ["round_robin", "potential"])
+def test_lowerbound_one_agent_exit_2(capsys, policy):
+    code = cli_dispatch(["lowerbound", "--n", "1", "--c", "1", "--policy", policy])
+    assert code == 2
+    assert "at least 2 agents" in capsys.readouterr().err
+
+
 def test_exact_aux_cli(capsys):
     assert cli_dispatch(["exact", "aux", "--n", "2", "--state", "0,0"]) == 0
     assert capsys.readouterr().out.strip() == "1"

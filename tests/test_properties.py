@@ -1,0 +1,115 @@
+"""Property tests: running aggregates agree with a replay of the full history.
+
+Hypothesis runs derandomized with a bounded example count, so every run of
+the suite checks the same inputs.
+"""
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from perpetual.allocation import EfcThresholdState, check_efk
+from perpetual.baselines import make_policy
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=120)
+
+
+def _efk_oracle(bundles, i, j, k):
+    """Recompute from full history: remove the k highest v_i items from P_j."""
+    vals = sorted((v[i] for v in bundles[j]), reverse=True)
+    envy = sum(vals) - sum(v[i] for v in bundles[i])
+    return envy - sum(vals[:k]) <= 1e-9
+
+
+@st.composite
+def efc_histories(draw):
+    """A ledger on a 1/10 or 1/8 grid (so distinct sums differ by far more
+    than the tolerance), then rounds of ledger-or-zero values and recipients."""
+    n = draw(st.integers(2, 4))
+    denom = draw(st.sampled_from([10, 8]))
+    ledger = [k / denom for k in draw(st.lists(st.integers(1, 30), min_size=1,
+                                               max_size=4, unique=True))]
+    pool = [0.0] + ledger
+    rounds = draw(st.lists(
+        st.tuples(st.lists(st.sampled_from(pool), min_size=n, max_size=n),
+                  st.integers(0, n - 1)),
+        max_size=40))
+    return n, ledger, rounds
+
+
+@PROPERTY
+@given(efc_histories(), st.lists(st.integers(0, 50), min_size=1, max_size=4))
+def test_count_based_check_efk_equals_history_oracle(history, ks):
+    n, ledger, rounds = history
+    state = EfcThresholdState(n, ledger)
+    bundles = [[] for _ in range(n)]
+    for values, recipient in rounds:
+        state.apply(values, recipient)
+        bundles[recipient].append(values)
+    for k in ks:
+        checks = check_efk(state, k)
+        assert set(checks) == {(i, j) for i in range(n) for j in range(n) if i != j}
+        for (i, j), ok in checks.items():
+            assert ok == _efk_oracle(bundles, i, j, k), (i, j, k)
+
+
+_EXTREMES = [0.0, 1e-300, 0.25, 0.5, 1.0, 1e300]
+
+
+@st.composite
+def policy_streams(draw):
+    n = draw(st.integers(2, 4))
+    names = ["potential", "round_robin", "util_greedy", "deficit_greedy", "constant"]
+    if n == 2:
+        names.append("benade2")
+    name = draw(st.sampled_from(names))
+    tie = st.sampled_from(_EXTREMES).map(lambda v: [v] * n)  # every agent equal
+    mixed = st.lists(st.sampled_from(_EXTREMES), min_size=n, max_size=n)
+    items = draw(st.lists(st.one_of(tie, mixed), max_size=30))
+    return n, name, items
+
+
+@PROPERTY
+@given(policy_streams())
+def test_policy_state_equals_naive_replay(case):
+    n, name, items = case
+    pol = make_policy(name, n)
+    bundle = [0.0] * n
+    total = [0.0] * n
+    missed = [0.0] * n
+    for values in items:
+        a = pol.choose(values)
+        pol.update(values, a)
+        for i in range(n):
+            total[i] += values[i]
+            if i == a:
+                bundle[i] += values[i]
+            else:
+                missed[i] = max(missed[i], values[i])
+    assert pol.t == len(items)
+    assert pol.state.bundle_value.tolist() == bundle
+    assert pol.state.total_value.tolist() == total
+    assert pol.state.missed_max.tolist() == missed
+    assert pol.state.deficits().tolist() == [g / n - u for g, u in zip(total, bundle)]
+
+
+@PROPERTY
+@given(policy_streams())
+def test_util_greedy_equals_per_agent_loop(case):
+    n, _, items = case
+    pol = make_policy("util_greedy", n)
+    util = [0.0] * n
+    for values in items:
+        best, best_min = 0, -math.inf
+        for a in range(n):
+            post = list(util)
+            post[a] += values[a]
+            if min(post) > best_min:
+                best, best_min = a, min(post)
+        assert pol.choose(values) == best
+        pol.update(values, best)
+        util[best] += values[best]
+    assert np.array_equal(pol.state.bundle_value, util)

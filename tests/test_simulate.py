@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from perpetual.baselines import POLICY_NAMES, StreamSpec, make_policy, stream_generate
 from perpetual.simulate import (
     CSV_COLUMNS,
     ConfigInvalid,
@@ -223,6 +224,61 @@ def test_round_robin_alt_tie_actions(inst, n):
     raw = base_config(instantiation=inst, n=n, length=len(expected),
                       stream={"kind": "round_robin_alt", "params": {"eps": 0.01}})
     assert _actions(raw) == expected
+
+
+# Every item policy driven directly (choose, then update) for 48 rounds;
+# exp_exact uses k_max = 4 at n = 2 and k_max = 2 at n = 3.
+POLICY_TIE_ACTIONS = {
+    ("potential", "round_robin_alt", 2): "011001100110011001100110011001100110011001100110",
+    ("round_robin", "round_robin_alt", 2): "010101010101010101010101010101010101010101010101",
+    ("util_greedy", "round_robin_alt", 2): "011001100110011001100110011001100110011001100110",
+    ("deficit_greedy", "round_robin_alt", 2): "011001100110011001100110011001100110011001100110",
+    ("benade2", "round_robin_alt", 2): "011001100110011001100110011001100110011001100110",
+    ("exp_exact", "round_robin_alt", 2): "001000100010001000100010001000100010001000100010",
+    ("constant", "round_robin_alt", 2): "000000000000000000000000000000000000000000000000",
+    ("potential", "round_robin_alt", 3): "012110200112200112200112200112200112200112200112",
+    ("round_robin", "round_robin_alt", 3): "012012012012012012012012012012012012012012012012",
+    ("util_greedy", "round_robin_alt", 3): "000000000000000000000000000000000000000000000000",
+    ("deficit_greedy", "round_robin_alt", 3): "012110200112200112200112200112200112200112200112",
+    ("exp_exact", "round_robin_alt", 3): "001020001020001020001020001020001020001020001020",
+    ("constant", "round_robin_alt", 3): "000000000000000000000000000000000000000000000000",
+    ("potential", "table1", 2): "010101010001000100010001000100010001000100010001",
+    ("round_robin", "table1", 2): "010101010101010101010101010101010101010101010101",
+    ("util_greedy", "table1", 2): "011101010101010101010101010101010101010101010101",
+    ("deficit_greedy", "table1", 2): "011010101010101010101010101010101010101010101010",
+    ("benade2", "table1", 2): "000101010101010101010101010101010101010101010101",
+    ("exp_exact", "table1", 2): "000100010001000100010001000100010001000100010001",
+    ("constant", "table1", 2): "000000000000000000000000000000000000000000000000",
+    ("potential", "benade_linear", 2): "010101010101010101010000000000000000000000000000",
+    ("round_robin", "benade_linear", 2): "010101010101010101010101010101010101010101010101",
+    ("util_greedy", "benade_linear", 2): "011111111111011111110000000000000000000000000000",
+    ("deficit_greedy", "benade_linear", 2): "010101010101011010101111111111111111111111111111",
+    ("benade2", "benade_linear", 2): "000000000000000000000000000000000000000000000000",
+    ("exp_exact", "benade_linear", 2): "000000000000000000010000000000000000000000000000",
+    ("constant", "benade_linear", 2): "000000000000000000000000000000000000000000000000",
+}
+
+TIE_STREAM_PARAMS = {
+    "round_robin_alt": {"eps": 0.01},
+    "table1": {"eps": 0.01},
+    "benade_linear": {"T": 400, "rho": 0.1},
+}
+
+
+def test_policy_tie_actions_cover_every_policy():
+    assert {name for name, _, _ in POLICY_TIE_ACTIONS} == set(POLICY_NAMES)
+
+
+@pytest.mark.parametrize("name,kind,n", sorted(POLICY_TIE_ACTIONS))
+def test_policy_tie_actions(name, kind, n):
+    expected = POLICY_TIE_ACTIONS[name, kind, n]
+    pol = make_policy(name, n, T=400, k_max=4 if n == 2 else 2)
+    actions = []
+    for v in stream_generate(StreamSpec(kind, n, len(expected), params=TIE_STREAM_PARAMS[kind])):
+        a = pol.choose(v)
+        pol.update(v, a)
+        actions.append(str(a))
+    assert "".join(actions) == expected
 
 
 @pytest.mark.parametrize("n,seed", sorted(EFC_LEDGER_ACTIONS))
