@@ -308,9 +308,8 @@ class LbGameResult:
     slack: SlackVector
     monitor_ok: bool
     worst_monitor_violation: float
-    cross_value: np.ndarray  # v_i(P_j) at the end of play
-    prop: np.ndarray
-    util: np.ndarray
+    prop: np.ndarray  # v_i(G) / n at the end of play
+    util: np.ndarray  # v_i(P_i) at the end of play
 
 
 def run_lb_game(policy: ItemPolicy, n: int, c: float, max_rounds: int,
@@ -321,12 +320,10 @@ def run_lb_game(policy: ItemPolicy, n: int, c: float, max_rounds: int,
     if c < 1:
         raise ValueError("the construction requires c >= 1")
     slack = SlackVector(z=[2.0 * c] * n, c=c)
-    cross = np.zeros((n, n))
-    prop = np.zeros(n)
-    util = np.zeros(n)
     phi_prev, _ = lb_potential_monitor(slack)
     monitor_ok = True
     worst = 0.0
+    violation = None
 
     for t in range(1, max_rounds + 1):
         x = lb_adversary_next(slack)
@@ -338,14 +335,13 @@ def run_lb_game(policy: ItemPolicy, n: int, c: float, max_rounds: int,
                 if v > tol:
                     monitor_ok = False
                 worst = max(worst, v)
-        w = policy.choose(np.asarray(x))
-        policy.update(np.asarray(x), w)
+        items = np.asarray(x)
+        w = policy.choose(items)
+        policy.update(items, w)
         slack = lb_slack_update(slack, x, w)
-        cross[:, w] += x
-        prop += np.asarray(x) / n
-        util[w] += x[w]
         if min(slack.z) < c:
-            return LbGameResult(t, t, slack, monitor_ok, worst, cross, prop, util)
+            violation = t
+            break
         if check_invariants:
             phi, total = lb_potential_monitor(slack)
             for v in (phi - phi_prev, total - 3.0 * n * c):
@@ -354,4 +350,6 @@ def run_lb_game(policy: ItemPolicy, n: int, c: float, max_rounds: int,
                 worst = max(worst, v)
             phi_prev = phi
 
-    return LbGameResult(None, max_rounds, slack, monitor_ok, worst, cross, prop, util)
+    state = policy.state
+    return LbGameResult(violation, violation or max_rounds, slack, monitor_ok, worst,
+                        state.total_value / n, state.bundle_value.copy())

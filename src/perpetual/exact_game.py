@@ -6,14 +6,25 @@ strictly-dominated region is exactly the set of states from which an adversary
 can force a violation within k rounds; AUX finds the smallest such k and EXP
 picks the recipient maximizing it.
 
-Everything here is exact: coordinates are ``Fraction`` or the ``INF``
-singleton.  Floating point is forbidden in this module -- domination is a
-strict inequality and the reference value aux((2,2)) = 10 must be bit-certain.
+Everything here is exact, and floating point is forbidden in this module --
+domination is a strict inequality and the reference value aux((2,2)) = 10 must
+be bit-certain.  Inside, the solver runs on Python integers: the LP only ever
+divides by n, so every D^k coordinate is a multiple of 1/n**k, and level k is
+kept as integer tuples at scale n**k.  Multiplying a level by n makes each
+division of the next LP an exact integer division.  An unbounded coordinate is
+the integer sentinel ``_INF``, which is never scaled and exceeds every finite
+coordinate.  At the API boundary coordinates are ``Fraction`` (or int) or the
+``INF`` singleton: ``FrontierBuilder.get`` converts a level once and caches
+it, and ``aux`` turns the queried state into integer thresholds per level.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from fractions import Fraction
+from numbers import Rational
+from operator import ge, gt
 
 
 class KMaxExceeded(RuntimeError):
@@ -67,11 +78,56 @@ class _Infinity:
 
 INF = _Infinity()
 
-ExtRational = object  # Fraction | _Infinity; alias for documentation only
+#: INF inside the integer kernel, and the bound below which finite kernel
+#: inputs stay: one LP step maps inputs below _FINITE to outputs far below
+#: _INF.  Finite level-k coordinates lie in [0, k * n**k] (each level adds at
+#: most 1 to the largest one); FrontierBuilder refuses a level whose bound
+#: reaches _FINITE, and the boundary refuses larger scaled coordinates.
+_INF = 1 << 1024
+_FINITE = 1 << 512
 
 
 def is_inf(v) -> bool:
     return isinstance(v, _Infinity)
+
+
+# ---------------------------------------------------------------------------
+# Boundary conversions
+# ---------------------------------------------------------------------------
+
+def _scaled(points, n: int) -> tuple:
+    """``points`` as integer tuples at n times their least common denominator,
+    so every finite coordinate is a multiple of n; and that scale."""
+    scale = n * math.lcm(*{v.denominator for p in points for v in p if not is_inf(v)})
+    ints = [tuple(_INF if is_inf(v) else v.numerator * scale // v.denominator for v in p)
+            for p in points]
+    if any(v != _INF and abs(v) >= _FINITE for p in ints for v in p):
+        raise ValueError("coordinate too large for the exact solver")
+    return ints, scale
+
+
+def _to_fractions(level, scale: int) -> frozenset:
+    return frozenset(tuple(INF if v == _INF else Fraction(v, scale) for v in p)
+                     for p in level)
+
+
+# ---------------------------------------------------------------------------
+# The LP
+# ---------------------------------------------------------------------------
+
+def _lp(xi: int, mu: int, n: int, unit: int) -> tuple:
+    """(Y, z*) at scale ``unit`` (the integer standing for 1) on coordinates
+    that are multiples of n or ``_INF``, so (xi - mu) // n is exact."""
+    if xi == _INF:
+        return (_INF, 0) if mu == _INF else (mu + unit, unit)
+    if mu == _INF:
+        return xi, 0
+    z = min(max((xi - mu) // n, 0), unit)
+    y = min(xi - (n - 1) * z, mu + z)
+    # exact feasibility check on every call (the INF cases hold by construction)
+    assert y + (n - 1) * z <= xi
+    assert y - z <= mu
+    return y, z
 
 
 def lp_solve(x: tuple, i: int) -> tuple:
@@ -83,103 +139,107 @@ def lp_solve(x: tuple, i: int) -> tuple:
     Returns (Y, z*) with Y extended-rational and z* a Fraction in [0, 1].
     """
     n = len(x)
-    xi = x[i]
-    mu = min(x[j] for j in range(n) if j != i)
-    if is_inf(xi) and is_inf(mu):
-        y, z = INF, Fraction(0)
-    elif is_inf(xi):
-        y, z = mu + Fraction(1), Fraction(1)
-    elif is_inf(mu):
-        y, z = xi, Fraction(0)
-    else:
-        z = min(max((xi - mu) / n, Fraction(0)), Fraction(1))
-        y = min(xi - (n - 1) * z, mu + z)
-    # exact feasibility check on every call
-    assert is_inf(xi) or y + (n - 1) * z <= xi
-    assert all(is_inf(x[j]) or (is_inf(y) is False and y - z <= x[j]) for j in range(n) if j != i)
-    return y, z
+    (xs,), scale = _scaled([x], n)
+    y, z = _lp(xs[i], min(xs[:i] + xs[i + 1:]), n, scale)
+    return INF if y == _INF else Fraction(y, scale), Fraction(z, scale)
+
+
+def _y2(xi: int, mu: int, unit: int) -> int:
+    """Y for n = 2 (same case split as ``_lp``)."""
+    if xi == _INF:
+        return _INF if mu == _INF else mu + unit
+    if mu == _INF or xi <= mu:
+        return xi
+    if xi - mu <= 2 * unit:
+        return (xi + mu) // 2
+    return mu + unit
+
+
+# ---------------------------------------------------------------------------
+# Frontiers
+# ---------------------------------------------------------------------------
+
+def _axis_level(n: int) -> list:
+    """D^0 at scale 1, sorted descending."""
+    return sorted((tuple(0 if j == i else _INF for j in range(n)) for i in range(n)),
+                  reverse=True)
 
 
 def d0(n: int) -> frozenset:
     """Axis points: one 0 coordinate, INF elsewhere."""
-    pts = set()
-    for i in range(n):
-        pts.add(tuple(Fraction(0) if j == i else INF for j in range(n)))
-    return frozenset(pts)
+    return _to_fractions(_axis_level(n), 1)
 
 
-def _weakly_covers(a: tuple, b: tuple) -> bool:
-    return all(ai >= bi for ai, bi in zip(a, b))
+def _pareto_front(points, n: int) -> list:
+    """The Pareto-maximal points of ``points``, sorted descending.
+
+    In lexicographic-descending order every point that weakly covers q comes
+    before q, and a covered point's coverer covers everything it does, so q
+    is compared only with the points already kept.  For n = 2 only the
+    largest second coordinate per first coordinate can be kept, so the sweep
+    sorts first coordinates, not points."""
+    kept = []
+    if n == 2:
+        top = {}
+        for p0, p1 in points:
+            if top.get(p0, p1) <= p1:
+                top[p0] = p1
+        for p0 in sorted(top, reverse=True):
+            if not kept or top[p0] > kept[-1][1]:
+                kept.append((p0, top[p0]))
+        return kept
+    for q in sorted(set(points), reverse=True):
+        if n == 3:
+            _, q1, q2 = q
+            covered = any(o1 >= q1 and o2 >= q2 for _, o1, o2 in kept)
+        else:
+            covered = any(all(map(ge, o, q)) for o in kept)
+        if not covered:
+            kept.append(q)
+    return kept
 
 
 def pareto_prune(points, n: int) -> frozenset:
     """Keep only Pareto-maximal points (coordinate-wise).  Sound because a
     coordinate-wise larger point strictly dominates everything the smaller
     one does, so the dominated region is unchanged."""
-    pts = sorted(set(points), reverse=True)
+    return frozenset(_pareto_front(points, n))
+
+
+def _step(pts: list, n: int, unit: int, prune: bool, cap: int) -> list:
+    """The next level from ``pts``, integer tuples at scale ``unit`` whose
+    finite coordinates are multiples of n, sorted descending: for every
+    ordered n-tuple of points, coordinate i of the generated point is the LP
+    value of the tuple's i-th coordinates.  Returns the level sorted
+    descending, at the same scale."""
+    out = set()
     if n == 2:
-        kept = []
-        best1 = None
-        for q in pts:
-            if best1 is None or q[1] > best1:
-                kept.append(q)
-                best1 = q[1]
-        return frozenset(kept)
-    kept = []
-    for q in pts:
-        if not any(o != q and _weakly_covers(o, q) for o in pts):
-            kept.append(q)
-    return frozenset(kept)
-
-
-def _y2(xi, mu):
-    """Closed-form LP value for n = 2 (same case split as lp_solve)."""
-    if is_inf(xi):
-        return INF if is_inf(mu) else mu + 1
-    if is_inf(mu) or xi <= mu:
-        return xi
-    if xi - mu <= 2:
-        return (xi + mu) / 2
-    return mu + 1
+        # hot path: coordinate 0 solves the LP at index 0 of (a0, b0);
+        # coordinate 1 at index 1 of (a1, b1), i.e. x_i = b1 and mu = a1
+        for a0, a1 in pts:
+            for b0, b1 in pts:
+                out.add((_y2(a0, b0, unit), _y2(b1, a1, unit)))
+            if len(out) > cap:
+                raise FrontierSizeExceeded(f"frontier exceeds {cap} points")
+    else:
+        y = functools.lru_cache(maxsize=None)(lambda xi, mu: _lp(xi, mu, n, unit)[0])
+        for tup in itertools.product(pts, repeat=n):
+            out.add(tuple(y(c[i], min(c[:i] + c[i + 1:])) for i, c in enumerate(zip(*tup))))
+            if len(out) > cap:
+                raise FrontierSizeExceeded(f"frontier exceeds {cap} points")
+    return _pareto_front(out, n) if prune else sorted(out, reverse=True)
 
 
 def next_frontier(points, n: int, prune: bool = True, cap: int = 10**6) -> frozenset:
     """D^{k+1} from D^k: for every ordered n-tuple of D^k points, coordinate i
     of the generated point is the LP value of the tuple's i-th coordinates."""
-    pts = sorted(points, reverse=True)  # canonical order for determinism
-    out = set()
-    if n == 2:
-        # hot path: both coordinates have the same closed form
-        # coordinate 0 solves the LP at index 0 of (a0, b0); coordinate 1 at
-        # index 1 of (a1, b1), i.e. x_i = b1 and mu = a1
-        for a in pts:
-            a0, a1 = a
-            for b in pts:
-                out.add((_y2(a0, b[0]), _y2(b[1], a1)))
-            if len(out) > cap:
-                raise FrontierSizeExceeded(f"frontier exceeds {cap} points")
-        return pareto_prune(out, n) if prune else frozenset(out)
-
-    memo: dict = {}
-
-    def y_of(vec: tuple, i: int):
-        key = (vec, i)
-        got = memo.get(key)
-        if got is None:
-            got = lp_solve(vec, i)[0]
-            memo[key] = got
-        return got
-
-    for tup in itertools.product(pts, repeat=n):
-        q = tuple(y_of(tuple(tup[j][i] for j in range(n)), i) for i in range(n))
-        out.add(q)
-        if len(out) > cap:
-            raise FrontierSizeExceeded(f"frontier exceeds {cap} points")
-    return pareto_prune(out, n) if prune else frozenset(out)
+    pts, unit = _scaled(points, n)
+    return _to_fractions(_step(sorted(pts, reverse=True), n, unit, prune, cap), unit)
 
 
 class FrontierBuilder:
-    """Lazily builds and caches D^0, D^1, ... for a fixed n."""
+    """Lazily builds and caches D^0, D^1, ... for a fixed n: integer levels
+    for the solver, and each level's ``Fraction`` form once it is asked for."""
 
     def __init__(self, n: int, cap: int = 10**6, prune: bool = True):
         if n < 2:
@@ -187,34 +247,84 @@ class FrontierBuilder:
         self.n = n
         self.cap = cap
         self.prune = prune
-        self._frontiers = [d0(n)]
+        self._levels = [_axis_level(n)]
+        self._fractions: dict[int, frozenset] = {}
 
-    def get(self, k: int) -> frozenset:
+    def _level(self, k: int) -> list:
+        """Level k: integer tuples at scale n**k, sorted descending."""
         if k < 0:
             raise ValueError("k must be >= 0")
-        while len(self._frontiers) <= k:
-            self._frontiers.append(
-                next_frontier(self._frontiers[-1], self.n, prune=self.prune, cap=self.cap)
-            )
-        return self._frontiers[k]
+        n = self.n
+        while len(self._levels) <= k:
+            j = len(self._levels)
+            if j * n ** j >= _FINITE:
+                raise FrontierSizeExceeded(f"D^{j} coordinates would exceed the integer range")
+            # the previous level at scale n**j: every finite coordinate a multiple of n
+            pts = [tuple(v if v == _INF else v * n for v in p) for p in self._levels[-1]]
+            self._levels.append(_step(pts, n, n ** j, self.prune, self.cap))
+        return self._levels[k]
 
+    def get(self, k: int) -> frozenset:
+        got = self._fractions.get(k)
+        if got is None:
+            got = self._fractions[k] = _to_fractions(self._level(k), self.n ** k)
+        return got
+
+
+# ---------------------------------------------------------------------------
+# AUX and EXP
+# ---------------------------------------------------------------------------
 
 def dominates(p: tuple, x: tuple) -> bool:
     """Strict domination in every coordinate; INF > any finite value."""
     return all(pi > xi for pi, xi in zip(p, x))
 
 
+def _checked(n: int, builder: FrontierBuilder | None, *vectors) -> FrontierBuilder:
+    """The builder to use, once every vector has n rational or INF coordinates."""
+    for x in vectors:
+        if len(x) != n:
+            raise ValueError(f"{len(x)} coordinates given, expected n = {n}")
+        if not all(is_inf(v) or isinstance(v, Rational) for v in x):
+            raise ValueError(f"coordinates must be Fraction, int or INF: {x!r}")
+    if builder is None:
+        return FrontierBuilder(n)
+    if builder.n != n:
+        raise ValueError(f"builder is for n = {builder.n}, not n = {n}")
+    return builder
+
+
+def _horizon(x: tuple, builder: FrontierBuilder, k_max: int) -> int:
+    """aux on a checked state, k_max + 1 when no D^k with k <= k_max
+    dominates it.  At level k the state becomes integer thresholds
+    t_i = floor(x_i * n**k): an integer p exceeds x_i * n**k exactly when it
+    exceeds t_i.  A threshold past every finite coordinate is clamped below
+    ``_INF``; an INF coordinate is ``_INF`` itself, which nothing exceeds."""
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
+    n = builder.n
+    ratios = [None if is_inf(v) else (v.numerator, v.denominator) for v in x]
+    for k in range(k_max + 1):
+        scale = n ** k
+        t = [_INF if r is None else min(r[0] * scale // r[1], _INF - 1) for r in ratios]
+        level = builder._level(k)
+        if n == 2:
+            t0, t1 = t
+            for p0, p1 in level:
+                if p0 > t0 and p1 > t1:
+                    return k
+        elif any(all(map(gt, p, t)) for p in level):
+            return k
+    return k_max + 1
+
+
 def aux(x: tuple, n: int, k_max: int = 12, builder: FrontierBuilder | None = None) -> int:
     """Smallest k such that some D^k point dominates x, i.e. the minimum
     number of rounds in which an adversary can force a violation from x."""
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
-    if builder is None:
-        builder = FrontierBuilder(n)
-    for k in range(k_max + 1):
-        if any(dominates(p, x) for p in builder.get(k)):
-            return k
-    raise KMaxExceeded(f"no D^k dominates the state for k <= {k_max}")
+    k = _horizon(x, _checked(n, builder, x), k_max)
+    if k > k_max:
+        raise KMaxExceeded(f"no D^k dominates the state for k <= {k_max}")
+    return k
 
 
 def surplus_update(delta: tuple, values: tuple, recipient: int) -> tuple:
@@ -231,18 +341,13 @@ def exp_policy(delta: tuple, values: tuple, n: int, k_max: int = 12,
                builder: FrontierBuilder | None = None) -> int:
     """Give the item to the recipient whose post-state survives longest
     (largest AUX; beyond-k_max counts as best); ties -> lowest index."""
-    if builder is None:
-        builder = FrontierBuilder(n)
+    builder = _checked(n, builder, delta, values)
     for v in values:
         if is_inf(v) or v < 0 or v > 1:
             raise ValueError("item values must be rationals in [0, 1]")
     best, best_tau = 0, -1
     for i in range(n):
-        child = surplus_update(delta, values, i)
-        try:
-            tau = aux(child, n, k_max, builder)
-        except KMaxExceeded:
-            tau = k_max + 1
+        tau = _horizon(surplus_update(delta, values, i), builder, k_max)
         if tau > best_tau:
             best, best_tau = i, tau
     return best

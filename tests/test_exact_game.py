@@ -1,10 +1,21 @@
-"""Exact frontier solver: LP closed form, frontier construction, AUX/EXP."""
+"""Exact frontier solver: LP closed form, frontier construction, AUX/EXP.
+
+The solver runs on scaled integers; the ``Fraction`` implementation it
+replaced is kept below as an oracle, and the integer kernel must produce the
+same point sets and the same AUX values.
+"""
 from __future__ import annotations
 
+import hashlib
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from perpetual.cli import cli_dispatch
 from perpetual.exact_game import (
     INF,
     FrontierBuilder,
@@ -22,6 +33,54 @@ from perpetual.exact_game import (
 )
 
 F = Fraction
+
+
+# ---------------------------------------------------------------------------
+# Fraction oracle: the LP, frontier step and prune on extended rationals
+# ---------------------------------------------------------------------------
+
+def _oracle_lp_solve(x, i):
+    n = len(x)
+    xi = x[i]
+    mu = min(x[j] for j in range(n) if j != i)
+    if is_inf(xi) and is_inf(mu):
+        return INF, F(0)
+    if is_inf(xi):
+        return mu + 1, F(1)
+    if is_inf(mu):
+        return xi, F(0)
+    z = min(max((xi - mu) / n, F(0)), F(1))
+    return min(xi - (n - 1) * z, mu + z), z
+
+
+def _oracle_prune(points):
+    """A sweep for n = 2; every pair of points otherwise."""
+    pts = sorted(set(points), reverse=True)
+    if len(pts[0]) == 2:
+        kept, best1 = [], None
+        for q in pts:
+            if best1 is None or q[1] > best1:
+                kept.append(q)
+                best1 = q[1]
+        return frozenset(kept)
+    return frozenset(q for q in pts
+                     if not any(o != q and all(a >= b for a, b in zip(o, q)) for o in pts))
+
+
+def _oracle_next_frontier(points, n, prune=True):
+    out = {
+        tuple(_oracle_lp_solve(tuple(tup[j][i] for j in range(n)), i)[0] for i in range(n))
+        for tup in itertools.product(points, repeat=n)
+    }
+    return _oracle_prune(out) if prune else frozenset(out)
+
+
+def _oracle_aux(x, builder, k_max):
+    """The Fraction domination scan over FrontierBuilder.get levels."""
+    for k in range(k_max + 1):
+        if any(dominates(p, x) for p in builder.get(k)):
+            return k
+    return k_max + 1
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +111,18 @@ def test_lp_solve_examples():
     assert is_inf(y) and z == 0
     # three agents: x = (4, 1, 2), i = 0 -> z* = 1, Y = min(4 - 2, 1 + 1) = 2
     assert lp_solve((F(4), F(1), F(2)), 0) == (F(2), F(1))
+    with pytest.raises(ValueError):  # beyond the integer kernel's range
+        lp_solve((F(2**600), F(0)), 0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_lp_solve_matches_fraction_oracle(n):
+    rng = random.Random(n)
+    for _ in range(300):
+        x = tuple(INF if rng.random() < 0.2 else F(rng.randint(-30, 60), rng.randint(1, 12))
+                  for _ in range(n))
+        for i in range(n):
+            assert lp_solve(x, i) == _oracle_lp_solve(x, i), (x, i)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -59,8 +130,6 @@ def test_lp_solve_matches_grid_oracle(n):
     """For fixed z, the best y is min(x_i - (n-1)z, min_j x_j + z); a fine z
     grid must come within Lipschitz distance of the closed-form optimum."""
     q = 1000
-    import random
-
     rng = random.Random(0)
     for _ in range(40):
         x = tuple(F(rng.randint(0, 40), 8) for _ in range(n))
@@ -92,7 +161,59 @@ def test_d1_n2():
 
 def test_frontier_sizes_n2():
     builder = FrontierBuilder(2)
-    assert [len(builder.get(k)) for k in range(8)] == [2, 3, 5, 9, 17, 35, 71, 151]
+    assert [len(builder.get(k)) for k in range(11)] == [
+        2, 3, 5, 9, 17, 35, 71, 151, 325, 693, 1477]
+
+
+def test_frontier_sizes_n3():
+    builder = FrontierBuilder(3)
+    assert [len(builder.get(k)) for k in range(5)] == [3, 6, 13, 31, 100]
+
+
+@pytest.mark.parametrize("n, k_max", [(2, 8), (3, 3)])
+def test_integer_frontiers_match_fraction_oracle(n, k_max):
+    """Each level, unpruned and pruned, equals the Fraction oracle's step
+    from the level before; D^0 is the same, so the whole chain is."""
+    builder = FrontierBuilder(n)
+    for k in range(1, k_max + 1):
+        prev = builder.get(k - 1)
+        raw = _oracle_next_frontier(prev, n, prune=False)
+        assert next_frontier(prev, n, prune=False) == raw
+        assert next_frontier(prev, n) == builder.get(k) == _oracle_prune(raw)
+
+
+def test_unpruned_builder_matches_fraction_oracle():
+    for n, k_max in ((2, 3), (3, 2)):
+        raw = FrontierBuilder(n, prune=False)
+        chain = d0(n)
+        for k in range(1, k_max + 1):
+            chain = _oracle_next_frontier(chain, n, prune=False)
+            assert raw.get(k) == chain
+
+
+def test_next_frontier_accepts_any_rational_points():
+    """Coordinates on no common power of n are scaled to a common integer grid."""
+    pts = {(F(1, 3), F(5, 7)), (F(-2, 5), INF), (INF, F(0))}
+    for prune in (True, False):
+        assert next_frontier(pts, 2, prune=prune) == _oracle_next_frontier(pts, 2, prune=prune)
+    pts3 = {(F(1, 3), F(5, 7), INF), (F(2), F(-1, 4), F(1, 6)), (INF, F(0), F(3, 2))}
+    assert next_frontier(pts3, 3) == _oracle_next_frontier(pts3, 3)
+
+
+def _csv_digest(tmp_path, n, k):
+    out = tmp_path / f"d{n}_{k}.csv"
+    assert cli_dispatch(["exact", "frontier", "--n", str(n), "--k", str(k),
+                         "--out", str(out)]) == 0
+    data = out.read_bytes()
+    return hashlib.sha256(data).hexdigest(), data.count(b"\n")
+
+
+def test_frontier_csv_pinned(tmp_path):
+    """The CSVs the Fraction solver wrote, byte for byte."""
+    assert _csv_digest(tmp_path, 2, 10) == (
+        "51437b799b6202072c20fadbfc24436e159066e46259b3d900364077e2abb188", 1478)
+    assert _csv_digest(tmp_path, 3, 4)[0] == (
+        "6be92121faa902626ec60a529a79e8d4b50cda6b802b735871a4b1c6288047f9")
 
 
 def test_pruned_frontier_pairwise_incomparable():
@@ -107,19 +228,22 @@ def test_pruned_frontier_pairwise_incomparable():
                     )
 
 
-def test_prune_preserves_dominated_region():
-    pruned = FrontierBuilder(2, prune=True)
-    raw = FrontierBuilder(2, prune=False)
-    grid = [F(k, 4) for k in range(17)]  # [0, 4] in quarter steps
-    for k in range(5):
+def _check_prune_preserves_dominated_region(n, k_max, grid):
+    pruned = FrontierBuilder(n, prune=True)
+    raw = FrontierBuilder(n, prune=False)
+    for k in range(k_max + 1):
         p, r = pruned.get(k), raw.get(k)
         assert p <= r or k == 0
-        for x0 in grid:
-            for x1 in grid:
-                x = (x0, x1)
-                assert any(dominates(q, x) for q in p) == any(
-                    dominates(q, x) for q in r
-                )
+        for x in itertools.product(grid, repeat=n):
+            assert any(dominates(q, x) for q in p) == any(dominates(q, x) for q in r)
+
+
+def test_prune_preserves_dominated_region():
+    _check_prune_preserves_dominated_region(2, 4, [F(k, 4) for k in range(17)])
+
+
+def test_prune_preserves_dominated_region_n3():
+    _check_prune_preserves_dominated_region(3, 2, [F(k, 3) for k in range(7)])
 
 
 def test_frontier_cap():
@@ -130,6 +254,15 @@ def test_frontier_cap():
 def test_pareto_prune_basic():
     pts = [(F(1), F(1)), (F(0), F(1)), (F(2), F(0)), (F(1), F(0))]
     assert pareto_prune(pts, 2) == frozenset({(F(1), F(1)), (F(2), F(0))})
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_pareto_prune_matches_quadratic_oracle(n):
+    rng = random.Random(10 + n)
+    for _ in range(40):
+        pts = [tuple(INF if rng.random() < 0.1 else F(rng.randint(0, 6), rng.randint(1, 3))
+                     for _ in range(n)) for _ in range(rng.randint(1, 40))]
+        assert pareto_prune(pts, n) == _oracle_prune(pts)
 
 
 # ---------------------------------------------------------------------------
@@ -153,10 +286,51 @@ def test_aux_small_values():
         aux((F(0), F(0)), 2, k_max=-1)
 
 
+def test_aux_rejects_bad_states():
+    b = FrontierBuilder(2)
+    for state in ((F(5),), (0, 0, -1), (F(1, 2), 0.25), (0.5, 0.25), ("1", 0)):
+        with pytest.raises(ValueError):
+            aux(state, 2, builder=b)
+    with pytest.raises(ValueError):
+        aux((F(1), F(1)), 3, builder=b)  # the builder is for n = 2
+
+
+def test_aux_accepts_ints_and_inf():
+    b = FrontierBuilder(2)
+    assert aux((2, 2), 2, builder=b) == aux((F(2), F(2)), 2, builder=b) == 10
+    with pytest.raises(KMaxExceeded):
+        aux((INF, F(0)), 2, k_max=4, builder=b)  # no point exceeds INF
+    # a coordinate past the integer INF still loses to an INF point
+    assert aux((F(10**400, 3), F(-1)), 2, builder=b) == 0
+    assert aux((F(-1, 7), F(10**400)), 2, builder=b) == 0
+
+
+RATIONALS = st.builds(F, st.integers(-36, 72), st.integers(1, 12))
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
+_BUILDERS = {2: FrontierBuilder(2), 3: FrontierBuilder(3)}
+_K_MAX = {2: 8, 3: 3}
+
+
+@PROPERTY
+@given(st.sampled_from([2, 3]).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.one_of(RATIONALS, st.just(INF)),
+                                             min_size=n, max_size=n))))
+def test_integer_aux_matches_fraction_scan(case):
+    """Thresholds floor(x_i * n**k) decide domination exactly as the Fraction
+    comparison does, for negative, fractional and INF coordinates alike."""
+    n, x = case
+    x = tuple(x)
+    builder, k_max = _BUILDERS[n], _K_MAX[n]
+    want = _oracle_aux(x, builder, k_max)
+    if want > k_max:
+        with pytest.raises(KMaxExceeded):
+            aux(x, n, k_max, builder)
+    else:
+        assert aux(x, n, k_max, builder) == want
+
+
 def test_aux_monotone_in_state():
     """A coordinate-wise smaller state can never survive longer."""
-    import random
-
     rng = random.Random(7)
     b = FrontierBuilder(2)
     for _ in range(100):
@@ -256,3 +430,17 @@ def test_exp_policy_rejects_bad_values():
         exp_policy((F(1), F(1)), (F(2), F(0)), 2)
     with pytest.raises(ValueError):
         exp_policy((F(1), F(1)), (INF, F(0)), 2)
+
+
+def test_exp_policy_rejects_bad_shapes_and_floats():
+    b = FrontierBuilder(2)
+    state = (F(1), F(1))
+    for delta, item in (
+        (state, (F(1, 2),)),              # item too short
+        (state, (F(1, 2),) * 3),          # item too long
+        ((F(1),), (F(1, 2), F(1, 2))),    # state too short
+        (state, (0.5, F(1, 2))),          # float item value
+        ((1.0, F(1)), (F(1, 2), F(1, 2))),  # float state coordinate
+    ):
+        with pytest.raises(ValueError):
+            exp_policy(delta, item, 2, builder=b)
