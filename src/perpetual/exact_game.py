@@ -78,11 +78,9 @@ class _Infinity:
 
 INF = _Infinity()
 
-#: INF inside the integer kernel, and the bound below which finite kernel
-#: inputs stay: one LP step maps inputs below _FINITE to outputs far below
-#: _INF.  Finite level-k coordinates lie in [0, k * n**k] (each level adds at
-#: most 1 to the largest one); FrontierBuilder refuses a level whose bound
-#: reaches _FINITE, and the boundary refuses larger scaled coordinates.
+#: INF inside the integer kernel, and the bound the boundary puts on scaled
+#: finite inputs: one LP step maps inputs below _FINITE to outputs far below
+#: _INF.
 _INF = 1 << 1024
 _FINITE = 1 << 512
 
@@ -189,12 +187,7 @@ def _pareto_front(points, n: int) -> list:
                 kept.append((p0, top[p0]))
         return kept
     for q in sorted(set(points), reverse=True):
-        if n == 3:
-            _, q1, q2 = q
-            covered = any(o1 >= q1 and o2 >= q2 for _, o1, o2 in kept)
-        else:
-            covered = any(all(map(ge, o, q)) for o in kept)
-        if not covered:
+        if not any(all(map(ge, o, q)) for o in kept):
             kept.append(q)
     return kept
 
@@ -257,8 +250,6 @@ class FrontierBuilder:
         n = self.n
         while len(self._levels) <= k:
             j = len(self._levels)
-            if j * n ** j >= _FINITE:
-                raise FrontierSizeExceeded(f"D^{j} coordinates would exceed the integer range")
             # the previous level at scale n**j: every finite coordinate a multiple of n
             pts = [tuple(v if v == _INF else v * n for v in p) for p in self._levels[-1]]
             self._levels.append(_step(pts, n, n ** j, self.prune, self.cap))

@@ -275,10 +275,14 @@ def test_lb_game_requires_c_at_least_one():
 
 def test_lb_game_envy_dominates_prop_deficit_at_violation():
     """At the first unfair round, max envy >= max proportionality deficit.
-    With two agents the other bundle is worth v_i(G) - v_i(P_i) = 2 prop_i - util_i."""
+    With two agents the other bundle is worth v_i(G) - v_i(P_i) = 2 prop_i - util_i.
+    The adversary's slack ledger Z_i = 2c + util_i - prop_i is kept apart from
+    the policy's PropxState, so the two must agree."""
+    c = 1.0
     for name in ("round_robin", "potential", "constant"):
-        res = run_lb_game(make_policy(name, 2), 2, 1.0, 9801)
+        res = run_lb_game(make_policy(name, 2), 2, c, 9801)
         assert res.violation_round is not None
+        assert np.allclose(res.slack.z, 2 * c + res.util - res.prop, rtol=0, atol=1e-9)
         envy = float(np.max((2 * res.prop - res.util) - res.util))
         deficit = float(np.max(res.prop - res.util))
         assert envy >= deficit - 1e-9
