@@ -16,6 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .allocation import PropxState, propx_candidates, propx_params
+from .exact_game import K_MAX, FrontierBuilder, exp_policy
 from .framework import PotentialParams, choose_action
 from .prng import Xoshiro256StarStar
 
@@ -23,36 +24,112 @@ from .prng import Xoshiro256StarStar
 # Streams
 # ---------------------------------------------------------------------------
 
-STREAM_KINDS = (
-    "round_robin_alt",
-    "greedy_eps",
-    "table1",
-    "benade_linear",
-    "uniform_random",
-    "bernoulli",
-    "constant",
-    "window_cycle",
-    "choice",
-)
+def _round_robin_alt(spec):
+    n, eps = spec.n, float(spec.params.get("eps", 0.01))
+    return lambda t, rng: [1.0] * n if t % 2 == 1 else [eps] * n
 
-RANDOM_KINDS = ("uniform_random", "bernoulli", "choice")
+
+def _greedy_eps(spec):
+    n, eps = spec.n, float(spec.params.get("eps", 0.01))
+    return lambda t, rng: [1.0] * n if t == 1 else [1.0] + [eps] * (n - 1)
+
+
+def _table1(spec):
+    eps = float(spec.params.get("eps", 0.01))
+    return lambda t, rng: ([1.0, 1.0] if t == 1
+                           else [1.0, eps] if t % 2 == 1 or t == 2 else [eps, 1.0])
+
+
+def _benade_linear(spec):
+    cutoff = math.isqrt(int(spec.params.get("T", spec.length)))
+    rho = float(spec.params.get("rho", 0.1))
+    return lambda t, rng: [1.0, rho] if t <= cutoff else [0.0, 0.0]
+
+
+def _window_cycle(spec):
+    n, cycle = spec.n, [float(x) for x in spec.params.get("cycle", (1.0, 0.3, 0.3))]
+    if not cycle:
+        raise ValueError("'cycle' must be nonempty")
+    return lambda t, rng: [cycle[(t - 1) % len(cycle)]] * n
+
+
+def _constant(spec):
+    value = spec.params.get("value", 1.0)
+    row = ([float(x) for x in value] if isinstance(value, (list, tuple))
+           else [float(value)] * spec.n)
+    if len(row) != spec.n:
+        raise ValueError(f"'value' has {len(row)} entries, expected n = {spec.n}")
+    return lambda t, rng: row
+
+
+def _uniform_random(spec):
+    m = spec.n * (spec.width or 1)
+    return lambda t, rng: [rng.next_double() for _ in range(m)]
+
+
+def _bernoulli(spec):
+    m, prob = spec.n * (spec.width or 1), float(spec.params.get("prob", 0.5))
+    return lambda t, rng: [1.0 if rng.next_double() < prob else 0.0 for _ in range(m)]
+
+
+def _choice(spec):
+    m, pool = spec.n * (spec.width or 1), [float(x) for x in spec.params.get("values", ())]
+    if not pool:
+        raise ValueError("needs a nonempty 'values' list")
+    return lambda t, rng: [pool[rng.next_index(len(pool))] for _ in range(m)]
+
+
+#: stream kind -> (draws from the PRNG, required agent count or None, builder).
+#: A builder reads and checks the kind's params once, when the ``StreamSpec``
+#: is constructed, and returns the round function row(t, rng) -> the round's
+#: values as a flat list.
+_STREAMS = {
+    "round_robin_alt": (False, None, _round_robin_alt),
+    "greedy_eps": (False, None, _greedy_eps),
+    "table1": (False, 2, _table1),
+    "benade_linear": (False, 2, _benade_linear),
+    "uniform_random": (True, None, _uniform_random),
+    "bernoulli": (True, None, _bernoulli),
+    "constant": (False, None, _constant),
+    "window_cycle": (False, None, _window_cycle),
+    "choice": (True, None, _choice),
+}
+STREAM_KINDS = tuple(_STREAMS)
+RANDOM_KINDS = tuple(kind for kind, (random, _, _) in _STREAMS.items() if random)
 
 
 @dataclass(frozen=True)
 class StreamSpec:
+    """One stream of rounds.  Construction checks the kind's params, so a
+    bad spec fails here and never mid-run.  A random kind needs a seed.  Each
+    round is a length-n vector, or an (n, width) matrix when ``width`` is
+    given (width > 1 needs a random kind)."""
     kind: str
     n: int
     length: int
-    seed: int = 0
+    seed: int | None = None
     params: dict = field(default_factory=dict)
-    #: values per round per agent; >1 yields an (n, width) matrix per round
-    width: int = 1
+    width: int | None = None
+    row: callable = field(init=False, repr=False, compare=False)  # (t, rng) -> values
 
     def __post_init__(self):
-        if self.kind not in STREAM_KINDS:
+        if self.kind not in _STREAMS:
             raise ValueError(f"unknown stream kind {self.kind!r}")
-        if self.length < 0 or self.n < 1 or self.width < 1:
+        if self.length < 0 or self.n < 1 or (self.width is not None and self.width < 1):
             raise ValueError("length, n, width must be nonnegative/positive")
+        random, agents, build = _STREAMS[self.kind]
+        try:
+            if not isinstance(self.params, dict):
+                raise ValueError("params must be an object")
+            if agents is not None and self.n != agents:
+                raise ValueError(f"needs n = {agents}, got n = {self.n}")
+            if random and self.seed is None:
+                raise ValueError("requires a seed")
+            if not random and (self.width or 1) > 1:
+                raise ValueError("width > 1 needs a random stream kind")
+            object.__setattr__(self, "row", build(self))
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"stream kind {self.kind!r}: {e}") from e
 
 
 def stream_generate(spec: StreamSpec):
@@ -62,48 +139,10 @@ def stream_generate(spec: StreamSpec):
     (agent, column) in row-major order per round -- a bit-exact contract so
     CSV goldens are portable.
     """
-    n, par = spec.n, spec.params
-    rng = Xoshiro256StarStar(spec.seed) if spec.kind in RANDOM_KINDS else None
-
+    rng = None if spec.seed is None else Xoshiro256StarStar(spec.seed)
+    shape = (spec.n,) if spec.width is None else (spec.n, spec.width)
     for t in range(1, spec.length + 1):
-        if spec.kind == "round_robin_alt":
-            v = [1.0] * n if t % 2 == 1 else [float(par.get("eps", 0.01))] * n
-        elif spec.kind == "greedy_eps":
-            eps = float(par.get("eps", 0.01))
-            v = [1.0] * n if t == 1 else [1.0] + [eps] * (n - 1)
-        elif spec.kind == "table1":
-            eps = float(par.get("eps", 0.01))
-            if t == 1:
-                v = [1.0, 1.0]
-            elif t % 2 == 1 or t == 2:
-                v = [1.0, eps]
-            else:
-                v = [eps, 1.0]
-        elif spec.kind == "benade_linear":
-            horizon = int(par.get("T", spec.length))
-            rho = float(par.get("rho", 0.1))
-            v = [1.0, rho] if t <= math.isqrt(horizon) else [0.0, 0.0]
-        elif spec.kind == "window_cycle":
-            cycle = par.get("cycle", (1.0, 0.3, 0.3))
-            v = [float(cycle[(t - 1) % len(cycle)])] * n
-        elif spec.kind == "constant":
-            value = par.get("value", 1.0)
-            v = [float(x) for x in value] if isinstance(value, (list, tuple)) else [float(value)] * n
-        elif spec.kind == "uniform_random":
-            v = [rng.next_double() for _ in range(n * spec.width)]
-        elif spec.kind == "bernoulli":
-            prob = float(par.get("prob", 0.5))
-            v = [1.0 if rng.next_double() < prob else 0.0 for _ in range(n * spec.width)]
-        elif spec.kind == "choice":
-            pool = [float(x) for x in par["values"]]
-            v = [pool[rng.next_index(len(pool))] for _ in range(n * spec.width)]
-        else:  # pragma: no cover
-            raise AssertionError(spec.kind)
-
-        if spec.width > 1:
-            yield np.asarray(v, dtype=float).reshape(n, spec.width)
-        else:
-            yield np.asarray(v[:n] if len(v) > n else v, dtype=float)
+        yield np.asarray(spec.row(t, rng), dtype=float).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -137,14 +176,10 @@ class RoundRobinPolicy(ItemPolicy):
 
 
 class ConstantPolicy(ItemPolicy):
-    """Always the same recipient -- the degenerate baseline."""
-
-    def __init__(self, n: int, agent: int = 0):
-        super().__init__(n)
-        self.agent = agent
+    """Always agent 0 -- the degenerate baseline."""
 
     def choose(self, values) -> int:
-        return self.agent
+        return 0
 
 
 class UtilGreedyPolicy(ItemPolicy):
@@ -189,13 +224,9 @@ class Benade2Policy(ItemPolicy):
         return 0 if give0 <= give1 else 1
 
     def update(self, values, recipient: int) -> None:
-        v1, v2 = float(values[0]), float(values[1])
-        if recipient == 0:
-            self.f12 -= v1
-            self.f21 += v2
-        else:
-            self.f12 += v1
-            self.f21 -= v2
+        sign = -1.0 if recipient == 0 else 1.0  # giving to agent 0 lowers f12
+        self.f12 += sign * float(values[0])
+        self.f21 -= sign * float(values[1])
         super().update(values, recipient)
 
 
@@ -218,14 +249,11 @@ class ExpExactPolicy(ItemPolicy):
     denominator at most 10**6 (0.1 becomes 1/10, not the float's dyadic
     value).  The exact solver itself never sees floats."""
 
-    def __init__(self, n: int, c: float, k_max: int = 12):
+    def __init__(self, n: int, c: float, k_max: int = K_MAX):
         super().__init__(n)
-        from .exact_game import FrontierBuilder, exp_policy
-
         self.c = Fraction(c).limit_denominator(10**6) if not isinstance(c, Fraction) else c
         self.k_max = k_max
         self.builder = FrontierBuilder(n)
-        self._exp_policy = exp_policy
 
     def choose(self, values) -> int:
         n = self.n
@@ -234,37 +262,30 @@ class ExpExactPolicy(ItemPolicy):
             for u, g in zip(self.state.bundle_value, self.state.total_value)
         )
         item = tuple(min(Fraction(float(v)), Fraction(1)) for v in values)
-        return self._exp_policy(delta, item, n, self.k_max, builder=self.builder)
+        return exp_policy(delta, item, n, self.k_max, builder=self.builder)
 
 
-POLICY_NAMES = (
-    "potential",
-    "round_robin",
-    "util_greedy",
-    "deficit_greedy",
-    "benade2",
-    "exp_exact",
-    "constant",
-)
+#: default horizon T of the two-agent Benade rule
+BENADE_T = 400
+
+#: policy name -> constructor (n, c, T, k_max) -> ItemPolicy
+_POLICIES = {
+    "potential": lambda n, c, T, k_max: PotentialPropxPolicy(n),
+    "round_robin": lambda n, c, T, k_max: RoundRobinPolicy(n),
+    "util_greedy": lambda n, c, T, k_max: UtilGreedyPolicy(n),
+    "deficit_greedy": lambda n, c, T, k_max: DeficitGreedyPolicy(n),
+    "benade2": lambda n, c, T, k_max: Benade2Policy(n, T),
+    "exp_exact": lambda n, c, T, k_max: ExpExactPolicy(n, c, k_max),
+    "constant": lambda n, c, T, k_max: ConstantPolicy(n),
+}
+POLICY_NAMES = tuple(_POLICIES)
 
 
-def make_policy(name: str, n: int, *, c: float = 1.0, T: int = 400,
-                k_max: int = 12) -> ItemPolicy:
-    if name == "potential":
-        return PotentialPropxPolicy(n)
-    if name == "round_robin":
-        return RoundRobinPolicy(n)
-    if name == "util_greedy":
-        return UtilGreedyPolicy(n)
-    if name == "deficit_greedy":
-        return DeficitGreedyPolicy(n)
-    if name == "benade2":
-        return Benade2Policy(n, T)
-    if name == "exp_exact":
-        return ExpExactPolicy(n, c, k_max)
-    if name == "constant":
-        return ConstantPolicy(n)
-    raise ValueError(f"unknown policy {name!r}")
+def make_policy(name: str, n: int, *, c: float = 1.0, T: int = BENADE_T,
+                k_max: int = K_MAX) -> ItemPolicy:
+    if name not in _POLICIES:
+        raise ValueError(f"unknown policy {name!r}")
+    return _POLICIES[name](n, c, T, k_max)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +334,7 @@ class LbGameResult:
 
 
 def run_lb_game(policy: ItemPolicy, n: int, c: float, max_rounds: int,
-                check_invariants: bool = True, tol: float = 1e-9) -> LbGameResult:
+                tol: float = 1e-9) -> LbGameResult:
     """Play the adaptive adversary against ``policy`` until bounded
     proportionality fails (some Z_i < c).  Monitors, on every fair prefix:
     x in [1/2, 1), Phi nonincreasing, S < 3nc, mean revealed value < 3/4."""
@@ -321,20 +342,12 @@ def run_lb_game(policy: ItemPolicy, n: int, c: float, max_rounds: int,
         raise ValueError("the construction requires c >= 1")
     slack = SlackVector(z=[2.0 * c] * n, c=c)
     phi_prev, _ = lb_potential_monitor(slack)
-    monitor_ok = True
-    worst = 0.0
+    worst = 0.0  # largest monitor excess; the monitors hold while it is <= tol
     violation = None
 
     for t in range(1, max_rounds + 1):
         x = lb_adversary_next(slack)
-        if check_invariants:
-            lo = 0.5 - min(x)
-            hi = max(x) - (1.0 - 1e-15)
-            xbar = sum(x) / n - 0.75
-            for v in (lo, hi, xbar):
-                if v > tol:
-                    monitor_ok = False
-                worst = max(worst, v)
+        worst = max(worst, 0.5 - min(x), max(x) - (1.0 - 1e-15), sum(x) / n - 0.75)
         items = np.asarray(x)
         w = policy.choose(items)
         policy.update(items, w)
@@ -342,14 +355,10 @@ def run_lb_game(policy: ItemPolicy, n: int, c: float, max_rounds: int,
         if min(slack.z) < c:
             violation = t
             break
-        if check_invariants:
-            phi, total = lb_potential_monitor(slack)
-            for v in (phi - phi_prev, total - 3.0 * n * c):
-                if v > tol:
-                    monitor_ok = False
-                worst = max(worst, v)
-            phi_prev = phi
+        phi, total = lb_potential_monitor(slack)
+        worst = max(worst, phi - phi_prev, total - 3.0 * n * c)
+        phi_prev = phi
 
     state = policy.state
-    return LbGameResult(violation, violation or max_rounds, slack, monitor_ok, worst,
+    return LbGameResult(violation, violation or max_rounds, slack, worst <= tol, worst,
                         state.total_value / n, state.bundle_value.copy())

@@ -7,10 +7,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 
+from . import exact_game as eg
 from .baselines import POLICY_NAMES, make_policy, run_lb_game
-from .simulate import ConfigInvalid, RunConfig, run_simulation, verify_moments_run
+from .simulate import (ConfigInvalid, RunConfig, bound_violations, run_simulation,
+                       verify_moments_run)
 
 
 def _parse_fractions(text: str) -> tuple:
@@ -23,9 +26,9 @@ def _parse_fractions(text: str) -> tuple:
 def _cmd_simulate(args) -> int:
     cfg = RunConfig.from_json_file(args.config)
     rows = run_simulation(cfg)
-    violations = sum(1 for r in rows if r["max_deficit"] > r["ct_bound"] + 1e-9)
-    dest = cfg.output or "(not written)"
-    print(f"simulated {len(rows)} rounds; ct-bound violations: {violations}; csv: {dest}")
+    violations = bound_violations(cfg, rows)
+    print(f"simulated {len(rows)} rounds; bound violations: {violations}; "
+          f"csv: {cfg.output or '(not written)'}")
     return 0 if violations == 0 else 1
 
 
@@ -43,8 +46,7 @@ def _cmd_lowerbound(args) -> int:
         max_rounds = int(4900 * n * c * c) + 1
     elif max_rounds <= 0:
         raise ConfigInvalid("--max-rounds must be positive")
-    policy = make_policy(args.policy, n, c=c)
-    result = run_lb_game(policy, n, c, max_rounds)
+    result = run_lb_game(make_policy(args.policy, n, c=c), n, c, max_rounds)
     if result.violation_round is None:
         print(f"no violation within {max_rounds} rounds")
         return 1
@@ -55,40 +57,34 @@ def _cmd_lowerbound(args) -> int:
     return 0
 
 
-def _cmd_exact(args) -> int:
-    from . import exact_game as eg
+def _cmd_aux(args) -> int:
+    state = _parse_fractions(args.state) if args.state else tuple(
+        [Fraction(args.c_rational) * args.n] * args.n)
+    if len(state) != args.n:
+        raise ConfigInvalid("state length must equal n")
+    try:
+        print(eg.aux(state, args.n, args.k_max))
+    except eg.KMaxExceeded:
+        print(f"exceeded (no forced violation within k_max={args.k_max})")
+        return 1
+    return 0
 
-    builder = eg.FrontierBuilder(args.n)
-    if args.exact_cmd == "aux":
-        state = _parse_fractions(args.state) if args.state else tuple(
-            [Fraction(args.c_rational) * args.n] * args.n)
-        if len(state) != args.n:
-            raise ConfigInvalid("state length must equal n")
-        try:
-            print(eg.aux(state, args.n, args.k_max, builder))
-            return 0
-        except eg.KMaxExceeded:
-            print(f"exceeded (no forced violation within k_max={args.k_max})")
-            return 1
-    if args.exact_cmd == "frontier":
-        pts = sorted(builder.get(args.k), reverse=True)
-        out = open(args.out, "w") if args.out else sys.stdout
-        try:
-            out.write(",".join(f"x{i}" for i in range(args.n)) + "\n")
-            for p in pts:
-                out.write(",".join(str(v) for v in p) + "\n")
-        finally:
-            if args.out:
-                out.close()
-        return 0
-    if args.exact_cmd == "exp":
-        state = _parse_fractions(args.state)
-        item = _parse_fractions(args.item)
-        if len(state) != args.n or len(item) != args.n:
-            raise ConfigInvalid("state and item length must equal n")
-        print(eg.exp_policy(state, item, args.n, args.k_max, builder))
-        return 0
-    raise ConfigInvalid(f"unknown exact subcommand {args.exact_cmd!r}")
+
+def _cmd_frontier(args) -> int:
+    pts = sorted(eg.FrontierBuilder(args.n).get(args.k), reverse=True)
+    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
+        out.write(",".join(f"x{i}" for i in range(args.n)) + "\n")
+        for p in pts:
+            out.write(",".join(str(v) for v in p) + "\n")
+    return 0
+
+
+def _cmd_exp(args) -> int:
+    state, item = _parse_fractions(args.state), _parse_fractions(args.item)
+    if len(state) != args.n or len(item) != args.n:
+        raise ConfigInvalid("state and item length must equal n")
+    print(eg.exp_policy(state, item, args.n, args.k_max))
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,15 +94,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run a configured simulation")
     p_sim.add_argument("config")
+    p_sim.set_defaults(run=_cmd_simulate)
 
     p_vm = sub.add_parser("verify-moments", help="check moment witnesses along a run")
     p_vm.add_argument("config")
+    p_vm.set_defaults(run=_cmd_verify_moments)
 
     p_lb = sub.add_parser("lowerbound", help="play the adaptive adversary against a policy")
     p_lb.add_argument("--n", type=int, required=True)
     p_lb.add_argument("--c", type=float, required=True)
     p_lb.add_argument("--policy", choices=POLICY_NAMES, required=True)
     p_lb.add_argument("--max-rounds", type=int, default=None)
+    p_lb.set_defaults(run=_cmd_lowerbound)
 
     p_ex = sub.add_parser("exact", help="exact rational game solver")
     ex_sub = p_ex.add_subparsers(dest="exact_cmd", required=True)
@@ -114,17 +113,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_aux.add_argument("--n", type=int, required=True)
     p_aux.add_argument("--c", dest="c_rational", default="1")
     p_aux.add_argument("--state", default=None, help="comma-separated rationals (default n*c each)")
-    p_aux.add_argument("--k-max", type=int, default=12)
+    p_aux.add_argument("--k-max", type=int, default=eg.K_MAX)
+    p_aux.set_defaults(run=_cmd_aux)
     p_fr = ex_sub.add_parser("frontier", help="emit the D^k point set as CSV")
     p_fr.add_argument("--n", type=int, required=True)
     p_fr.add_argument("--k", type=int, required=True)
     p_fr.add_argument("--out", default=None)
+    p_fr.set_defaults(run=_cmd_frontier)
     p_exp = ex_sub.add_parser("exp", help="survival-maximizing recipient for one item")
     p_exp.add_argument("--n", type=int, required=True)
-    p_exp.add_argument("--c", dest="c_rational", default="1")
     p_exp.add_argument("--state", required=True)
     p_exp.add_argument("--item", required=True)
-    p_exp.add_argument("--k-max", type=int, default=12)
+    p_exp.add_argument("--k-max", type=int, default=eg.K_MAX)
+    p_exp.set_defaults(run=_cmd_exp)
 
     return parser
 
@@ -133,21 +134,16 @@ def cli_dispatch(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.cmd == "simulate":
-            return _cmd_simulate(args)
-        if args.cmd == "verify-moments":
-            return _cmd_verify_moments(args)
-        if args.cmd == "lowerbound":
-            return _cmd_lowerbound(args)
-        if args.cmd == "exact":
-            return _cmd_exact(args)
+        return args.run(args)
     except ConfigInvalid as e:
         print(f"config error: {e}", file=sys.stderr)
+        return 2
+    except eg.FrontierSizeExceeded as e:
+        print(f"error: {e}, the exact solver's frontier size cap", file=sys.stderr)
         return 2
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    return 2
 
 
 def main() -> None:

@@ -84,6 +84,9 @@ INF = _Infinity()
 _INF = 1 << 1024
 _FINITE = 1 << 512
 
+#: default largest horizon k that aux and exp_policy search
+K_MAX = 12
+
 
 def is_inf(v) -> bool:
     return isinstance(v, _Infinity)
@@ -309,7 +312,7 @@ def _horizon(x: tuple, builder: FrontierBuilder, k_max: int) -> int:
     return k_max + 1
 
 
-def aux(x: tuple, n: int, k_max: int = 12, builder: FrontierBuilder | None = None) -> int:
+def aux(x: tuple, n: int, k_max: int = K_MAX, builder: FrontierBuilder | None = None) -> int:
     """Smallest k such that some D^k point dominates x, i.e. the minimum
     number of rounds in which an adversary can force a violation from x."""
     k = _horizon(x, _checked(n, builder, x), k_max)
@@ -328,7 +331,7 @@ def surplus_update(delta: tuple, values: tuple, recipient: int) -> tuple:
     )
 
 
-def exp_policy(delta: tuple, values: tuple, n: int, k_max: int = 12,
+def exp_policy(delta: tuple, values: tuple, n: int, k_max: int = K_MAX,
                builder: FrontierBuilder | None = None) -> int:
     """Give the item to the recipient whose post-state survives longest
     (largest AUX; beyond-k_max counts as best); ties -> lowest index."""

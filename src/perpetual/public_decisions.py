@@ -12,12 +12,11 @@ import math
 
 import numpy as np
 
-from .allocation import proportional_delta
+from .allocation import proportional_delta, propx_params
 from .framework import (
     CandidateSet,
     DimensionMismatch,
     MomentWitness,
-    PotentialParams,
     normalized,
 )
 
@@ -77,5 +76,5 @@ def pdm_witness(s: PdmState, values) -> MomentWitness:
     return MomentWitness(ref_actions=tuple(int(o) for o in np.argmax(v, axis=1)), delta=delta)
 
 
-def pdm_params(n: int, p: float = 0.0) -> PotentialParams:
-    return PotentialParams(m=n, n_ref=n, sigma_sq=1.0, p=p)
+#: one deficit per agent and n reference outcomes, sigma^2 = 1: the PROP x c parameters
+pdm_params = propx_params

@@ -3,36 +3,39 @@ state-update loop, per-round metrics, and deterministic CSV output."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import allocation, public_decisions as pdm_mod
-from .baselines import (
-    POLICY_NAMES,
-    RANDOM_KINDS,
-    STREAM_KINDS,
-    StreamSpec,
-    make_policy,
-    stream_generate,
-)
-from .framework import PotentialParams, choose_action, disappointed_count, profile_psi, ct_threshold
+from .baselines import BENADE_T, POLICY_NAMES, StreamSpec, make_policy, stream_generate
+from .discounted import c_gamma
+from .exact_game import K_MAX
+from .framework import (PotentialParams, choose_action, ct_threshold, disappointed_count,
+                        profile_psi, verify_moment_witness)
 from .metrics import gini, gmd, gmd_bound
-
-INSTANTIATIONS = ("propx", "efx", "efc", "pdm", "discounted")
 
 CSV_COLUMNS = ("t", "action", "max_deficit", "ct_bound", "psi",
                "disappointed", "gini", "gmd", "gmd_bound")
 
-_TOP_KEYS = {
-    "instantiation", "policy", "stream", "n", "length", "c", "p", "theta",
-    "num_outcomes", "gamma", "seed", "output", "benade_T", "k_max",
-}
+#: optional top-level key -> conversion; a key that is absent or null keeps
+#: its ``RunConfig`` default
+_OPTIONAL_KEYS = {"c": float, "p": float, "theta": list, "num_outcomes": int, "gamma": float,
+                  "output": str, "benade_T": int, "k_max": int}
+_TOP_KEYS = {"instantiation", "policy", "stream", "n", "length", *_OPTIONAL_KEYS}
 _STREAM_KEYS = {"kind", "seed", "params"}
 
 
 class ConfigInvalid(ValueError):
     pass
+
+
+def _check_object(raw, keys: set, what: str) -> None:
+    if not isinstance(raw, dict):
+        raise ConfigInvalid(f"{what} must be a JSON object")
+    if set(raw) - keys:
+        raise ConfigInvalid(f"unknown {what} keys: {sorted(set(raw) - keys)}")
 
 
 @dataclass
@@ -48,16 +51,12 @@ class RunConfig:
     num_outcomes: int | None = None
     gamma: float | None = None
     output: str | None = None
-    benade_T: int = 400
-    k_max: int = 12
+    benade_T: int = BENADE_T
+    k_max: int = K_MAX
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        if not isinstance(raw, dict):
-            raise ConfigInvalid("config must be a JSON object")
-        unknown = set(raw) - _TOP_KEYS
-        if unknown:
-            raise ConfigInvalid(f"unknown config keys: {sorted(unknown)}")
+        _check_object(raw, _TOP_KEYS, "config")
         for key in ("instantiation", "policy", "stream", "n", "length"):
             if key not in raw:
                 raise ConfigInvalid(f"missing required key {key!r}")
@@ -67,57 +66,35 @@ class RunConfig:
         policy = raw["policy"]
         if policy not in POLICY_NAMES:
             raise ConfigInvalid(f"unknown policy {policy!r}")
-        n = int(raw["n"])
-        length = int(raw["length"])
+        try:
+            n, length = int(raw["n"]), int(raw["length"])
+            opt = {key: convert(raw[key]) for key, convert in _OPTIONAL_KEYS.items()
+                   if raw.get(key) is not None}
+        except (TypeError, ValueError) as e:
+            raise ConfigInvalid(f"bad config value: {e}") from e
         if n < 2 or length < 0:
             raise ConfigInvalid("need n >= 2 and length >= 0")
-
-        sraw = raw["stream"]
-        if not isinstance(sraw, dict):
-            raise ConfigInvalid("stream must be a JSON object")
-        s_unknown = set(sraw) - _STREAM_KEYS
-        if s_unknown:
-            raise ConfigInvalid(f"unknown stream keys: {sorted(s_unknown)}")
-        kind = sraw.get("kind")
-        if kind not in STREAM_KINDS:
-            raise ConfigInvalid(f"unknown stream kind {kind!r}")
-        seed = sraw.get("seed", raw.get("seed"))
-        if kind in RANDOM_KINDS and seed is None:
-            raise ConfigInvalid(f"stream kind {kind!r} requires a seed")
-        width = 1
-        if inst == "pdm":
-            if raw.get("num_outcomes") is None:
-                raise ConfigInvalid("pdm requires num_outcomes")
-            width = int(raw["num_outcomes"])
-            if policy != "potential":
-                raise ConfigInvalid("pdm supports only the potential policy")
-            if kind not in RANDOM_KINDS:
-                raise ConfigInvalid("pdm requires a random stream kind")
-        if inst == "efc" and not raw.get("theta"):
+        if inst == "pdm" and "num_outcomes" not in opt:
+            raise ConfigInvalid("pdm requires num_outcomes")
+        if inst == "pdm" and policy != "potential":
+            raise ConfigInvalid("pdm supports only the potential policy")
+        if inst == "efc" and not opt.get("theta"):
             raise ConfigInvalid("efc requires a nonempty theta ledger")
-        if inst == "discounted" and (raw.get("gamma") is None
-                                     or not 0.0 < float(raw["gamma"]) < 1.0):
+        if inst == "discounted" and not 0.0 < opt.get("gamma", 0.0) < 1.0:
             raise ConfigInvalid("discounted requires gamma in (0, 1)")
         if policy == "benade2" and n != 2:
             raise ConfigInvalid("benade2 requires n = 2")
 
+        sraw = raw["stream"]
+        _check_object(sraw, _STREAM_KEYS, "stream")
         try:
-            spec = StreamSpec(kind=kind, n=n, length=length,
-                              seed=int(seed or 0), params=sraw.get("params", {}),
-                              width=width)
-        except ValueError as e:
+            spec = StreamSpec(kind=sraw.get("kind"), n=n, length=length,
+                              seed=None if sraw.get("seed") is None else int(sraw["seed"]),
+                              params=sraw.get("params", {}),
+                              width=opt.get("num_outcomes") if inst == "pdm" else None)
+        except (TypeError, ValueError) as e:
             raise ConfigInvalid(str(e)) from e
-        return cls(
-            instantiation=inst, policy=policy, stream=spec, n=n, length=length,
-            c=None if raw.get("c") is None else float(raw["c"]),
-            p=float(raw.get("p", 0.0)),
-            theta=raw.get("theta"),
-            num_outcomes=raw.get("num_outcomes"),
-            gamma=None if raw.get("gamma") is None else float(raw["gamma"]),
-            output=raw.get("output"),
-            benade_T=int(raw.get("benade_T", 400)),
-            k_max=int(raw.get("k_max", 12)),
-        )
+        return cls(instantiation=inst, policy=policy, stream=spec, n=n, length=length, **opt)
 
     @classmethod
     def from_json_file(cls, path: str) -> "RunConfig":
@@ -135,74 +112,85 @@ class Harness:
     state: object
     params: PotentialParams
     candidates: callable  # (state, round_values) -> CandidateSet
-    witness: callable | None = None
+    witness: callable  # (state, round_values) -> MomentWitness
     shift_gamma: float = 1.0
 
 
+#: instantiation -> harness constructor (RunConfig) -> Harness
+_HARNESSES = {
+    "propx": lambda cfg: Harness(
+        allocation.PropxState(cfg.n), allocation.propx_params(cfg.n, cfg.p),
+        allocation.propx_candidates, allocation.propx_witness),
+    "efx": lambda cfg: Harness(
+        allocation.EfxState(cfg.n), allocation.efx_params(cfg.n, cfg.p),
+        allocation.efx_candidates, allocation.efx_witness),
+    "efc": lambda cfg: Harness(
+        allocation.EfcThresholdState(cfg.n, cfg.theta),
+        allocation.efc_params(cfg.n, len(cfg.theta), cfg.p),
+        allocation.efc_candidates, allocation.efc_witness),
+    "pdm": lambda cfg: Harness(
+        pdm_mod.PdmState(cfg.n, cfg.num_outcomes), pdm_mod.pdm_params(cfg.n, cfg.p),
+        pdm_mod.pdm_candidates, pdm_mod.pdm_witness),
+    "discounted": lambda cfg: Harness(
+        allocation.PropxState(cfg.n, cfg.gamma), allocation.propx_params(cfg.n, cfg.p),
+        allocation.propx_candidates, allocation.propx_witness, shift_gamma=cfg.gamma),
+}
+INSTANTIATIONS = tuple(_HARNESSES)
+
+
 def build_harness(cfg: RunConfig) -> Harness:
-    n = cfg.n
-    if cfg.instantiation == "propx":
-        return Harness(allocation.PropxState(n), allocation.propx_params(n, cfg.p),
-                       allocation.propx_candidates, allocation.propx_witness)
-    if cfg.instantiation == "efx":
-        return Harness(allocation.EfxState(n), allocation.efx_params(n, cfg.p),
-                       allocation.efx_candidates, allocation.efx_witness)
-    if cfg.instantiation == "efc":
-        state = allocation.EfcThresholdState(n, cfg.theta)
-        return Harness(state, allocation.efc_params(n, state.L, cfg.p),
-                       allocation.efc_candidates, allocation.efc_witness)
-    if cfg.instantiation == "pdm":
-        return Harness(pdm_mod.PdmState(n, cfg.num_outcomes), pdm_mod.pdm_params(n, cfg.p),
-                       pdm_mod.pdm_candidates, pdm_mod.pdm_witness)
-    if cfg.instantiation == "discounted":
-        return Harness(allocation.PropxState(n, cfg.gamma), allocation.propx_params(n, cfg.p),
-                       allocation.propx_candidates, allocation.propx_witness,
-                       shift_gamma=cfg.gamma)
-    raise ConfigInvalid(cfg.instantiation)
+    if cfg.instantiation not in _HARNESSES:
+        raise ConfigInvalid(f"unknown instantiation {cfg.instantiation!r}")
+    return _HARNESSES[cfg.instantiation](cfg)
 
 
 def _format_cell(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    f = float(v)
-    if f == float("inf"):
-        return "inf"
-    return format(f, ".17g")
+    return format(float(v), ".17g")
 
 
 def write_csv(rows, path_or_file) -> None:
-    close = False
-    if isinstance(path_or_file, str):
-        f = open(path_or_file, "w", newline="")
-        close = True
-    else:
-        f = path_or_file
-    try:
+    with (open(path_or_file, "w", newline="") if isinstance(path_or_file, str)
+          else nullcontext(path_or_file)) as f:
         f.write(",".join(CSV_COLUMNS) + "\n")
         for row in rows:
             f.write(",".join(_format_cell(row[c]) for c in CSV_COLUMNS) + "\n")
-    finally:
-        if close:
-            f.close()
+
+
+def _play(cfg: RunConfig, h: Harness, observe=None):
+    """The round loop of ``simulate`` and ``verify-moments``: yield each
+    round's (t, action) once the harness state has applied it.  The decision
+    function is picked here, once: the potential rule over the harness, or the
+    configured item policy.  ``observe(values, cands)`` sees each round's
+    candidate set on the pre-round state; the potential rule reuses that set."""
+    if cfg.policy == "potential":
+        def decide(values, cands):
+            return choose_action(cands, h.params)
+    else:
+        policy = make_policy(cfg.policy, cfg.n, c=cfg.c if cfg.c is not None else 1.0,
+                             T=cfg.benade_T, k_max=cfg.k_max)
+
+        def decide(values, cands):
+            action = policy.choose(values)
+            policy.update(values, action)
+            return action
+    build = h.candidates if cfg.policy == "potential" or observe else lambda state, values: None
+    observe = observe or (lambda values, cands: None)
+    for t, values in enumerate(stream_generate(cfg.stream), start=1):
+        cands = build(h.state, values)
+        observe(values, cands)
+        action = decide(values, cands)
+        h.state.apply(values, action)
+        yield t, action
 
 
 def run_simulation(cfg: RunConfig) -> list[dict]:
     """Run one configured simulation and return per-round records (and write
     CSV when cfg.output is set).  Deterministic given the config."""
     h = build_harness(cfg)
-    item_policy = None
-    if cfg.policy != "potential":
-        item_policy = make_policy(cfg.policy, cfg.n, c=cfg.c if cfg.c is not None else 1.0,
-                                  T=cfg.benade_T, k_max=cfg.k_max)
     rows = []
-    for t, values in enumerate(stream_generate(cfg.stream), start=1):
-        if cfg.policy == "potential":
-            action = choose_action(h.candidates(h.state, values), h.params)
-        else:
-            action = item_policy.choose(values)
-            item_policy.update(values, action)
-        h.state.apply(values, action)
-
+    for t, action in _play(cfg, h):
         z = h.state.profile()
         psi = profile_psi(z, h.params)
         ct = ct_threshold(t, h.params)
@@ -223,26 +211,30 @@ def run_simulation(cfg: RunConfig) -> list[dict]:
     return rows
 
 
-def verify_moments_run(cfg: RunConfig, tol: float = 1e-9):
-    """Run the potential rule on the configured instantiation, building and
-    checking the moment witness every round.  Returns (ok, worst_violation)."""
-    from .framework import verify_moment_witness
+def bound_violations(cfg: RunConfig, rows: list[dict]) -> int:
+    """Rounds whose max deficit exceeds the paper's bound for the run: the
+    time-uniform c_gamma for discounted, ct_threshold(t) (the CSV's
+    ``ct_bound``) otherwise."""
+    if cfg.instantiation == "discounted":
+        bound = c_gamma(allocation.propx_params(cfg.n, cfg.p), cfg.gamma)
+        return sum(r["max_deficit"] > bound + 1e-9 for r in rows)
+    return sum(r["max_deficit"] > r["ct_bound"] + 1e-9 for r in rows)
 
+
+def verify_moments_run(cfg: RunConfig, tol: float = 1e-9):
+    """Run the configured policy on the configured instantiation, building and
+    checking the moment witness every round.  Returns (ok, worst_violation)."""
     h = build_harness(cfg)
-    if h.witness is None:
-        raise ConfigInvalid(f"no witness constructor for {cfg.instantiation}")
-    ok = True
-    worst = 0.0
-    for values in stream_generate(cfg.stream):
-        z_prev = h.state.profile()
-        cands = h.candidates(h.state, values)
-        w = h.witness(h.state, values)
-        report = verify_moment_witness(z_prev, cands, w, h.params, tol=tol,
-                                       gamma=h.shift_gamma)
-        if not report.ok:
-            ok = False
+    ok, worst = True, 0.0
+
+    def check(values, cands):
+        nonlocal ok, worst
+        report = verify_moment_witness(h.state.profile(), cands, h.witness(h.state, values),
+                                       h.params, tol=tol, gamma=h.shift_gamma)
+        ok = ok and report.ok
         worst = max(worst, report.worst_shift_violation, report.worst_first_moment,
                     max(0.0, report.worst_second_moment - h.params.sigma_sq))
-        action = choose_action(cands, h.params)
-        h.state.apply(values, action)
+
+    for _ in _play(cfg, h, check):
+        pass
     return ok, worst

@@ -1,6 +1,7 @@
 """Streams, baseline policies, and the adaptive lower-bound adversary."""
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from perpetual.allocation import PropxState
 from perpetual.baselines import (
+    STREAM_KINDS,
     Benade2Policy,
     DeficitGreedyPolicy,
     PrefixAlreadyUnfair,
@@ -98,6 +100,76 @@ def test_bernoulli_and_choice_streams():
 def test_stream_spec_validation():
     with pytest.raises(ValueError):
         StreamSpec("nope", 2, 5)
+
+
+@pytest.mark.parametrize("kind,n,kwargs,match", [
+    ("choice", 2, {"seed": 1}, "'values'"),
+    ("choice", 2, {"seed": 1, "params": {"values": []}}, "'values'"),
+    ("window_cycle", 2, {"params": {"cycle": []}}, "'cycle'"),
+    ("constant", 2, {"params": {"value": [1.0, 2.0, 3.0]}}, "'value'"),
+    ("constant", 3, {"params": {"value": [1.0, 2.0]}}, "'value'"),
+    ("table1", 3, {}, "n = 2"),
+    ("benade_linear", 3, {}, "n = 2"),
+    ("benade_linear", 2, {"params": {"T": -4}}, "benade_linear"),
+    ("round_robin_alt", 2, {"params": {"eps": None}}, "round_robin_alt"),
+    ("constant", 2, {"params": [1.0]}, "params"),
+    ("uniform_random", 2, {}, "seed"),
+    ("table1", 2, {"width": 2}, "random stream kind"),
+    ("uniform_random", 2, {"seed": 1, "width": 0}, "width"),
+])
+def test_stream_spec_checks_params_at_construction(kind, n, kwargs, match):
+    with pytest.raises(ValueError, match=match) as info:
+        StreamSpec(kind, n, 5, **kwargs)
+    assert kind in str(info.value) or match == "width"
+
+
+def test_stream_width_always_yields_a_matrix():
+    rounds = list(stream_generate(StreamSpec("uniform_random", 3, 4, seed=2, width=1)))
+    assert all(v.shape == (3, 1) for v in rounds)
+    flat = list(stream_generate(StreamSpec("uniform_random", 3, 4, seed=2)))
+    assert [v.ravel().tolist() for v in rounds] == [v.tolist() for v in flat]
+    assert all(v.shape == (2, 1) for v in stream_generate(StreamSpec("table1", 2, 3, width=1)))
+
+
+# (kind, n, length, seed, params, width) -> sha256[:16] of the float64 bytes of
+# every round, recorded before the stream kinds became one table
+STREAM_DIGESTS = [
+    (("round_robin_alt", 3, 9, None, {"eps": 0.25}, None), "bfff6f7b177a3bef"),
+    (("round_robin_alt", 5, 7, None, {}, None), "0209a2e02ca8da25"),
+    (("greedy_eps", 4, 6, None, {"eps": 0.1}, None), "f9cbcba2eeac3a09"),
+    (("greedy_eps", 2, 5, None, {}, None), "7399fd5e0913b208"),
+    (("table1", 2, 11, None, {"eps": 0.05}, None), "389b75e667534332"),
+    (("table1", 2, 5, None, {}, None), "2cb35645c844fdcb"),
+    (("benade_linear", 2, 30, None, {"T": 100, "rho": 0.2}, None), "9549e7745b146c72"),
+    (("benade_linear", 2, 12, None, {}, None), "37ae49444849d0ab"),
+    (("window_cycle", 3, 10, None, {"cycle": [1, 0.5]}, None), "7608c001b61aa35c"),
+    (("window_cycle", 2, 8, None, {}, None), "b724a90e310774fd"),
+    (("constant", 3, 4, None, {"value": 2.5}, None), "add3ba32f642367c"),
+    (("constant", 3, 4, None, {"value": [1, 2, 3]}, None), "07f5e2fce9b55767"),
+    (("constant", 4, 3, None, {}, None), "cf966f1001f07510"),
+    (("uniform_random", 2, 50, 1, {}, None), "b9af75f0cda75d57"),
+    (("uniform_random", 5, 40, 2, {}, None), "9cf9a3386e91607b"),
+    (("uniform_random", 3, 30, 7, {}, 4), "ffbd098222b9021b"),
+    (("bernoulli", 3, 60, 3, {"prob": 0.3}, None), "c1e43218122f5559"),
+    (("bernoulli", 2, 40, 4, {}, None), "246438c462ea2eb6"),
+    (("choice", 3, 50, 5, {"values": [0.25, 0.5, 1.0]}, None), "347c367d19eec5a2"),
+    (("choice", 6, 20, 6, {"values": [2, 0.1]}, None), "02808e16c52600ce"),
+]
+
+
+def test_stream_digests_cover_every_kind():
+    assert {spec[0] for spec, _ in STREAM_DIGESTS} == set(STREAM_KINDS)
+
+
+@pytest.mark.parametrize("spec,expected", STREAM_DIGESTS)
+def test_stream_values_digest(spec, expected):
+    kind, n, length, seed, params, width = spec
+    kwargs = {} if width is None else {"width": width}
+    h = hashlib.sha256()
+    for v in stream_generate(StreamSpec(kind, n, length, seed=seed, params=params, **kwargs)):
+        assert v.shape == ((n,) if width is None else (n, width))
+        h.update(np.asarray(v, dtype=float).tobytes())
+    assert h.hexdigest()[:16] == expected
 
 
 # ---------------------------------------------------------------------------

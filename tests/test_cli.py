@@ -137,3 +137,53 @@ def test_nonfinite_item_exit_2(tmp_path, capsys):
     cfg = write_config(tmp_path, stream={"kind": "constant", "params": {"value": [0.5, "inf"]}})
     assert cli_dispatch(["simulate", cfg]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n,stream,names", [
+    (2, {"kind": "choice", "seed": 1}, ("choice", "'values'")),
+    (2, {"kind": "choice", "seed": 1, "params": {"values": []}}, ("choice", "'values'")),
+    (2, {"kind": "window_cycle", "params": {"cycle": []}}, ("window_cycle", "'cycle'")),
+    (2, {"kind": "constant", "params": {"value": [1, 1, 1]}}, ("constant", "'value'")),
+    (3, {"kind": "constant", "params": {"value": [1, 1]}}, ("constant", "'value'")),
+    (3, {"kind": "table1"}, ("table1", "n = 2")),
+])
+def test_bad_stream_params_exit_2(tmp_path, capsys, n, stream, names):
+    assert cli_dispatch(["simulate", write_config(tmp_path, n=n, stream=stream)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and all(name in err for name in names)
+
+
+def test_pdm_one_outcome_runs(tmp_path, capsys):
+    cfg = write_config(tmp_path, instantiation="pdm", num_outcomes=1, length=20,
+                       stream={"kind": "uniform_random", "seed": 3})
+    assert cli_dispatch(["simulate", cfg]) == 0
+    assert cli_dispatch(["verify-moments", cfg]) == 0
+
+
+def test_discounted_exit_code_uses_c_gamma(tmp_path, capsys):
+    # the discounted deficit of the starved agent tends to 1/2 / (1 - 0.98) = 25,
+    # above c_gamma = 18.36 but below ct_threshold(t) on every round
+    cfg = write_config(tmp_path, instantiation="discounted", gamma=0.98, policy="constant",
+                       length=2000, stream={"kind": "constant", "params": {"value": 1}})
+    assert cli_dispatch(["simulate", cfg]) == 1
+    assert "bound violations: 1935" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["exact", "aux", "--n", "2", "--state", "3,3"],
+    ["simulate", {"policy": "exp_exact", "length": 5,
+                  "stream": {"kind": "uniform_random", "seed": 1}}],
+])
+def test_frontier_cap_exit_2(tmp_path, capsys, argv):
+    # answering needs n = 2 D^11, whose raw point set passes the 10^6 cap
+    if argv[0] == "simulate":
+        argv = ["simulate", write_config(tmp_path, **argv[1])]
+    assert cli_dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert "1000000 points" in captured.err and "cap" in captured.err
+
+
+def test_exact_exp_has_no_c_flag():
+    with pytest.raises(SystemExit):
+        cli_dispatch(["exact", "exp", "--n", "2", "--state", "0,3", "--item", "1,1",
+                      "--c", "1"])

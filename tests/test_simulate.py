@@ -6,7 +6,15 @@ import json
 import numpy as np
 import pytest
 
-from perpetual.baselines import POLICY_NAMES, StreamSpec, make_policy, stream_generate
+from perpetual.allocation import EfxState, efx_candidates, efx_params, efx_witness
+from perpetual.baselines import (
+    POLICY_NAMES,
+    RoundRobinPolicy,
+    StreamSpec,
+    make_policy,
+    stream_generate,
+)
+from perpetual.framework import verify_moment_witness
 from perpetual.simulate import (
     CSV_COLUMNS,
     ConfigInvalid,
@@ -40,6 +48,10 @@ def test_config_roundtrip(tmp_path):
     cfg = RunConfig.from_json_file(str(path))
     assert cfg.instantiation == "propx" and cfg.length == 6
     assert cfg.stream.kind == "table1"
+    # absent or null optional keys keep the RunConfig defaults
+    assert (cfg.c, cfg.p, cfg.k_max, cfg.benade_T) == (None, 0.0, 12, 400)
+    cfg = RunConfig.from_dict(base_config(p=None, k_max=3, c=2))
+    assert (cfg.c, cfg.p, cfg.k_max) == (2.0, 0.0, 3)
 
 
 @pytest.mark.parametrize("bad", [
@@ -51,6 +63,9 @@ def test_config_roundtrip(tmp_path):
     {"n": 1},
     {"length": -1},
     {"window": 3},
+    {"n": "two"},
+    {"c": [1.0]},
+    {"k_max": "twelve"},
 ])
 def test_config_rejects_bad_values(bad):
     with pytest.raises(ConfigInvalid):
@@ -70,8 +85,9 @@ def test_random_stream_requires_seed():
     with pytest.raises(ConfigInvalid):
         RunConfig.from_dict(raw)
     RunConfig.from_dict(base_config(stream={"kind": "uniform_random", "seed": 1}))
-    # a top-level seed also satisfies the requirement
-    RunConfig.from_dict(base_config(stream={"kind": "uniform_random"}, seed=1))
+    # the seed belongs to the stream: a top-level seed is an unknown key
+    with pytest.raises(ConfigInvalid, match="seed"):
+        RunConfig.from_dict(base_config(stream={"kind": "uniform_random"}, seed=1))
 
 
 def test_instantiation_specific_requirements():
@@ -156,6 +172,26 @@ def test_all_instantiations_run_and_verify(tmp_path):
         assert len(rows) == 40
         ok, worst = verify_moments_run(cfg)
         assert ok, (raw["instantiation"], worst)
+
+
+def test_verify_moments_follows_the_configured_policy():
+    raw = base_config(instantiation="efx", n=3, policy="round_robin", length=60,
+                      stream={"kind": "uniform_random", "seed": 11})
+    cfg = RunConfig.from_dict(raw)
+    state, params, pol = EfxState(3), efx_params(3), RoundRobinPolicy(3)
+    ok, worst = True, 0.0
+    for values in stream_generate(cfg.stream):
+        report = verify_moment_witness(state.profile(), efx_candidates(state, values),
+                                       efx_witness(state, values), params, tol=1e-9)
+        ok = ok and report.ok
+        worst = max(worst, report.worst_shift_violation, report.worst_first_moment,
+                    max(0.0, report.worst_second_moment - params.sigma_sq))
+        action = pol.choose(values)
+        pol.update(values, action)
+        state.apply(values, action)
+    assert verify_moments_run(cfg) == (ok, worst)
+    # the potential rule's trajectory gives another worst residual
+    assert verify_moments_run(RunConfig.from_dict({**raw, "policy": "potential"})) != (ok, worst)
 
 
 def test_simulation_zero_length(tmp_path):
