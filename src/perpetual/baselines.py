@@ -79,23 +79,23 @@ def _choice(spec):
     return lambda t, rng: [pool[rng.next_index(len(pool))] for _ in range(m)]
 
 
-#: stream kind -> (draws from the PRNG, required agent count or None, builder).
-#: A builder reads and checks the kind's params once, when the ``StreamSpec``
-#: is constructed, and returns the round function row(t, rng) -> the round's
-#: values as a flat list.
+#: stream kind -> (draws from the PRNG, required agent count or None, the
+#: params it reads, builder).  A builder reads and checks the kind's params
+#: once, when the ``StreamSpec`` is constructed, and returns the round
+#: function row(t, rng) -> the round's values as a flat list.
 _STREAMS = {
-    "round_robin_alt": (False, None, _round_robin_alt),
-    "greedy_eps": (False, None, _greedy_eps),
-    "table1": (False, 2, _table1),
-    "benade_linear": (False, 2, _benade_linear),
-    "uniform_random": (True, None, _uniform_random),
-    "bernoulli": (True, None, _bernoulli),
-    "constant": (False, None, _constant),
-    "window_cycle": (False, None, _window_cycle),
-    "choice": (True, None, _choice),
+    "round_robin_alt": (False, None, {"eps"}, _round_robin_alt),
+    "greedy_eps": (False, None, {"eps"}, _greedy_eps),
+    "table1": (False, 2, {"eps"}, _table1),
+    "benade_linear": (False, 2, {"T", "rho"}, _benade_linear),
+    "uniform_random": (True, None, set(), _uniform_random),
+    "bernoulli": (True, None, {"prob"}, _bernoulli),
+    "constant": (False, None, {"value"}, _constant),
+    "window_cycle": (False, None, {"cycle"}, _window_cycle),
+    "choice": (True, None, {"values"}, _choice),
 }
 STREAM_KINDS = tuple(_STREAMS)
-RANDOM_KINDS = tuple(kind for kind, (random, _, _) in _STREAMS.items() if random)
+RANDOM_KINDS = tuple(kind for kind, (random, *_) in _STREAMS.items() if random)
 
 
 @dataclass(frozen=True)
@@ -117,10 +117,13 @@ class StreamSpec:
             raise ValueError(f"unknown stream kind {self.kind!r}")
         if self.length < 0 or self.n < 1 or (self.width is not None and self.width < 1):
             raise ValueError("length, n, width must be nonnegative/positive")
-        random, agents, build = _STREAMS[self.kind]
+        random, agents, known, build = _STREAMS[self.kind]
         try:
             if not isinstance(self.params, dict):
                 raise ValueError("params must be an object")
+            if set(self.params) - known:
+                raise ValueError(f"unknown params {sorted(set(self.params) - known)}, "
+                                 f"expected some of {sorted(known)}")
             if agents is not None and self.n != agents:
                 raise ValueError(f"needs n = {agents}, got n = {self.n}")
             if random and self.seed is None:

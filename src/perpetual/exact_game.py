@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from numbers import Rational
 from operator import ge, gt
@@ -146,14 +147,11 @@ def lp_solve(x: tuple, i: int) -> tuple:
 
 
 def _y2(xi: int, mu: int, unit: int) -> int:
-    """Y for n = 2 (same case split as ``_lp``)."""
-    if xi == _INF:
-        return _INF if mu == _INF else mu + unit
-    if mu == _INF or xi <= mu:
+    """Y for n = 2.  ``_INF`` needs no case of its own: it compares above
+    every finite coordinate and stays above 2 * unit after subtracting one."""
+    if xi <= mu:
         return xi
-    if xi - mu <= 2 * unit:
-        return (xi + mu) // 2
-    return mu + unit
+    return (xi + mu) // 2 if xi - mu <= 2 * unit else mu + unit
 
 
 # ---------------------------------------------------------------------------
@@ -179,19 +177,26 @@ def _pareto_front(points, n: int) -> list:
     is compared only with the points already kept.  For n = 2 only the
     largest second coordinate per first coordinate can be kept, so the sweep
     sorts first coordinates, not points."""
-    kept = []
     if n == 2:
         top = {}
         for p0, p1 in points:
             if top.get(p0, p1) <= p1:
                 top[p0] = p1
-        for p0 in sorted(top, reverse=True):
-            if not kept or top[p0] > kept[-1][1]:
-                kept.append((p0, top[p0]))
-        return kept
+        return _staircase(top)
+    kept = []
     for q in sorted(set(points), reverse=True):
         if not any(all(map(ge, o, q)) for o in kept):
             kept.append(q)
+    return kept
+
+
+def _staircase(top: dict) -> list:
+    """The Pareto front of the n = 2 points {p0: largest p1}, sorted
+    descending: coordinate 0 strictly falls and coordinate 1 strictly rises."""
+    kept = []
+    for p0 in sorted(top, reverse=True):
+        if not kept or top[p0] > kept[-1][1]:
+            kept.append((p0, top[p0]))
     return kept
 
 
@@ -208,10 +213,12 @@ def _step(pts: list, n: int, unit: int, prune: bool, cap: int) -> list:
     ordered n-tuple of points, coordinate i of the generated point is the LP
     value of the tuple's i-th coordinates.  Returns the level sorted
     descending, at the same scale."""
+    if n == 2 and prune:
+        return _step2(pts, unit, cap)
     out = set()
     if n == 2:
-        # hot path: coordinate 0 solves the LP at index 0 of (a0, b0);
-        # coordinate 1 at index 1 of (a1, b1), i.e. x_i = b1 and mu = a1
+        # coordinate 0 solves the LP at index 0 of (a0, b0); coordinate 1 at
+        # index 1 of (a1, b1), i.e. x_i = b1 and mu = a1
         for a0, a1 in pts:
             for b0, b1 in pts:
                 out.add((_y2(a0, b0, unit), _y2(b1, a1, unit)))
@@ -226,11 +233,35 @@ def _step(pts: list, n: int, unit: int, prune: bool, cap: int) -> list:
     return _pareto_front(out, n) if prune else sorted(out, reverse=True)
 
 
+def _step2(pts: list, unit: int, cap: int) -> list:
+    """The pruned n = 2 step from a staircase ``pts``.  For a first point a,
+    every b with b0 >= a0 gives coordinate 0 = a0, so the last of them
+    dominates the others; every b with b1 >= a1 + 2 unit gives coordinate
+    1 = a1 + unit, so the first of them dominates the others.  Only the window
+    from the one to the other is evaluated (``_y2`` inlined), and a generated
+    point only raises the largest coordinate 1 kept for its coordinate 0."""
+    neg0 = [-p0 for p0, _ in pts]
+    one = [p1 for _, p1 in pts]
+    two = 2 * unit
+    top = {}
+    for a0, a1 in pts:
+        for b0, b1 in pts[bisect_right(neg0, -a0) - 1:bisect_left(one, a1 + two) + 1]:
+            y0 = a0 if a0 <= b0 else (a0 + b0) // 2 if a0 - b0 <= two else b0 + unit
+            y1 = b1 if b1 <= a1 else (b1 + a1) // 2 if b1 - a1 <= two else a1 + unit
+            if top.get(y0, y1) <= y1:
+                top[y0] = y1
+        if len(top) > cap:
+            raise FrontierSizeExceeded(f"frontier exceeds {cap} points")
+    return _staircase(top)
+
+
 def next_frontier(points, n: int, prune: bool = True, cap: int = 10**6) -> frozenset:
     """D^{k+1} from D^k: for every ordered n-tuple of D^k points, coordinate i
     of the generated point is the LP value of the tuple's i-th coordinates."""
     pts, unit = _scaled(points, n)
-    return _to_fractions(_step(sorted(pts, reverse=True), n, unit, prune, cap), unit)
+    # pruning the inputs first is sound: every LP value is monotone in its inputs
+    pts = _pareto_front(pts, 2) if n == 2 and prune else sorted(pts, reverse=True)
+    return _to_fractions(_step(pts, n, unit, prune, cap), unit)
 
 
 class FrontierBuilder:
@@ -288,6 +319,10 @@ def _checked(n: int, builder: FrontierBuilder | None, *vectors) -> FrontierBuild
     return builder
 
 
+def _neg0(p: tuple) -> int:
+    return -p[0]
+
+
 def _horizon(x: tuple, builder: FrontierBuilder, k_max: int) -> int:
     """aux on a checked state, k_max + 1 when no D^k with k <= k_max
     dominates it.  At level k the state becomes integer thresholds
@@ -298,15 +333,18 @@ def _horizon(x: tuple, builder: FrontierBuilder, k_max: int) -> int:
         raise ValueError("k_max must be >= 0")
     n = builder.n
     ratios = [None if is_inf(v) else (v.numerator, v.denominator) for v in x]
+    if any(r is not None and r[0] < 0 for r in ratios):
+        return 0  # already lost, whatever the other coordinates are
+    staircase = n == 2 and builder.prune
     for k in range(k_max + 1):
         scale = n ** k
         t = [_INF if r is None else min(r[0] * scale // r[1], _INF - 1) for r in ratios]
         level = builder._level(k)
-        if n == 2:
-            t0, t1 = t
-            for p0, p1 in level:
-                if p0 > t0 and p1 > t1:
-                    return k
+        if staircase:
+            # the points with p0 > t0 are a prefix; its last point has the largest p1
+            i = bisect_left(level, -t[0], key=_neg0)
+            if i and level[i - 1][1] > t[1]:
+                return k
         elif any(all(map(gt, p, t)) for p in level):
             return k
     return k_max + 1
@@ -314,7 +352,8 @@ def _horizon(x: tuple, builder: FrontierBuilder, k_max: int) -> int:
 
 def aux(x: tuple, n: int, k_max: int = K_MAX, builder: FrontierBuilder | None = None) -> int:
     """Smallest k such that some D^k point dominates x, i.e. the minimum
-    number of rounds in which an adversary can force a violation from x."""
+    number of rounds in which an adversary can force a violation from x; 0
+    when a coordinate of x is already negative, even beside an INF one."""
     k = _horizon(x, _checked(n, builder, x), k_max)
     if k > k_max:
         raise KMaxExceeded(f"no D^k dominates the state for k <= {k_max}")

@@ -74,6 +74,9 @@ class RunConfig:
             raise ConfigInvalid(f"bad config value: {e}") from e
         if n < 2 or length < 0:
             raise ConfigInvalid("need n >= 2 and length >= 0")
+        for key, least in (("benade_T", 1), ("k_max", 0)):
+            if opt.get(key, least) < least:
+                raise ConfigInvalid(f"{key} must be >= {least}")
         if inst == "pdm" and "num_outcomes" not in opt:
             raise ConfigInvalid("pdm requires num_outcomes")
         if inst == "pdm" and policy != "potential":

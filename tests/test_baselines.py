@@ -116,6 +116,9 @@ def test_stream_spec_validation():
     ("uniform_random", 2, {}, "seed"),
     ("table1", 2, {"width": 2}, "random stream kind"),
     ("uniform_random", 2, {"seed": 1, "width": 0}, "width"),
+    ("table1", 2, {"params": {"epsilon": 0.5}}, "'epsilon'"),
+    ("benade_linear", 2, {"params": {"T": 400, "Rho": 0.1}}, "'Rho'"),
+    ("uniform_random", 2, {"seed": 1, "params": {"prob": 0.5}}, "'prob'"),
 ])
 def test_stream_spec_checks_params_at_construction(kind, n, kwargs, match):
     with pytest.raises(ValueError, match=match) as info:

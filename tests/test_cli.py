@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from perpetual import exact_game as eg
 from perpetual.cli import cli_dispatch
 from perpetual.simulate import CSV_COLUMNS
 
@@ -146,6 +147,7 @@ def test_nonfinite_item_exit_2(tmp_path, capsys):
     (2, {"kind": "constant", "params": {"value": [1, 1, 1]}}, ("constant", "'value'")),
     (3, {"kind": "constant", "params": {"value": [1, 1]}}, ("constant", "'value'")),
     (3, {"kind": "table1"}, ("table1", "n = 2")),
+    (2, {"kind": "table1", "params": {"epsilon": 0.5}}, ("table1", "'epsilon'")),
 ])
 def test_bad_stream_params_exit_2(tmp_path, capsys, n, stream, names):
     assert cli_dispatch(["simulate", write_config(tmp_path, n=n, stream=stream)]) == 2
@@ -160,6 +162,15 @@ def test_pdm_one_outcome_runs(tmp_path, capsys):
     assert cli_dispatch(["verify-moments", cfg]) == 0
 
 
+@pytest.mark.parametrize("key,value", [("benade_T", 0), ("benade_T", -5), ("k_max", -1)])
+def test_out_of_range_run_keys_exit_2(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path, policy="benade2" if key == "benade_T" else "exp_exact",
+                       **{key: value})
+    assert cli_dispatch(["simulate", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and key in err
+
+
 def test_discounted_exit_code_uses_c_gamma(tmp_path, capsys):
     # the discounted deficit of the starved agent tends to 1/2 / (1 - 0.98) = 25,
     # above c_gamma = 18.36 but below ct_threshold(t) on every round
@@ -169,18 +180,32 @@ def test_discounted_exit_code_uses_c_gamma(tmp_path, capsys):
     assert "bound violations: 1935" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("argv", [
+DEEP_N2 = [
     ["exact", "aux", "--n", "2", "--state", "3,3"],
     ["simulate", {"policy": "exp_exact", "length": 5,
                   "stream": {"kind": "uniform_random", "seed": 1}}],
-])
-def test_frontier_cap_exit_2(tmp_path, capsys, argv):
-    # answering needs n = 2 D^11, whose raw point set passes the 10^6 cap
-    if argv[0] == "simulate":
-        argv = ["simulate", write_config(tmp_path, **argv[1])]
-    assert cli_dispatch(argv) == 2
+]
+
+
+def _argv(tmp_path, argv):
+    return ["simulate", write_config(tmp_path, **argv[1])] if argv[0] == "simulate" else argv
+
+
+@pytest.mark.parametrize("argv", DEEP_N2)
+def test_frontier_cap_exit_2(tmp_path, capsys, monkeypatch, argv):
+    # both answers search n = 2 up to D^12; a 1000-point cap stops the build at D^10
+    monkeypatch.setattr(eg.FrontierBuilder.__init__, "__defaults__", (1000, True))
+    assert cli_dispatch(_argv(tmp_path, argv)) == 2
     captured = capsys.readouterr()
-    assert "1000000 points" in captured.err and "cap" in captured.err
+    assert "1000 points" in captured.err and "cap" in captured.err
+
+
+def test_deep_n2_states_answered(tmp_path, capsys):
+    """Under the default 10^6 cap, answers that search n = 2 up to D^12."""
+    assert cli_dispatch(DEEP_N2[0]) == 1
+    assert capsys.readouterr().out.strip() == "exceeded (no forced violation within k_max=12)"
+    assert cli_dispatch(_argv(tmp_path, DEEP_N2[1])) == 0
+    assert "simulated 5 rounds" in capsys.readouterr().out
 
 
 def test_exact_exp_has_no_c_flag():

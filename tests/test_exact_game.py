@@ -12,11 +12,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perpetual.cli import cli_dispatch
 from perpetual.exact_game import (
+    _INF,
     INF,
     FrontierBuilder,
     FrontierSizeExceeded,
@@ -27,6 +28,8 @@ from perpetual.exact_game import (
     exp_policy,
     is_inf,
     lp_solve,
+    _pareto_front,
+    _step,
     next_frontier,
     pareto_prune,
     surplus_update,
@@ -76,7 +79,10 @@ def _oracle_next_frontier(points, n, prune=True):
 
 
 def _oracle_aux(x, builder, k_max):
-    """The Fraction domination scan over FrontierBuilder.get levels."""
+    """The Fraction domination scan over FrontierBuilder.get levels; a state
+    with a negative coordinate has already lost."""
+    if any(not is_inf(v) and v < 0 for v in x):
+        return 0
     for k in range(k_max + 1):
         if any(dominates(p, x) for p in builder.get(k)):
             return k
@@ -165,6 +171,22 @@ def test_frontier_sizes_n2():
         2, 3, 5, 9, 17, 35, 71, 151, 325, 693, 1477]
 
 
+def test_frontier_sizes_n2_deep():
+    """D^11 and D^12 build under the default 10^6 point cap."""
+    builder = FrontierBuilder(2)
+    assert [len(builder.get(k)) for k in (11, 12)] == [3111, 6571]
+
+
+def test_windowed_step_matches_full_enumeration_n2():
+    """The pruned n = 2 step, which evaluates only each chain's window, keeps
+    exactly the Pareto front of every generated pair."""
+    builder = FrontierBuilder(2)
+    for k in range(1, 11):
+        pts = [tuple(v if v == _INF else 2 * v for v in p) for p in builder._level(k - 1)]
+        full = _step(pts, 2, 2 ** k, False, 10**6)
+        assert _step(pts, 2, 2 ** k, True, 10**6) == _pareto_front(full, 2) == builder._level(k)
+
+
 def test_frontier_sizes_n3():
     builder = FrontierBuilder(3)
     assert [len(builder.get(k)) for k in range(5)] == [3, 6, 13, 31, 100]
@@ -196,6 +218,13 @@ def test_next_frontier_accepts_any_rational_points():
     pts = {(F(1, 3), F(5, 7)), (F(-2, 5), INF), (INF, F(0))}
     for prune in (True, False):
         assert next_frontier(pts, 2, prune=prune) == _oracle_next_frontier(pts, 2, prune=prune)
+    # dominated and repeated first coordinates: the pruned step reduces its
+    # inputs to their staircase first
+    rng = random.Random(5)
+    for _ in range(30):
+        pts = {tuple(INF if rng.random() < 0.1 else F(rng.randint(-3, 12), rng.randint(1, 4))
+                     for _ in range(2)) for _ in range(rng.randint(1, 12))}
+        assert next_frontier(pts, 2) == _oracle_next_frontier(pts, 2)
     pts3 = {(F(1, 3), F(5, 7), INF), (F(2), F(-1, 4), F(1, 6)), (INF, F(0), F(3, 2))}
     assert next_frontier(pts3, 3) == _oracle_next_frontier(pts3, 3)
 
@@ -303,6 +332,9 @@ def test_aux_accepts_ints_and_inf():
     # a coordinate past the integer INF still loses to an INF point
     assert aux((F(10**400, 3), F(-1)), 2, builder=b) == 0
     assert aux((F(-1, 7), F(10**400)), 2, builder=b) == 0
+    # a negative coordinate has already lost, even beside an INF one
+    assert aux((F(-1), INF), 2, builder=b) == 0
+    assert aux((INF, INF, F(-1, 3)), 3) == 0
 
 
 RATIONALS = st.builds(F, st.integers(-36, 72), st.integers(1, 12))
@@ -315,9 +347,13 @@ _K_MAX = {2: 8, 3: 3}
 @given(st.sampled_from([2, 3]).flatmap(
     lambda n: st.tuples(st.just(n), st.lists(st.one_of(RATIONALS, st.just(INF)),
                                              min_size=n, max_size=n))))
+@example((2, [F(-1), INF]))
+@example((2, [INF, F(-1, 12)]))
+@example((3, [INF, F(-3), INF]))
 def test_integer_aux_matches_fraction_scan(case):
     """Thresholds floor(x_i * n**k) decide domination exactly as the Fraction
-    comparison does, for negative, fractional and INF coordinates alike."""
+    comparison does, for negative, fractional and INF coordinates alike; a
+    negative coordinate is 0 rounds from a violation."""
     n, x = case
     x = tuple(x)
     builder, k_max = _BUILDERS[n], _K_MAX[n]

@@ -66,6 +66,10 @@ def test_config_roundtrip(tmp_path):
     {"n": "two"},
     {"c": [1.0]},
     {"k_max": "twelve"},
+    {"k_max": -1},
+    {"benade_T": 0},
+    {"benade_T": -400},
+    {"stream": {"kind": "table1", "params": {"epsilon": 0.5}}},
 ])
 def test_config_rejects_bad_values(bad):
     with pytest.raises(ConfigInvalid):
