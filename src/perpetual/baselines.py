@@ -24,65 +24,75 @@ from .prng import Xoshiro256StarStar
 # Streams
 # ---------------------------------------------------------------------------
 
+def _nonneg(key, value):
+    """``value`` (a float or a list of floats) once every entry is finite and >= 0."""
+    if not all(math.isfinite(v) and v >= 0.0 for v in np.ravel(value)):
+        raise ValueError(f"{key!r} must be finite and >= 0")
+    return value
+
+
 def _round_robin_alt(spec):
-    n, eps = spec.n, float(spec.params.get("eps", 0.01))
-    return lambda t, rng: [1.0] * n if t % 2 == 1 else [eps] * n
+    n, eps = spec.n, _nonneg("eps", float(spec.params.get("eps", 0.01)))
+    return lambda t: [1.0] * n if t % 2 == 1 else [eps] * n
 
 
 def _greedy_eps(spec):
-    n, eps = spec.n, float(spec.params.get("eps", 0.01))
-    return lambda t, rng: [1.0] * n if t == 1 else [1.0] + [eps] * (n - 1)
+    n, eps = spec.n, _nonneg("eps", float(spec.params.get("eps", 0.01)))
+    return lambda t: [1.0] * n if t == 1 else [1.0] + [eps] * (n - 1)
 
 
 def _table1(spec):
-    eps = float(spec.params.get("eps", 0.01))
-    return lambda t, rng: ([1.0, 1.0] if t == 1
-                           else [1.0, eps] if t % 2 == 1 or t == 2 else [eps, 1.0])
+    eps = _nonneg("eps", float(spec.params.get("eps", 0.01)))
+    return lambda t: ([1.0, 1.0] if t == 1
+                      else [1.0, eps] if t % 2 == 1 or t == 2 else [eps, 1.0])
 
 
 def _benade_linear(spec):
     cutoff = math.isqrt(int(spec.params.get("T", spec.length)))
-    rho = float(spec.params.get("rho", 0.1))
-    return lambda t, rng: [1.0, rho] if t <= cutoff else [0.0, 0.0]
+    rho = _nonneg("rho", float(spec.params.get("rho", 0.1)))
+    return lambda t: [1.0, rho] if t <= cutoff else [0.0, 0.0]
 
 
 def _window_cycle(spec):
-    n, cycle = spec.n, [float(x) for x in spec.params.get("cycle", (1.0, 0.3, 0.3))]
+    n = spec.n
+    cycle = _nonneg("cycle", [float(x) for x in spec.params.get("cycle", (1.0, 0.3, 0.3))])
     if not cycle:
         raise ValueError("'cycle' must be nonempty")
-    return lambda t, rng: [cycle[(t - 1) % len(cycle)]] * n
+    return lambda t: [cycle[(t - 1) % len(cycle)]] * n
 
 
 def _constant(spec):
     value = spec.params.get("value", 1.0)
-    row = ([float(x) for x in value] if isinstance(value, (list, tuple))
-           else [float(value)] * spec.n)
+    row = _nonneg("value", [float(x) for x in value] if isinstance(value, (list, tuple))
+                  else [float(value)] * spec.n)
     if len(row) != spec.n:
         raise ValueError(f"'value' has {len(row)} entries, expected n = {spec.n}")
-    return lambda t, rng: row
+    return lambda t: row
 
 
 def _uniform_random(spec):
-    m = spec.n * (spec.width or 1)
-    return lambda t, rng: [rng.next_double() for _ in range(m)]
+    return lambda d: d
 
 
 def _bernoulli(spec):
-    m, prob = spec.n * (spec.width or 1), float(spec.params.get("prob", 0.5))
-    return lambda t, rng: [1.0 if rng.next_double() < prob else 0.0 for _ in range(m)]
+    prob = float(spec.params.get("prob", 0.5))
+    if not 0.0 <= prob <= 1.0:
+        raise ValueError(f"'prob' must be in [0, 1], got {prob}")
+    return lambda d: np.where(d < prob, 1.0, 0.0)
 
 
 def _choice(spec):
-    m, pool = spec.n * (spec.width or 1), [float(x) for x in spec.params.get("values", ())]
-    if not pool:
+    pool = _nonneg("values", np.array([float(x) for x in spec.params.get("values", ())]))
+    if not pool.size:
         raise ValueError("needs a nonempty 'values' list")
-    return lambda t, rng: [pool[rng.next_index(len(pool))] for _ in range(m)]
+    return lambda d: pool[np.minimum((d * len(pool)).astype(np.intp), len(pool) - 1)]
 
 
 #: stream kind -> (draws from the PRNG, required agent count or None, the
 #: params it reads, builder).  A builder reads and checks the kind's params
-#: once, when the ``StreamSpec`` is constructed, and returns the round
-#: function row(t, rng) -> the round's values as a flat list.
+#: once, when the ``StreamSpec`` is constructed, and returns the kind's value
+#: map: row(t) -> round t's values as a flat list, or for a random kind an
+#: elementwise map from an array of drawn doubles to values.
 _STREAMS = {
     "round_robin_alt": (False, None, {"eps"}, _round_robin_alt),
     "greedy_eps": (False, None, {"eps"}, _greedy_eps),
@@ -110,7 +120,7 @@ class StreamSpec:
     seed: int | None = None
     params: dict = field(default_factory=dict)
     width: int | None = None
-    row: callable = field(init=False, repr=False, compare=False)  # (t, rng) -> values
+    row: callable = field(init=False, repr=False, compare=False)  # the kind's value map
 
     def __post_init__(self):
         if self.kind not in _STREAMS:
@@ -128,6 +138,8 @@ class StreamSpec:
                 raise ValueError(f"needs n = {agents}, got n = {self.n}")
             if random and self.seed is None:
                 raise ValueError("requires a seed")
+            if self.seed is not None and not (type(self.seed) is int and 0 <= self.seed < 2**64):
+                raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
             if not random and (self.width or 1) > 1:
                 raise ValueError("width > 1 needs a random stream kind")
             object.__setattr__(self, "row", build(self))
@@ -135,17 +147,26 @@ class StreamSpec:
             raise ValueError(f"stream kind {self.kind!r}: {e}") from e
 
 
+_BLOCK = 1024  #: doubles per block; larger blocks save little and cost peak memory
+
+
 def stream_generate(spec: StreamSpec):
     """Yield one value vector (or n x width matrix) per round, t = 1..length.
 
     Random kinds draw from splitmix64-seeded xoshiro256**, one double per
     (agent, column) in row-major order per round -- a bit-exact contract so
-    CSV goldens are portable.
+    CSV goldens are portable -- drawn _BLOCK doubles' worth of rounds at a time.
     """
-    rng = None if spec.seed is None else Xoshiro256StarStar(spec.seed)
     shape = (spec.n,) if spec.width is None else (spec.n, spec.width)
-    for t in range(1, spec.length + 1):
-        yield np.asarray(spec.row(t, rng), dtype=float).reshape(shape)
+    if spec.kind not in RANDOM_KINDS:
+        for t in range(1, spec.length + 1):
+            yield np.asarray(spec.row(t), dtype=float).reshape(shape)
+        return
+    rng, m = Xoshiro256StarStar(spec.seed), spec.n * (spec.width or 1)
+    per_block = max(1, _BLOCK // m)
+    for start in range(0, spec.length, per_block):
+        k = min(per_block, spec.length - start)
+        yield from spec.row(rng.doubles(k * m)).reshape((k, *shape))
 
 
 # ---------------------------------------------------------------------------

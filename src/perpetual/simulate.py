@@ -92,7 +92,7 @@ class RunConfig:
         _check_object(sraw, _STREAM_KEYS, "stream")
         try:
             spec = StreamSpec(kind=sraw.get("kind"), n=n, length=length,
-                              seed=None if sraw.get("seed") is None else int(sraw["seed"]),
+                              seed=sraw.get("seed"),
                               params=sraw.get("params", {}),
                               width=opt.get("num_outcomes") if inst == "pdm" else None)
         except (TypeError, ValueError) as e:

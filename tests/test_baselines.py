@@ -119,6 +119,23 @@ def test_stream_spec_validation():
     ("table1", 2, {"params": {"epsilon": 0.5}}, "'epsilon'"),
     ("benade_linear", 2, {"params": {"T": 400, "Rho": 0.1}}, "'Rho'"),
     ("uniform_random", 2, {"seed": 1, "params": {"prob": 0.5}}, "'prob'"),
+    ("uniform_random", 2, {"seed": 1.9}, "seed"),
+    ("uniform_random", 2, {"seed": True}, "seed"),
+    ("uniform_random", 2, {"seed": "7"}, "seed"),
+    ("uniform_random", 2, {"seed": -1}, "seed"),
+    ("bernoulli", 2, {"seed": 2**64 + 5}, "seed"),
+    ("table1", 2, {"seed": -1}, "seed"),
+    ("bernoulli", 2, {"seed": 1, "params": {"prob": 7}}, "'prob'"),
+    ("bernoulli", 2, {"seed": 1, "params": {"prob": -1}}, "'prob'"),
+    ("bernoulli", 2, {"seed": 1, "params": {"prob": float("nan")}}, "'prob'"),
+    ("round_robin_alt", 2, {"params": {"eps": -0.5}}, "'eps'"),
+    ("greedy_eps", 2, {"params": {"eps": float("inf")}}, "'eps'"),
+    ("table1", 2, {"params": {"eps": float("nan")}}, "'eps'"),
+    ("benade_linear", 2, {"params": {"rho": -0.1}}, "'rho'"),
+    ("constant", 2, {"params": {"value": -1}}, "'value'"),
+    ("constant", 2, {"params": {"value": [1.0, float("inf")]}}, "'value'"),
+    ("window_cycle", 2, {"params": {"cycle": [1.0, float("nan")]}}, "'cycle'"),
+    ("choice", 2, {"seed": 1, "params": {"values": [0.5, -2]}}, "'values'"),
 ])
 def test_stream_spec_checks_params_at_construction(kind, n, kwargs, match):
     with pytest.raises(ValueError, match=match) as info:

@@ -148,11 +148,27 @@ def test_nonfinite_item_exit_2(tmp_path, capsys):
     (3, {"kind": "constant", "params": {"value": [1, 1]}}, ("constant", "'value'")),
     (3, {"kind": "table1"}, ("table1", "n = 2")),
     (2, {"kind": "table1", "params": {"epsilon": 0.5}}, ("table1", "'epsilon'")),
+    (2, {"kind": "bernoulli", "seed": 1, "params": {"prob": 7}}, ("bernoulli", "'prob'")),
+    (2, {"kind": "bernoulli", "seed": 1, "params": {"prob": -1}}, ("bernoulli", "'prob'")),
+    (2, {"kind": "bernoulli", "seed": 1, "params": {"prob": float("nan")}},
+     ("bernoulli", "'prob'")),
+    (2, {"kind": "round_robin_alt", "params": {"eps": -0.5}}, ("round_robin_alt", "'eps'")),
+    (2, {"kind": "benade_linear", "params": {"rho": -1}}, ("benade_linear", "'rho'")),
+    (2, {"kind": "window_cycle", "params": {"cycle": [1, -0.3]}}, ("window_cycle", "'cycle'")),
+    (2, {"kind": "choice", "seed": 1, "params": {"values": [-1]}}, ("choice", "'values'")),
 ])
 def test_bad_stream_params_exit_2(tmp_path, capsys, n, stream, names):
     assert cli_dispatch(["simulate", write_config(tmp_path, n=n, stream=stream)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and all(name in err for name in names)
+
+
+@pytest.mark.parametrize("seed", [1.9, True, "7", -1, 2**64, 2**64 + 5, [3]])
+def test_seed_outside_64_bit_integers_exit_2(tmp_path, capsys, seed):
+    cfg = write_config(tmp_path, stream={"kind": "uniform_random", "seed": seed})
+    assert cli_dispatch(["simulate", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "uniform_random" in err and "seed" in err
 
 
 def test_pdm_one_outcome_runs(tmp_path, capsys):

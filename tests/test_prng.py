@@ -1,0 +1,116 @@
+"""The block-drawn xoshiro256** generator and the random stream kinds against
+the textbook one-draw-at-a-time step."""
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from perpetual.baselines import RANDOM_KINDS, StreamSpec, stream_generate
+from perpetual.prng import Xoshiro256StarStar
+
+MASK = (1 << 64) - 1
+
+
+def _rotl(x, k):
+    return ((x << k) | (x >> (64 - k))) & MASK
+
+
+def _oracle_step(s):
+    """One xoshiro256** output and the next state, as in the reference C code."""
+    s0, s1, s2, s3 = s
+    result = (_rotl((s1 * 5) & MASK, 7) * 9) & MASK
+    t = (s1 << 17) & MASK
+    s2 ^= s0
+    s3 ^= s1
+    s1 ^= s2
+    s0 ^= s3
+    s2 ^= t
+    return result, [s0, s1, s2, _rotl(s3, 45)]
+
+
+def _oracle_doubles(seed, m):
+    s = Xoshiro256StarStar(seed)._s
+    out = []
+    for _ in range(m):
+        x, s = _oracle_step(s)
+        out.append((x >> 11) * 2.0 ** -53)
+    return out
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.integers(0, 2 ** 64 - 1),
+       st.lists(st.tuples(st.booleans(), st.integers(0, 2500)), min_size=1, max_size=4))
+@example(0, [(True, 3), (False, 0), (True, 1)])
+@example(2 ** 64 - 1, [(False, 2500), (True, 7)])
+def test_block_draws_equal_scalar_oracle(seed, calls):
+    rng = Xoshiro256StarStar(seed)
+    s = list(rng._s)
+    for as_doubles, m in calls:
+        want = []
+        for _ in range(m):
+            x, s = _oracle_step(s)
+            want.append((x >> 11) * 2.0 ** -53 if as_doubles else x)
+        got = rng.doubles(m) if as_doubles else rng.u64s(m)
+        assert got.dtype == (np.float64 if as_doubles else np.uint64)
+        assert got.tolist() == want
+    assert rng._s == s
+
+
+def test_scalar_wrappers_equal_scalar_oracle():
+    rng = Xoshiro256StarStar(2024)
+    s = list(rng._s)
+    for bound in (1, 2, 3, 7, 1000):
+        x, s = _oracle_step(s)
+        assert rng.next_u64() == x
+        x, s = _oracle_step(s)
+        assert rng.next_double() == (x >> 11) * 2.0 ** -53
+        x, s = _oracle_step(s)
+        assert rng.next_index(bound) == int((x >> 11) * 2.0 ** -53 * bound)
+    assert rng._s == s
+
+
+# (kind, params) -> the value one drawn double d gives
+_PER_DRAW = [
+    ("uniform_random", {}, lambda d: d),
+    ("bernoulli", {"prob": 0.0}, lambda d: 0.0),
+    ("bernoulli", {"prob": 1.0}, lambda d: 1.0),
+    ("bernoulli", {"prob": 0.3}, lambda d: 1.0 if d < 0.3 else 0.0),
+    ("choice", {"values": [0.7]}, lambda d: 0.7),
+    ("choice", {"values": [0.25, 2, 1.0]}, lambda d: [0.25, 2.0, 1.0][min(int(d * 3), 2)]),
+]
+
+# (n, width, length): 341 rounds per block at n = 3, so 1000 rounds end in a
+# partial block; m = 1024 is one round per block; m = 2048 is a round larger
+# than a block
+_SHAPES = [(3, None, 1000), (64, 16, 3), (64, 32, 2), (2, None, 0), (5, 4, 60)]
+
+
+def test_per_draw_cases_cover_every_random_kind():
+    assert {kind for kind, _, _ in _PER_DRAW} == set(RANDOM_KINDS)
+
+
+@pytest.mark.parametrize("kind,params,value", _PER_DRAW)
+@pytest.mark.parametrize("n,width,length", _SHAPES)
+def test_stream_equals_per_draw_oracle(kind, params, value, n, width, length):
+    seed = 1000 * n + length
+    rows = list(stream_generate(StreamSpec(kind, n, length, seed=seed, params=params,
+                                           width=width)))
+    assert len(rows) == length
+    shape = (n,) if width is None else (n, width)
+    assert all(r.shape == shape and r.dtype == np.float64 for r in rows)
+    got = [x for r in rows for x in r.ravel().tolist()]
+    assert got == [value(d) for d in _oracle_doubles(seed, length * n * (width or 1))]
+
+
+def test_choice_index_guard_at_the_top_double():
+    spec = StreamSpec("choice", 2, 1, seed=1, params={"values": [0.5, 0.75, 1.0]})
+    top = np.array([0.0, 1 / 3, 2 / 3, 1.0 - 2.0 ** -53, 1.0])
+    assert spec.row(top).tolist() == [0.5, 0.75, 1.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 63, 2 ** 64 - 1])
+def test_every_64_bit_seed_is_accepted(seed):
+    rows = list(stream_generate(StreamSpec("uniform_random", 2, 3, seed=seed)))
+    assert [x for r in rows for x in r.tolist()] == _oracle_doubles(seed, 6)

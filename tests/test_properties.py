@@ -11,8 +11,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perpetual.allocation import EfcThresholdState, check_efk
+from perpetual.allocation import EfcThresholdState, EfxState, check_efk
 from perpetual.baselines import make_policy
+from perpetual.public_decisions import PdmState
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=120)
 
@@ -113,3 +114,61 @@ def test_util_greedy_equals_per_agent_loop(case):
         pol.update(values, best)
         util[best] += values[best]
     assert np.array_equal(pol.state.bundle_value, util)
+
+
+@st.composite
+def state_histories(draw, outcomes):
+    """n agents and up to 30 rounds of (values, action) over the extremes,
+    some rounds one value throughout.  With ``outcomes`` a round is n rows of
+    C outcome values and the action an outcome, else one value per agent and
+    the action a recipient."""
+    n = draw(st.integers(2, 4))
+    cols = draw(st.integers(1, 3)) if outcomes else 1
+    tie = st.sampled_from(_EXTREMES).map(lambda v: [v] * (n * cols))
+    mixed = st.lists(st.sampled_from(_EXTREMES), min_size=n * cols, max_size=n * cols)
+    action = st.integers(0, (cols if outcomes else n) - 1)
+    rounds = draw(st.lists(st.tuples(st.one_of(tie, mixed), action), max_size=30))
+    return n, cols, rounds
+
+
+def _ratio(d, scale):
+    return max(d, 0.0) / scale if scale > 0 else 0.0
+
+
+@PROPERTY
+@given(state_histories(outcomes=False))
+def test_efx_state_equals_naive_replay(history):
+    n, _, rounds = history
+    state = EfxState(n)
+    cross = [[0.0] * n for _ in range(n)]  # v_i(P_j)
+    scale = [[0.0] * n for _ in range(n)]  # max v_i(g) over g in P_j, i != j
+    for x, r in rounds:
+        state.apply(x, r)
+        for i in range(n):
+            cross[i][r] += x[i]
+            if i != r:
+                scale[i][r] = max(scale[i][r], x[i])
+    assert state.cross_value.tolist() == cross
+    assert state.pair_scale.tolist() == scale
+    assert state.profile().tolist() == [_ratio(cross[i][j] - cross[i][i], scale[i][j])
+                                        for i in range(n) for j in range(n) if i != j]
+
+
+@PROPERTY
+@given(state_histories(outcomes=True))
+def test_pdm_state_equals_naive_replay(history):
+    n, cols, rounds = history
+    state = PdmState(n, cols)
+    util, prop, run_max = [0.0] * n, [0.0] * n, [0.0] * n
+    for flat, o in rounds:
+        rows = [flat[i * cols:(i + 1) * cols] for i in range(n)]
+        state.apply(rows, o)
+        for i in range(n):
+            prop[i] += max(rows[i]) / n
+            util[i] += rows[i][o]
+            run_max[i] = max(run_max[i], max(rows[i]))
+    assert state.util.tolist() == util
+    assert state.prop.tolist() == prop
+    assert state.run_max.tolist() == run_max
+    assert state.deficits().tolist() == [p - u for p, u in zip(prop, util)]
+    assert state.profile().tolist() == [_ratio(p - u, v) for p, u, v in zip(prop, util, run_max)]
