@@ -48,7 +48,9 @@ def _table1(spec):
 
 
 def _benade_linear(spec):
-    cutoff = math.isqrt(int(spec.params.get("T", spec.length)))
+    if type(T := spec.params.get("T", spec.length)) is not int:
+        raise ValueError(f"'T' must be an integer, got {T!r}")
+    cutoff = math.isqrt(T)
     rho = _nonneg("rho", float(spec.params.get("rho", 0.1)))
     return lambda t: [1.0, rho] if t <= cutoff else [0.0, 0.0]
 

@@ -3,6 +3,7 @@ state-update loop, per-round metrics, and deterministic CSV output."""
 from __future__ import annotations
 
 import json
+import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -25,10 +26,20 @@ _OPTIONAL_KEYS = {"c": float, "p": float, "theta": list, "num_outcomes": int, "g
                   "output": str, "benade_T": int, "k_max": int}
 _TOP_KEYS = {"instantiation", "policy", "stream", "n", "length", *_OPTIONAL_KEYS}
 _STREAM_KEYS = {"kind", "seed", "params"}
+#: conversion -> (what the JSON value must be, the types it may load as: a bool is no number)
+_JSON_TYPES = {int: ("an integer", (int,)), float: ("a finite number", (int, float)),
+               str: ("a string", (str,)), list: ("a list of numbers", (list,))}
 
 
 class ConfigInvalid(ValueError):
     pass
+
+
+def _typed(key: str, value, convert):
+    what, types = _JSON_TYPES[convert]
+    if type(value) not in types or convert is float and not abs(value) <= sys.float_info.max:
+        raise ConfigInvalid(f"{key!r} must be {what}, got {value!r}")
+    return [_typed(key, v, float) for v in value] if convert is list else convert(value)
 
 
 def _check_object(raw, keys: set, what: str) -> None:
@@ -66,12 +77,9 @@ class RunConfig:
         policy = raw["policy"]
         if policy not in POLICY_NAMES:
             raise ConfigInvalid(f"unknown policy {policy!r}")
-        try:
-            n, length = int(raw["n"]), int(raw["length"])
-            opt = {key: convert(raw[key]) for key, convert in _OPTIONAL_KEYS.items()
-                   if raw.get(key) is not None}
-        except (TypeError, ValueError) as e:
-            raise ConfigInvalid(f"bad config value: {e}") from e
+        n, length = _typed("n", raw["n"], int), _typed("length", raw["length"], int)
+        opt = {key: _typed(key, raw[key], convert) for key, convert in _OPTIONAL_KEYS.items()
+               if raw.get(key) is not None}
         if n < 2 or length < 0:
             raise ConfigInvalid("need n >= 2 and length >= 0")
         for key, least in (("benade_T", 1), ("k_max", 0)):

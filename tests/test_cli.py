@@ -187,6 +187,47 @@ def test_out_of_range_run_keys_exit_2(tmp_path, capsys, key, value):
     assert err.startswith("config error") and key in err
 
 
+_UNIFORM = {"kind": "uniform_random", "seed": 1}
+
+
+@pytest.mark.parametrize("overrides,key", [
+    ({"n": 2.7, "length": 3.9}, "'n'"),
+    ({"length": 3.9}, "'length'"),
+    ({"length": True}, "'length'"),
+    ({"instantiation": "pdm", "num_outcomes": 2.5, "stream": _UNIFORM}, "'num_outcomes'"),
+    ({"policy": "benade2", "benade_T": 2.0}, "'benade_T'"),
+    ({"policy": "exp_exact", "k_max": True}, "'k_max'"),
+    ({"c": True}, "'c'"),
+    ({"c": float("inf")}, "'c'"),
+    ({"c": 10 ** 400}, "'c'"),
+    ({"p": float("nan")}, "'p'"),
+    ({"p": "0.5"}, "'p'"),
+    ({"instantiation": "discounted", "gamma": False}, "'gamma'"),
+    ({"output": 7}, "'output'"),
+    ({"instantiation": "efc", "theta": "12"}, "'theta'"),
+    ({"instantiation": "efc", "theta": [1, "2"]}, "'theta'"),
+    ({"instantiation": "efc", "theta": [1, True]}, "'theta'"),
+    ({"stream": {"kind": "benade_linear", "params": {"T": 2.9}}}, "'T'"),
+    ({"stream": {"kind": "benade_linear", "params": {"T": True}}}, "'T'"),
+])
+def test_config_values_of_the_wrong_json_type_exit_2(tmp_path, capsys, monkeypatch,
+                                                    overrides, key):
+    """A value is never converted to the type its key needs: a fraction, a
+    bool or a string where an integer, a number, a string or a list of numbers
+    belongs is a config error naming the key, and nothing is written.  A
+    number must also be finite as a double (inf, NaN and 10^400 are not)."""
+    monkeypatch.chdir(tmp_path)
+    assert cli_dispatch(["simulate", write_config(tmp_path, **overrides)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and key in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_config_numbers_of_the_right_json_type_run(tmp_path, capsys):
+    """An integer where a number belongs is a number: ``c`` 1 and ``p`` 0 run."""
+    assert cli_dispatch(["simulate", write_config(tmp_path, c=1, p=0)]) == 0
+
+
 def test_discounted_exit_code_uses_c_gamma(tmp_path, capsys):
     # the discounted deficit of the starved agent tends to 1/2 / (1 - 0.98) = 25,
     # above c_gamma = 18.36 but below ct_threshold(t) on every round

@@ -2,13 +2,20 @@
 the textbook one-draw-at-a-time step."""
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import perpetual
 from perpetual.baselines import RANDOM_KINDS, StreamSpec, stream_generate
-from perpetual.prng import Xoshiro256StarStar
+from perpetual.prng import Xoshiro256StarStar, _splitmix64_next
 
 MASK = (1 << 64) - 1
 
@@ -30,8 +37,28 @@ def _oracle_step(s):
     return result, [s0, s1, s2, _rotl(s3, 45)]
 
 
+def _oracle_seed(seed):
+    """The start state: four splitmix64 outputs from the seed."""
+    s, sm = [], seed
+    for _ in range(4):
+        x, sm = _splitmix64_next(sm)
+        s.append(x)
+    return s
+
+
+def _assert_continues_from(rng, s, m=600):
+    """The generator's next ``m`` outputs are the oracle's continuation from
+    state ``s``: more than two 256-word table blocks, which fix the engine
+    state the generator holds."""
+    want = []
+    for _ in range(m):
+        x, s = _oracle_step(s)
+        want.append(x)
+    assert rng.u64s(m).tolist() == want
+
+
 def _oracle_doubles(seed, m):
-    s = Xoshiro256StarStar(seed)._s
+    s = _oracle_seed(seed)
     out = []
     for _ in range(m):
         x, s = _oracle_step(s)
@@ -44,9 +71,15 @@ def _oracle_doubles(seed, m):
        st.lists(st.tuples(st.booleans(), st.integers(0, 2500)), min_size=1, max_size=4))
 @example(0, [(True, 3), (False, 0), (True, 1)])
 @example(2 ** 64 - 1, [(False, 2500), (True, 7)])
+# calls that end short of, on and past the 256-word table block
+@example(0, [(False, 255), (True, 1), (False, 0), (True, 256), (False, 257), (True, 513)])
+@example(1, [(True, 255), (False, 1), (True, 0), (False, 256), (True, 257), (False, 513)])
+@example(2 ** 63, [(False, 255), (True, 1), (False, 0), (True, 256), (False, 257), (True, 513)])
+@example(2 ** 64 - 1, [(True, 255), (False, 1), (True, 0), (False, 256), (True, 257),
+                       (False, 513)])
 def test_block_draws_equal_scalar_oracle(seed, calls):
     rng = Xoshiro256StarStar(seed)
-    s = list(rng._s)
+    s = _oracle_seed(seed)
     for as_doubles, m in calls:
         want = []
         for _ in range(m):
@@ -55,12 +88,12 @@ def test_block_draws_equal_scalar_oracle(seed, calls):
         got = rng.doubles(m) if as_doubles else rng.u64s(m)
         assert got.dtype == (np.float64 if as_doubles else np.uint64)
         assert got.tolist() == want
-    assert rng._s == s
+    _assert_continues_from(rng, s)
 
 
 def test_scalar_wrappers_equal_scalar_oracle():
     rng = Xoshiro256StarStar(2024)
-    s = list(rng._s)
+    s = _oracle_seed(2024)
     for bound in (1, 2, 3, 7, 1000):
         x, s = _oracle_step(s)
         assert rng.next_u64() == x
@@ -68,7 +101,7 @@ def test_scalar_wrappers_equal_scalar_oracle():
         assert rng.next_double() == (x >> 11) * 2.0 ** -53
         x, s = _oracle_step(s)
         assert rng.next_index(bound) == int((x >> 11) * 2.0 ** -53 * bound)
-    assert rng._s == s
+    _assert_continues_from(rng, s)
 
 
 # (kind, params) -> the value one drawn double d gives
@@ -83,8 +116,9 @@ _PER_DRAW = [
 
 # (n, width, length): 341 rounds per block at n = 3, so 1000 rounds end in a
 # partial block; m = 1024 is one round per block; m = 2048 is a round larger
-# than a block
-_SHAPES = [(3, None, 1000), (64, 16, 3), (64, 32, 2), (2, None, 0), (5, 4, 60)]
+# than a block; n = 2 with 1 and 3 rounds draws 2 and 6 words of one table block
+_SHAPES = [(3, None, 1000), (64, 16, 3), (64, 32, 2), (2, None, 0), (5, 4, 60),
+           (2, None, 1), (2, None, 3)]
 
 
 def test_per_draw_cases_cover_every_random_kind():
@@ -114,3 +148,23 @@ def test_choice_index_guard_at_the_top_double():
 def test_every_64_bit_seed_is_accepted(seed):
     rows = list(stream_generate(StreamSpec("uniform_random", 2, 3, seed=seed)))
     assert [x for r in rows for x in r.tolist()] == _oracle_doubles(seed, 6)
+
+
+def test_import_and_config_build_no_basis_table():
+    """The basis table is built on the first draw: importing the package,
+    building a random-stream config and seeding a generator leave it unbuilt."""
+    code = textwrap.dedent("""
+        import perpetual
+        from perpetual.prng import Xoshiro256StarStar, _basis_table
+        from perpetual.simulate import RunConfig
+        RunConfig.from_dict({"instantiation": "pdm", "policy": "potential", "n": 64,
+                             "length": 10, "num_outcomes": 16,
+                             "stream": {"kind": "uniform_random", "seed": 7}})
+        rng = Xoshiro256StarStar(7)
+        assert _basis_table.cache_info().currsize == 0
+        rng.u64s(1)
+        assert _basis_table.cache_info().currsize == 1
+    """)
+    src = str(Path(perpetual.__file__).parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
