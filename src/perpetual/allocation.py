@@ -126,11 +126,6 @@ def propx_params(n: int, p: float = 0.0) -> PotentialParams:
     return PotentialParams(m=n, n_ref=n, sigma_sq=1.0, p=p)
 
 
-def bprop_check(s: PropxState, c: float, tol: float = 1e-9) -> bool:
-    """Bounded proportionality: max_i d_i <= c (for [0,1]-bounded values)."""
-    return bool(np.max(s.deficits()) <= c + tol)
-
-
 # ---------------------------------------------------------------------------
 # Pairwise quality variables (Cases 3 and 4)
 # ---------------------------------------------------------------------------

@@ -106,7 +106,6 @@ _STREAMS = {
     "window_cycle": (False, None, {"cycle"}, _window_cycle),
     "choice": (True, None, {"values"}, _choice),
 }
-STREAM_KINDS = tuple(_STREAMS)
 RANDOM_KINDS = tuple(kind for kind, (random, *_) in _STREAMS.items() if random)
 
 
@@ -277,7 +276,7 @@ class ExpExactPolicy(ItemPolicy):
 
     def __init__(self, n: int, c: float, k_max: int = K_MAX):
         super().__init__(n)
-        self.c = Fraction(c).limit_denominator(10**6) if not isinstance(c, Fraction) else c
+        self.c = Fraction(c).limit_denominator(10**6)
         self.k_max = k_max
         self.builder = FrontierBuilder(n)
 

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 assertion/guarantee failure, 2 config error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
@@ -16,11 +17,15 @@ from .simulate import (ConfigInvalid, RunConfig, bound_violations, run_simulatio
                        verify_moments_run)
 
 
-def _parse_fractions(text: str) -> tuple:
+def _fraction(text: str, flag: str) -> Fraction:
     try:
-        return tuple(Fraction(part.strip()) for part in text.split(","))
+        return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as e:
-        raise ConfigInvalid(f"cannot parse rational vector {text!r}: {e}") from e
+        raise ConfigInvalid(f"cannot parse {flag} {text!r}: {e}") from e
+
+
+def _parse_fractions(text: str, flag: str) -> tuple:
+    return tuple(_fraction(part, flag) for part in text.split(","))
 
 
 def _cmd_simulate(args) -> int:
@@ -41,9 +46,14 @@ def _cmd_verify_moments(args) -> int:
 
 def _cmd_lowerbound(args) -> int:
     n, c = args.n, args.c
+    if not math.isfinite(c):
+        raise ConfigInvalid(f"--c must be finite, got {c}")
     max_rounds = args.max_rounds
     if max_rounds is None:
-        max_rounds = int(4900 * n * c * c) + 1
+        horizon = 4900 * n * c * c
+        if not math.isfinite(horizon):
+            raise ConfigInvalid(f"--c {c} gives no finite default horizon 4900 n c^2")
+        max_rounds = int(horizon) + 1
     elif max_rounds <= 0:
         raise ConfigInvalid("--max-rounds must be positive")
     result = run_lb_game(make_policy(args.policy, n, c=c), n, c, max_rounds)
@@ -58,8 +68,8 @@ def _cmd_lowerbound(args) -> int:
 
 
 def _cmd_aux(args) -> int:
-    state = _parse_fractions(args.state) if args.state else tuple(
-        [Fraction(args.c_rational) * args.n] * args.n)
+    state = _parse_fractions(args.state, "--state") if args.state else tuple(
+        [_fraction(args.c_rational, "--c") * args.n] * args.n)
     if len(state) != args.n:
         raise ConfigInvalid("state length must equal n")
     try:
@@ -80,7 +90,7 @@ def _cmd_frontier(args) -> int:
 
 
 def _cmd_exp(args) -> int:
-    state, item = _parse_fractions(args.state), _parse_fractions(args.item)
+    state, item = _parse_fractions(args.state, "--state"), _parse_fractions(args.item, "--item")
     if len(state) != args.n or len(item) != args.n:
         raise ConfigInvalid("state and item length must equal n")
     print(eg.exp_policy(state, item, args.n, args.k_max))

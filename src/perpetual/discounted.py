@@ -13,7 +13,7 @@ from collections import deque
 import numpy as np
 
 from .allocation import GammaOutOfRange, PropxState
-from .framework import SQRT_E, PotentialParams, normalized
+from .framework import SQRT_E, PotentialParams, _envelope, normalized
 
 
 def _check_gamma(gamma: float) -> float:
@@ -51,9 +51,7 @@ def g_gamma(t: int, gamma: float) -> float:
 
 def c_gamma_prefix(params: PotentialParams, gamma: float, t: int) -> float:
     """Prefix bound e * sqrt(4 p^2 + 2 sqrt(e) p sigma^2 G_gamma(t) / n)."""
-    p = params.p
-    inner = 4.0 * p * p + 2.0 * SQRT_E * p * params.sigma_sq * g_gamma(t, gamma) / params.n_ref
-    return math.e * math.sqrt(inner)
+    return math.e * math.sqrt(_envelope(g_gamma(t, gamma), params))
 
 
 def c_gamma(params: PotentialParams, gamma: float) -> float:

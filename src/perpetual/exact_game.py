@@ -146,14 +146,6 @@ def lp_solve(x: tuple, i: int) -> tuple:
     return INF if y == _INF else Fraction(y, scale), Fraction(z, scale)
 
 
-def _y2(xi: int, mu: int, unit: int) -> int:
-    """Y for n = 2.  ``_INF`` needs no case of its own: it compares above
-    every finite coordinate and stays above 2 * unit after subtracting one."""
-    if xi <= mu:
-        return xi
-    return (xi + mu) // 2 if xi - mu <= 2 * unit else mu + unit
-
-
 # ---------------------------------------------------------------------------
 # Frontiers
 # ---------------------------------------------------------------------------
@@ -162,11 +154,6 @@ def _axis_level(n: int) -> list:
     """D^0 at scale 1, sorted descending."""
     return sorted((tuple(0 if j == i else _INF for j in range(n)) for i in range(n)),
                   reverse=True)
-
-
-def d0(n: int) -> frozenset:
-    """Axis points: one 0 coordinate, INF elsewhere."""
-    return _to_fractions(_axis_level(n), 1)
 
 
 def _pareto_front(points, n: int) -> list:
@@ -200,13 +187,6 @@ def _staircase(top: dict) -> list:
     return kept
 
 
-def pareto_prune(points, n: int) -> frozenset:
-    """Keep only Pareto-maximal points (coordinate-wise).  Sound because a
-    coordinate-wise larger point strictly dominates everything the smaller
-    one does, so the dominated region is unchanged."""
-    return frozenset(_pareto_front(points, n))
-
-
 def _step(pts: list, n: int, unit: int, prune: bool, cap: int) -> list:
     """The next level from ``pts``, integer tuples at scale ``unit`` whose
     finite coordinates are multiples of n, sorted descending: for every
@@ -216,20 +196,11 @@ def _step(pts: list, n: int, unit: int, prune: bool, cap: int) -> list:
     if n == 2 and prune:
         return _step2(pts, unit, cap)
     out = set()
-    if n == 2:
-        # coordinate 0 solves the LP at index 0 of (a0, b0); coordinate 1 at
-        # index 1 of (a1, b1), i.e. x_i = b1 and mu = a1
-        for a0, a1 in pts:
-            for b0, b1 in pts:
-                out.add((_y2(a0, b0, unit), _y2(b1, a1, unit)))
-            if len(out) > cap:
-                raise FrontierSizeExceeded(f"frontier exceeds {cap} points")
-    else:
-        y = functools.lru_cache(maxsize=None)(lambda xi, mu: _lp(xi, mu, n, unit)[0])
-        for tup in itertools.product(pts, repeat=n):
-            out.add(tuple(y(c[i], min(c[:i] + c[i + 1:])) for i, c in enumerate(zip(*tup))))
-            if len(out) > cap:
-                raise FrontierSizeExceeded(f"frontier exceeds {cap} points")
+    y = functools.lru_cache(maxsize=None)(lambda xi, mu: _lp(xi, mu, n, unit)[0])
+    for tup in itertools.product(pts, repeat=n):
+        out.add(tuple(y(c[i], min(c[:i] + c[i + 1:])) for i, c in enumerate(zip(*tup))))
+        if len(out) > cap:
+            raise FrontierSizeExceeded(f"frontier exceeds {cap} points")
     return _pareto_front(out, n) if prune else sorted(out, reverse=True)
 
 
@@ -238,8 +209,10 @@ def _step2(pts: list, unit: int, cap: int) -> list:
     every b with b0 >= a0 gives coordinate 0 = a0, so the last of them
     dominates the others; every b with b1 >= a1 + 2 unit gives coordinate
     1 = a1 + unit, so the first of them dominates the others.  Only the window
-    from the one to the other is evaluated (``_y2`` inlined), and a generated
-    point only raises the largest coordinate 1 kept for its coordinate 0."""
+    from the one to the other is evaluated, with ``_lp``'s n = 2 value inlined
+    (``_INF`` needs no case: it stays above 2 unit after subtracting a finite
+    value), and a generated point only raises the largest coordinate 1 kept
+    for its coordinate 0."""
     neg0 = [-p0 for p0, _ in pts]
     one = [p1 for _, p1 in pts]
     two = 2 * unit

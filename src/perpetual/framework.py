@@ -22,8 +22,6 @@ SQRT_E = math.sqrt(math.e)
 
 #: absolute tolerance for inequality checks
 ABS_TOL = 1e-9
-#: relative tolerance for identities
-REL_TOL = 1e-12
 
 
 class EmptyCandidateSet(ValueError):
@@ -62,11 +60,6 @@ class PotentialParams:
             raise ValueError("p must be >= 1")
 
 
-def log_potential_component(u: float, p: float) -> float:
-    """ln f(u) with f(u) = (u^2 + 4 p^2)^p."""
-    return p * math.log(u * u + 4.0 * p * p)
-
-
 def profile_psi(z, params: PotentialParams) -> float:
     """Psi = Phi^(1/p), computed as exp(logsumexp / p)."""
     z = np.asarray(z, dtype=float)
@@ -97,21 +90,6 @@ class CandidateSet:
         if self.idx.shape[1] == 0 or self.val.shape != self.idx.shape:
             raise DimensionMismatch(f"need idx and val of one shape (actions, touched >= 1); "
                                     f"got {self.idx.shape} and {self.val.shape}")
-
-    @classmethod
-    def from_profiles(cls, profiles) -> "CandidateSet":
-        """Dense constructor from (action_id, profile) pairs with ids 0, 1, ...
-        in order: every action touches every entry of a zero base."""
-        profiles = [(int(a), np.asarray(z, dtype=float)) for a, z in profiles]
-        if not profiles:
-            raise EmptyCandidateSet("no candidate profiles")
-        if [a for a, _ in profiles] != list(range(len(profiles))):
-            raise ValueError("action ids must be 0, 1, ... in order")
-        m = len(profiles[0][1])
-        if any(z.shape != (m,) for _, z in profiles):
-            raise DimensionMismatch("candidate profiles differ in length")
-        val = np.array([z for _, z in profiles])
-        return cls(np.zeros(m), np.broadcast_to(np.arange(m), val.shape), val)
 
     @property
     def m(self) -> int:
@@ -146,6 +124,13 @@ def choose_action(candidates: CandidateSet, params: PotentialParams) -> int:
     return int(np.argmin(candidates.log_phi(params)))
 
 
+def _envelope(t: float, params: PotentialParams) -> float:
+    """4 p^2 + 2 sqrt(e) p sigma^2 t / n, the envelope inside every
+    closed-form bound (t is G_gamma(t) in the discounted prefix bound)."""
+    p = params.p
+    return 4.0 * p * p + 2.0 * SQRT_E * p * params.sigma_sq * t / params.n_ref
+
+
 def disappointed_count(z, c: float) -> int:
     """|{q : z_q > c}| (strict)."""
     if c < 0:
@@ -160,16 +145,13 @@ def bound_disappointed(t: int, c: float, params: PotentialParams) -> float:
     if c <= 0:
         raise NonpositiveC("c must be > 0")
     p, m = params.p, params.m
-    inner = 4.0 * p * p + 2.0 * SQRT_E * p * params.sigma_sq * t / params.n_ref
-    return math.exp(math.log(m) + p * (math.log(inner) - 2.0 * math.log(c)))
+    return math.exp(math.log(m) + p * (math.log(_envelope(t, params)) - 2.0 * math.log(c)))
 
 
 def ct_threshold(t: int, params: PotentialParams) -> float:
     """c_t = m^(1/p) * sqrt(4 p^2 + 2 sqrt(e) p sigma^2 t / n); guarantees
     bound_disappointed(t, c_t) < 1, i.e. no variable is c_t-disappointed."""
-    p, m = params.p, params.m
-    inner = 4.0 * p * p + 2.0 * SQRT_E * p * params.sigma_sq * t / params.n_ref
-    return math.exp(math.log(m) / p) * math.sqrt(inner)
+    return math.exp(math.log(params.m) / params.p) * math.sqrt(_envelope(t, params))
 
 
 def one_step_growth_bound(params: PotentialParams) -> float:
@@ -184,9 +166,7 @@ def one_step_growth_check(psi_prev: float, psi_next: float, params: PotentialPar
 
 def anytime_psi_bound(t: int, params: PotentialParams) -> float:
     """Any-time potential bound m^(1/p) (4 p^2 + 2 sqrt(e) p sigma^2 t / n)."""
-    p = params.p
-    inner = 4.0 * p * p + 2.0 * SQRT_E * p * params.sigma_sq * t / params.n_ref
-    return math.exp(math.log(params.m) / p) * inner
+    return math.exp(math.log(params.m) / params.p) * _envelope(t, params)
 
 
 @dataclass(frozen=True)

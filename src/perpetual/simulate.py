@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import sys
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,9 +81,9 @@ class RunConfig:
                if raw.get(key) is not None}
         if n < 2 or length < 0:
             raise ConfigInvalid("need n >= 2 and length >= 0")
-        for key, least in (("benade_T", 1), ("k_max", 0)):
+        for key, least in (("c", 0), ("benade_T", 1), ("k_max", 0)):
             if opt.get(key, least) < least:
-                raise ConfigInvalid(f"{key} must be >= {least}")
+                raise ConfigInvalid(f"{key!r} must be >= {least}")
         if inst == "pdm" and "num_outcomes" not in opt:
             raise ConfigInvalid("pdm requires num_outcomes")
         if inst == "pdm" and policy != "potential":
@@ -161,9 +160,8 @@ def _format_cell(v) -> str:
     return format(float(v), ".17g")
 
 
-def write_csv(rows, path_or_file) -> None:
-    with (open(path_or_file, "w", newline="") if isinstance(path_or_file, str)
-          else nullcontext(path_or_file)) as f:
+def write_csv(rows, path: str) -> None:
+    with open(path, "w", newline="") as f:
         f.write(",".join(CSV_COLUMNS) + "\n")
         for row in rows:
             f.write(",".join(_format_cell(row[c]) for c in CSV_COLUMNS) + "\n")
@@ -232,7 +230,7 @@ def bound_violations(cfg: RunConfig, rows: list[dict]) -> int:
     return sum(r["max_deficit"] > r["ct_bound"] + 1e-9 for r in rows)
 
 
-def verify_moments_run(cfg: RunConfig, tol: float = 1e-9):
+def verify_moments_run(cfg: RunConfig):
     """Run the configured policy on the configured instantiation, building and
     checking the moment witness every round.  Returns (ok, worst_violation)."""
     h = build_harness(cfg)
@@ -241,7 +239,7 @@ def verify_moments_run(cfg: RunConfig, tol: float = 1e-9):
     def check(values, cands):
         nonlocal ok, worst
         report = verify_moment_witness(h.state.profile(), cands, h.witness(h.state, values),
-                                       h.params, tol=tol, gamma=h.shift_gamma)
+                                       h.params, gamma=h.shift_gamma)
         ok = ok and report.ok
         worst = max(worst, report.worst_shift_violation, report.worst_first_moment,
                     max(0.0, report.worst_second_moment - h.params.sigma_sq))

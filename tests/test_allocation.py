@@ -12,7 +12,6 @@ from perpetual.allocation import (
     EfxState,
     PropxState,
     ValueNotInLedger,
-    bprop_check,
     check_efk,
     efc_candidates,
     efc_params,
@@ -120,16 +119,6 @@ def test_missed_scale_nondecreasing():
         s.apply(x, int(np.argmax(x)))
         assert np.all(s.missed_max >= prev)
         prev = s.missed_max.copy()
-
-
-def test_bprop_check():
-    s = PropxState(2)
-    assert bprop_check(s, 0.0)
-    for _ in range(3):
-        s.apply([1.0, 1.0], 0)
-    assert s.deficits()[1] == pytest.approx(1.5)
-    assert not bprop_check(s, 1.0)
-    assert bprop_check(s, 1.5)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])

@@ -9,7 +9,6 @@ import pytest
 
 from perpetual.allocation import PropxState
 from perpetual.baselines import (
-    STREAM_KINDS,
     Benade2Policy,
     DeficitGreedyPolicy,
     PrefixAlreadyUnfair,
@@ -17,6 +16,7 @@ from perpetual.baselines import (
     SlackVector,
     StreamSpec,
     UtilGreedyPolicy,
+    _STREAMS,
     lb_adversary_next,
     lb_potential_monitor,
     lb_slack_update,
@@ -178,7 +178,7 @@ STREAM_DIGESTS = [
 
 
 def test_stream_digests_cover_every_kind():
-    assert {spec[0] for spec, _ in STREAM_DIGESTS} == set(STREAM_KINDS)
+    assert {spec[0] for spec, _ in STREAM_DIGESTS} == set(_STREAMS)
 
 
 @pytest.mark.parametrize("spec,expected", STREAM_DIGESTS)

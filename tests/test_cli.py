@@ -6,6 +6,7 @@ import json
 import pytest
 
 from perpetual import exact_game as eg
+from perpetual.baselines import POLICY_NAMES
 from perpetual.cli import cli_dispatch
 from perpetual.simulate import CSV_COLUMNS
 
@@ -89,6 +90,16 @@ def test_lowerbound_nonpositive_max_rounds_exit_2(capsys):
     assert "--max-rounds" in captured.err
 
 
+@pytest.mark.parametrize("c", ["inf", "-inf", "nan", "1e200"])
+def test_lowerbound_nonfinite_c_or_horizon_exit_2(capsys, c):
+    """A non-finite --c, or one whose default horizon 4900 n c^2 overflows."""
+    code = cli_dispatch(["lowerbound", "--n", "2", f"--c={c}", "--policy", "round_robin"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error") and "--c" in captured.err
+
+
 @pytest.mark.parametrize("policy", ["round_robin", "potential"])
 def test_lowerbound_one_agent_exit_2(capsys, policy):
     code = cli_dispatch(["lowerbound", "--n", "1", "--c", "1", "--policy", policy])
@@ -107,6 +118,14 @@ def test_exact_aux_cli(capsys):
 def test_exact_aux_bad_state_exit_2(capsys):
     assert cli_dispatch(["exact", "aux", "--n", "2", "--state", "1,2,3"]) == 2
     assert cli_dispatch(["exact", "aux", "--n", "2", "--state", "x,y"]) == 2
+
+
+@pytest.mark.parametrize("c", ["1/0", "x", "1,2"])
+def test_exact_aux_bad_c_exit_2(capsys, c):
+    assert cli_dispatch(["exact", "aux", "--n", "2", "--c", c]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error") and "--c" in captured.err
 
 
 def test_exact_frontier_cli(tmp_path, capsys):
@@ -221,6 +240,20 @@ def test_config_values_of_the_wrong_json_type_exit_2(tmp_path, capsys, monkeypat
     err = capsys.readouterr().err
     assert err.startswith("config error") and key in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+@pytest.mark.parametrize("cmd", ["simulate", "verify-moments"])
+def test_negative_c_is_a_config_error(tmp_path, capsys, cmd, policy):
+    assert cli_dispatch([cmd, write_config(tmp_path, policy=policy, c=-5)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "'c'" in err
+
+
+@pytest.mark.parametrize("policy", ["potential", "exp_exact"])
+@pytest.mark.parametrize("cmd", ["simulate", "verify-moments"])
+def test_zero_c_runs(tmp_path, capsys, cmd, policy):
+    assert cli_dispatch([cmd, write_config(tmp_path, policy=policy, c=0)]) == 0
 
 
 def test_config_numbers_of_the_right_json_type_run(tmp_path, capsys):

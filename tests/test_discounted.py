@@ -17,7 +17,7 @@ from perpetual.discounted import (
     inflation_equiv_check,
     windowed_deficit,
 )
-from perpetual.framework import SQRT_E, choose_action, verify_moment_witness
+from perpetual.framework import SQRT_E, PotentialParams, choose_action, verify_moment_witness
 from perpetual.prng import Xoshiro256StarStar
 
 
@@ -182,6 +182,14 @@ def test_c_gamma_example_value():
     assert c_gamma(params, math.sqrt(0.5)) == pytest.approx(
         math.e * math.sqrt(4 + 2 * SQRT_E), rel=1e-12
     )
+
+
+def test_c_gamma_prefix_value_with_sigma_sq_2():
+    """The prefix bound, bit for bit, on an efx-sized instance (sigma^2 = 2)."""
+    params = PotentialParams(m=30, n_ref=6, sigma_sq=2.0)
+    p = params.p
+    assert c_gamma_prefix(params, 0.5, 3) == math.e * math.sqrt(
+        4.0 * p * p + 2.0 * SQRT_E * p * 2.0 * g_gamma(3, 0.5) / 6)
 
 
 def test_c_gamma_limits_and_monotonicity():

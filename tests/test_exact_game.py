@@ -23,7 +23,6 @@ from perpetual.exact_game import (
     FrontierSizeExceeded,
     KMaxExceeded,
     aux,
-    d0,
     dominates,
     exp_policy,
     is_inf,
@@ -31,7 +30,6 @@ from perpetual.exact_game import (
     _pareto_front,
     _step,
     next_frontier,
-    pareto_prune,
     surplus_update,
 )
 
@@ -155,12 +153,12 @@ def test_lp_solve_matches_grid_oracle(n):
 # ---------------------------------------------------------------------------
 
 def test_d0():
-    assert d0(2) == frozenset({(F(0), INF), (INF, F(0))})
-    assert len(d0(4)) == 4
+    assert FrontierBuilder(2).get(0) == frozenset({(F(0), INF), (INF, F(0))})
+    assert len(FrontierBuilder(4).get(0)) == 4
 
 
 def test_d1_n2():
-    assert next_frontier(d0(2), 2) == frozenset(
+    assert next_frontier(FrontierBuilder(2).get(0), 2) == frozenset(
         {(F(0), INF), (F(1), F(1)), (INF, F(0))}
     )
 
@@ -207,7 +205,7 @@ def test_integer_frontiers_match_fraction_oracle(n, k_max):
 def test_unpruned_builder_matches_fraction_oracle():
     for n, k_max in ((2, 3), (3, 2)):
         raw = FrontierBuilder(n, prune=False)
-        chain = d0(n)
+        chain = FrontierBuilder(n).get(0)
         for k in range(1, k_max + 1):
             chain = _oracle_next_frontier(chain, n, prune=False)
             assert raw.get(k) == chain
@@ -282,7 +280,7 @@ def test_frontier_cap():
 
 def test_pareto_prune_basic():
     pts = [(F(1), F(1)), (F(0), F(1)), (F(2), F(0)), (F(1), F(0))]
-    assert pareto_prune(pts, 2) == frozenset({(F(1), F(1)), (F(2), F(0))})
+    assert frozenset(_pareto_front(pts, 2)) == frozenset({(F(1), F(1)), (F(2), F(0))})
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -291,7 +289,7 @@ def test_pareto_prune_matches_quadratic_oracle(n):
     for _ in range(40):
         pts = [tuple(INF if rng.random() < 0.1 else F(rng.randint(0, 6), rng.randint(1, 3))
                      for _ in range(n)) for _ in range(rng.randint(1, 40))]
-        assert pareto_prune(pts, n) == _oracle_prune(pts)
+        assert frozenset(_pareto_front(pts, n)) == _oracle_prune(pts)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from perpetual.framework import (
     ct_threshold,
     default_p,
     disappointed_count,
-    log_potential_component,
     one_step_growth_bound,
     one_step_growth_check,
     profile_psi,
@@ -29,6 +28,21 @@ from perpetual.framework import (
 )
 
 SQRT_E = math.sqrt(math.e)
+
+
+def from_profiles(profiles) -> CandidateSet:
+    """Dense candidate set from (action_id, profile) pairs with ids 0, 1, ...
+    in order: every action touches every entry of a zero base."""
+    profiles = [(int(a), np.asarray(z, dtype=float)) for a, z in profiles]
+    if not profiles:
+        raise EmptyCandidateSet("no candidate profiles")
+    if [a for a, _ in profiles] != list(range(len(profiles))):
+        raise ValueError("action ids must be 0, 1, ... in order")
+    m = len(profiles[0][1])
+    if any(z.shape != (m,) for _, z in profiles):
+        raise DimensionMismatch("candidate profiles differ in length")
+    val = np.array([z for _, z in profiles])
+    return CandidateSet(np.zeros(m), np.broadcast_to(np.arange(m), val.shape), val)
 
 
 def brute_force_phi(z, p):
@@ -43,18 +57,16 @@ def test_default_p():
     assert default_p(100) == pytest.approx(math.log(100))
 
 
-def test_log_potential_component_values():
-    assert log_potential_component(0, 1) == pytest.approx(math.log(4))
-    assert log_potential_component(2, 1) == pytest.approx(math.log(8))
-    assert log_potential_component(3, 2) == pytest.approx(2 * math.log(25))
-
-
 @pytest.mark.parametrize("u", [0.0, 0.5, 1.0, 17.3, 1e3, 1e6])
 @pytest.mark.parametrize("p", [1.0, 1.5, math.log(5)])
 def test_log_potential_component_matches_direct(u, p):
-    assert math.exp(log_potential_component(u, p)) == pytest.approx(
-        (u * u + 4 * p * p) ** p, rel=1e-12
-    )
+    """The component f(u) = (u^2 + 4 p^2)^p, which both kernels evaluate in
+    logs: Psi of a one-entry profile is f(u)^(1/p), and ln Phi of a one-entry
+    candidate is ln f(u)."""
+    params = PotentialParams(m=1, n_ref=1, p=p)
+    assert profile_psi([u], params) == pytest.approx(u * u + 4 * p * p, rel=1e-12)
+    log_phi = CandidateSet([0.0], [[0]], [[u]]).log_phi(params)[0]
+    assert math.exp(log_phi) == pytest.approx((u * u + 4 * p * p) ** p, rel=1e-12)
 
 
 def test_profile_psi_simple_values():
@@ -83,10 +95,10 @@ def test_profile_psi_zero_floor_and_monotonicity():
 
 def test_choose_action_basic_and_ties():
     params = PotentialParams(m=2, n_ref=2)
-    cands = CandidateSet.from_profiles([(0, [0, 0]), (1, [1, 0])])
+    cands = from_profiles([(0, [0, 0]), (1, [1, 0])])
     assert choose_action(cands, params) == 0
     # equal potentials -> lowest action id
-    cands = CandidateSet.from_profiles([(0, [1, 0]), (1, [0, 1])])
+    cands = from_profiles([(0, [1, 0]), (1, [0, 1])])
     assert choose_action(cands, params) == 0
 
 
@@ -99,12 +111,12 @@ def test_choose_action_matches_brute_force(seed):
     # values on a 0.25 grid, like the documented invariant
     profs = [(a, [0.25 * rng.randint(0, 20) for _ in range(m)]) for a in range(rng.randint(2, 5))]
     expected = min(range(len(profs)), key=lambda a: (brute_force_phi(profs[a][1], p), a))
-    assert choose_action(CandidateSet.from_profiles(profs), params) == expected
+    assert choose_action(from_profiles(profs), params) == expected
 
 
 def test_choose_action_empty_raises():
     with pytest.raises(EmptyCandidateSet):
-        CandidateSet.from_profiles([])
+        from_profiles([])
 
 
 def test_candidate_patch_form_equivalence():
@@ -116,7 +128,7 @@ def test_candidate_patch_form_equivalence():
     assert patched.action_ids() == [0, 1, 2]
     assert np.array_equal(patched.profile(0), [3.0, 1.0, 0.0, 2.0])
     assert np.array_equal(patched.profile(2), base)
-    dense = CandidateSet.from_profiles([(a, patched.profile(a)) for a in patched.action_ids()])
+    dense = from_profiles([(a, patched.profile(a)) for a in patched.action_ids()])
     lp, ld = patched.log_phi(params), dense.log_phi(params)
     for a in patched.action_ids():
         expected = math.log(brute_force_phi(patched.profile(a), p))
@@ -130,9 +142,9 @@ def test_candidate_set_shape_checks():
     with pytest.raises(DimensionMismatch):
         CandidateSet([0.0, 1.0], [[0], [1]], [[1.0, 2.0], [3.0, 4.0]])
     with pytest.raises(DimensionMismatch):
-        CandidateSet.from_profiles([(0, [1.0, 2.0]), (1, [1.0])])
+        from_profiles([(0, [1.0, 2.0]), (1, [1.0])])
     with pytest.raises(ValueError):
-        CandidateSet.from_profiles([(1, [1.0, 2.0])])  # ids must start at 0
+        from_profiles([(1, [1.0, 2.0])])  # ids must start at 0
 
 
 def test_disappointed_count():
@@ -176,6 +188,20 @@ def test_ct_threshold_values_and_guarantee():
             assert bound_disappointed(t, ct_threshold(t, params), params) < 1.0
 
 
+@pytest.mark.parametrize("params", [PotentialParams(m=12, n_ref=4, sigma_sq=2.0),
+                                    PotentialParams(m=6, n_ref=3, sigma_sq=0.5, p=1.7)])
+def test_bounds_share_the_written_out_envelope(params):
+    """Every closed-form bound is built on 4 p^2 + 2 sqrt(e) p sigma^2 t / n,
+    bit for bit (ct_threshold is a CSV column), sigma^2 included."""
+    p, m = params.p, params.m
+    for t in (0, 1, 17, 1000):
+        inner = 4.0 * p * p + 2.0 * SQRT_E * p * params.sigma_sq * t / params.n_ref
+        assert ct_threshold(t, params) == math.exp(math.log(m) / p) * math.sqrt(inner)
+        assert anytime_psi_bound(t, params) == math.exp(math.log(m) / p) * inner
+        assert bound_disappointed(t, 3.0, params) == math.exp(
+            math.log(m) + p * (math.log(inner) - 2.0 * math.log(3.0)))
+
+
 def test_one_step_growth_check():
     params = PotentialParams(m=2, n_ref=2, sigma_sq=1.0)
     assert one_step_growth_check(8.0, 8.0, params)
@@ -193,7 +219,7 @@ def test_anytime_psi_bound_at_zero():
 
 
 def _simple_candidates(z_next_by_action):
-    return CandidateSet.from_profiles(list(z_next_by_action.items()))
+    return from_profiles(list(z_next_by_action.items()))
 
 
 def test_verify_moment_witness_pass():
