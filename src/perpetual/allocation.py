@@ -144,18 +144,24 @@ def _touching(into: np.ndarray, out_of: np.ndarray) -> np.ndarray:
     return both[_off_diagonal(n)].reshape(n, -1)
 
 
-def _pair_delta(step: np.ndarray) -> np.ndarray:
+def _pair_columns(n: int, per_pair: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions in the (m, n) witness matrix of each row's +step (at
+    reference action j) and -step (at i), rows in pair-major (i, j[, l]) order."""
+    i, j = np.nonzero(_off_diagonal(n))
+    rows = np.arange(len(i) * per_pair) * n
+    return rows + np.repeat(j, per_pair), rows + np.repeat(i, per_pair)
+
+
+def _pair_delta(s, step: np.ndarray) -> np.ndarray:
     """Witness increments of pairwise quality variables: row (i, j[, l]) has
     +step at reference action j and -step at i.  ``step`` is (n, n) or
-    (n, n, L), indexed by the row's own (i, j[, l]); the diagonal is unused."""
-    n = step.shape[0]
-    i, j = np.nonzero(_off_diagonal(n))
-    per_pair = step[i, j].reshape(len(i), -1)
-    rows = np.arange(per_pair.size)
-    delta = np.zeros((per_pair.size, n))
-    delta[rows, np.repeat(j, per_pair.shape[1])] = per_pair.ravel()
-    delta[rows, np.repeat(i, per_pair.shape[1])] = -per_pair.ravel()
-    return delta
+    (n, n, L), indexed by the row's own (i, j[, l]); the diagonal is unused.
+    ``s._columns`` is ``_pair_columns`` for the state's shape."""
+    per_row = step[s._off].ravel()
+    delta = np.zeros(per_row.size * s.n)
+    delta[s._columns[0]] = per_row
+    delta[s._columns[1]] = -per_row
+    return delta.reshape(per_row.size, s.n)
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +182,7 @@ class EfxState:
         pairs = np.zeros((n, n), dtype=np.intp)
         pairs[self._off] = np.arange(self.m)  # pair_index(i, j)
         self._touched = _touching(pairs, pairs)
+        self._columns = _pair_columns(n, 1)
 
     @property
     def m(self) -> int:
@@ -215,7 +222,7 @@ def efx_witness(s: EfxState, values) -> MomentWitness:
     x = _as_values(values, s.n)
     alpha = normalized(np.broadcast_to(x[:, None], (s.n, s.n)),
                        np.maximum(s.pair_scale, x[:, None]))
-    return MomentWitness(ref_actions=tuple(range(s.n)), delta=_pair_delta(alpha))
+    return MomentWitness(ref_actions=tuple(range(s.n)), delta=_pair_delta(s, alpha))
 
 
 def efx_params(n: int, p: float = 0.0) -> PotentialParams:
@@ -252,6 +259,7 @@ class EfcThresholdState:
         quality = np.zeros((n, n, self.L), dtype=np.intp)
         quality[self._off] = np.arange(self.m).reshape(-1, self.L)  # quality_index
         self._touched = _touching(quality, quality)
+        self._columns = _pair_columns(n, self.L)
 
     @property
     def m(self) -> int:
@@ -296,7 +304,7 @@ def efc_witness(s: EfcThresholdState, values) -> MomentWitness:
     at j, zeros elsewhere.  sigma^2 = 2."""
     ind = s._indicator_counts(values).astype(float)
     step = np.broadcast_to(ind[:, None, :], (s.n, s.n, s.L))
-    return MomentWitness(ref_actions=tuple(range(s.n)), delta=_pair_delta(step))
+    return MomentWitness(ref_actions=tuple(range(s.n)), delta=_pair_delta(s, step))
 
 
 def efc_params(n: int, L: int, p: float = 0.0) -> PotentialParams:

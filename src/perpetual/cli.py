@@ -51,8 +51,9 @@ def _cmd_lowerbound(args) -> int:
     max_rounds = args.max_rounds
     if max_rounds is None:
         horizon = 4900 * n * c * c
-        if not math.isfinite(horizon):
-            raise ConfigInvalid(f"--c {c} gives no finite default horizon 4900 n c^2")
+        if not horizon <= 2 ** 53:  # past 2^53 int(horizon) is no longer 4900 n c^2
+            raise ConfigInvalid(f"--c {c} gives a default horizon 4900 n c^2 of {horizon:.3g} "
+                                "rounds, above 2^53; set --max-rounds")
         max_rounds = int(horizon) + 1
     elif max_rounds <= 0:
         raise ConfigInvalid("--max-rounds must be positive")
@@ -68,8 +69,8 @@ def _cmd_lowerbound(args) -> int:
 
 
 def _cmd_aux(args) -> int:
-    state = _parse_fractions(args.state, "--state") if args.state else tuple(
-        [_fraction(args.c_rational, "--c") * args.n] * args.n)
+    c = _fraction(args.c_rational, "--c")
+    state = _parse_fractions(args.state, "--state") if args.state else (c * args.n,) * args.n
     if len(state) != args.n:
         raise ConfigInvalid("state length must equal n")
     try:

@@ -67,8 +67,8 @@ def profile_psi(z, params: PotentialParams) -> float:
         raise DimensionMismatch(f"profile length {z.shape} != m={params.m}")
     p = params.p
     logf = p * np.log(z * z + 4.0 * p * p)
-    mx = float(np.max(logf))
-    return math.exp((mx + math.log(float(np.sum(np.exp(logf - mx))))) / p)
+    mx = float(logf.max())
+    return math.exp((mx + math.log(float(np.exp(logf - mx).sum()))) / p)
 
 
 class CandidateSet:
@@ -136,7 +136,7 @@ def disappointed_count(z, c: float) -> int:
     if c < 0:
         raise NonpositiveC("c must be >= 0")
     z = np.asarray(z, dtype=float)
-    return int(np.sum(z > c))
+    return int(np.count_nonzero(z > c))
 
 
 def bound_disappointed(t: int, c: float, params: PotentialParams) -> float:
@@ -207,7 +207,8 @@ def verify_moment_witness(
     z_next <= [gamma * z_prev + Delta[:, k]]_+ + tol entrywise (gamma = 1 for
     the undiscounted framework, < 1 for the discounted shift form).
     First moment: row sums of Delta <= 0.  Second: row sums of squares
-    <= sigma^2.  Entries must lie in [-1, 1].
+    <= sigma^2.  Entries must lie in [-1, 1].  Every reference action id
+    must be a candidate's, in [0, actions).
     """
     z_prev = np.asarray(z_prev, dtype=float)
     delta = np.asarray(w.delta, dtype=float)
@@ -218,18 +219,20 @@ def verify_moment_witness(
         )
     if len(w.ref_actions) != params.n_ref:
         raise DimensionMismatch("ref_actions length != n_ref")
+    for a in w.ref_actions:
+        if not 0 <= a < len(candidates.idx):
+            raise DimensionMismatch(f"reference action id {a} outside [0, {len(candidates.idx)})")
+    refs = np.array(w.ref_actions)
 
-    range_ok = bool(np.all(np.abs(delta) <= 1.0 + tol))
-    row_sums = delta.sum(axis=1)
-    row_sq = (delta * delta).sum(axis=1)
-    worst_first = float(np.max(row_sums)) if len(row_sums) else 0.0
-    worst_second = float(np.max(row_sq)) if len(row_sq) else 0.0
+    range_ok = float(np.abs(delta).max()) <= 1.0 + tol
+    worst_first = float(delta.sum(axis=1).max())
+    worst_second = float((delta * delta).sum(axis=1).max())
 
-    worst_shift = 0.0
-    for k, a in enumerate(w.ref_actions):
-        z_next = candidates.profile(a)
-        allowed = np.maximum(gamma * z_prev + delta[:, k], 0.0)
-        worst_shift = max(worst_shift, float(np.max(z_next - allowed)))
+    # row k of z_next is the candidate profile of reference action k
+    z_next = np.repeat(candidates.base[None, :], len(refs), axis=0)
+    z_next[np.arange(len(refs))[:, None], candidates.idx[refs]] = candidates.val[refs]
+    allowed = np.maximum(gamma * z_prev + delta.T, 0.0)
+    worst_shift = max(0.0, float((z_next - allowed).max()))
 
     return WitnessReport(
         shift_ok=worst_shift <= tol,

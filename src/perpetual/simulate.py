@@ -14,7 +14,7 @@ from .discounted import c_gamma
 from .exact_game import K_MAX
 from .framework import (PotentialParams, choose_action, ct_threshold, disappointed_count,
                         profile_psi, verify_moment_witness)
-from .metrics import gini, gmd, gmd_bound
+from .metrics import gmd_bound, metrics
 
 CSV_COLUMNS = ("t", "action", "max_deficit", "ct_bound", "psi",
                "disappointed", "gini", "gmd", "gmd_bound")
@@ -204,15 +204,16 @@ def run_simulation(cfg: RunConfig) -> list[dict]:
         psi = profile_psi(z, h.params)
         ct = ct_threshold(t, h.params)
         c_ref = cfg.c if cfg.c is not None else ct
+        g, d = metrics(z)
         rows.append({
             "t": t,
             "action": action,
-            "max_deficit": float(np.max(z)) if len(z) else 0.0,
+            "max_deficit": float(z.max()),
             "ct_bound": ct,
             "psi": psi,
             "disappointed": disappointed_count(z, c_ref),
-            "gini": gini(z),
-            "gmd": gmd(z),
+            "gini": g,
+            "gmd": d,
             "gmd_bound": gmd_bound(psi, h.params),
         })
     if cfg.output:

@@ -100,6 +100,20 @@ def test_lowerbound_nonfinite_c_or_horizon_exit_2(capsys, c):
     assert captured.err.startswith("config error") and "--c" in captured.err
 
 
+def test_lowerbound_default_horizon_past_2_53_exit_2(capsys):
+    """4900 n c^2 = 9.8e303 is finite, but no int round count holds it exactly;
+    the run would not end, so the config is refused at once."""
+    code = cli_dispatch(["lowerbound", "--n", "2", "--c", "1e150", "--policy", "round_robin"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error") and "--c" in captured.err
+    assert "--max-rounds" in captured.err
+    # with an explicit round count the same --c runs (and survives 3 rounds)
+    assert cli_dispatch(["lowerbound", "--n", "2", "--c", "1e150", "--policy", "round_robin",
+                         "--max-rounds", "3"]) == 1
+
+
 @pytest.mark.parametrize("policy", ["round_robin", "potential"])
 def test_lowerbound_one_agent_exit_2(capsys, policy):
     code = cli_dispatch(["lowerbound", "--n", "1", "--c", "1", "--policy", policy])
@@ -122,10 +136,12 @@ def test_exact_aux_bad_state_exit_2(capsys):
 
 @pytest.mark.parametrize("c", ["1/0", "x", "1,2"])
 def test_exact_aux_bad_c_exit_2(capsys, c):
-    assert cli_dispatch(["exact", "aux", "--n", "2", "--c", c]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("config error") and "--c" in captured.err
+    """A bad --c is refused whether or not --state makes it unused."""
+    for state in ([], ["--state", "1,1"]):
+        assert cli_dispatch(["exact", "aux", "--n", "2", "--c", c, *state]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error") and "--c" in captured.err
 
 
 def test_exact_frontier_cli(tmp_path, capsys):

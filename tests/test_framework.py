@@ -7,7 +7,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from perpetual import allocation, public_decisions
 from perpetual.framework import (
     CandidateSet,
     DimensionMismatch,
@@ -24,6 +27,7 @@ from perpetual.framework import (
     one_step_growth_bound,
     one_step_growth_check,
     profile_psi,
+    WitnessReport,
     verify_moment_witness,
 )
 
@@ -247,6 +251,105 @@ def test_verify_moment_witness_shift_fail_and_dims():
     assert not rep.shift_ok and rep.worst_shift_violation == pytest.approx(1.5)
     with pytest.raises(DimensionMismatch):
         verify_moment_witness([1.0, 2.0], cands, w, params)
+
+
+def test_verify_moment_witness_rejects_unknown_reference_action():
+    params = PotentialParams(m=1, n_ref=2, sigma_sq=1.0)
+    cands = _simple_candidates({0: [0.5], 1: [1.5]})
+    for bad in (-1, 2):
+        w = MomentWitness(ref_actions=(0, bad), delta=np.array([[-0.5, 0.5]]))
+        with pytest.raises(DimensionMismatch, match=f"reference action id {bad} "):
+            verify_moment_witness([1.0], cands, w, params)
+
+
+def loop_witness_report(z_prev, cands, w, params, tol=1e-9, gamma=1.0) -> WitnessReport:
+    """The shift check one reference action at a time, each candidate profile
+    built on its own: the oracle for the one-pass check."""
+    z_prev = np.asarray(z_prev, dtype=float)
+    delta = np.asarray(w.delta, dtype=float)
+    worst_shift = 0.0
+    for k, a in enumerate(w.ref_actions):
+        z_next = cands.base.copy()
+        z_next[cands.idx[a]] = cands.val[a]
+        allowed = np.maximum(gamma * z_prev + delta[:, k], 0.0)
+        worst_shift = max(worst_shift, float(np.max(z_next - allowed)))
+    worst_first = float(np.max(delta.sum(axis=1)))
+    worst_second = float(np.max((delta * delta).sum(axis=1)))
+    return WitnessReport(
+        shift_ok=worst_shift <= tol,
+        first_moment_ok=worst_first <= tol,
+        second_moment_ok=worst_second <= params.sigma_sq + tol,
+        range_ok=bool(np.all(np.abs(delta) <= 1.0 + tol)),
+        worst_shift_violation=worst_shift,
+        worst_first_moment=worst_first,
+        worst_second_moment=worst_second,
+    )
+
+
+_UNIT = st.floats(0.0, 1.0)
+
+
+@st.composite
+def witness_rounds(draw):
+    """A candidate set of 1-4 actions touching 1..m distinct entries each, a
+    witness whose reference actions may repeat, gamma in (0, 1], and with
+    ``slack`` a previous profile high enough that every residual is negative."""
+    m, actions, n_ref = draw(st.integers(1, 6)), draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    width = draw(st.integers(1, m))
+    idx = [draw(st.permutations(range(m)))[:width] for _ in range(actions)]
+    val = draw(st.lists(st.lists(_UNIT, min_size=width, max_size=width),
+                        min_size=actions, max_size=actions))
+    base = draw(st.lists(_UNIT, min_size=m, max_size=m))
+    refs = tuple(draw(st.lists(st.integers(0, actions - 1), min_size=n_ref, max_size=n_ref)))
+    delta = draw(st.lists(st.lists(st.floats(-1.5, 1.5), min_size=n_ref, max_size=n_ref),
+                          min_size=m, max_size=m))
+    gamma = draw(st.sampled_from([1.0, 0.9, 0.5]))
+    slack = draw(st.booleans())
+    z_prev = [v + (5.0 if slack else 0.0) for v in draw(st.lists(_UNIT, min_size=m, max_size=m))]
+    return (PotentialParams(m=m, n_ref=n_ref), z_prev, CandidateSet(base, idx, val),
+            MomentWitness(refs, np.array(delta)), gamma, slack)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(witness_rounds())
+def test_verify_moment_witness_matches_per_action_loop(case):
+    params, z_prev, cands, w, gamma, slack = case
+    report = verify_moment_witness(z_prev, cands, w, params, gamma=gamma)
+    assert report == loop_witness_report(z_prev, cands, w, params, gamma=gamma)
+    if slack:  # gamma z + delta >= 0.5 * 5 - 1.5 = 1 >= every candidate entry
+        assert report.worst_shift_violation == 0.0 and report.shift_ok
+
+
+@pytest.mark.parametrize("inst", ["discounted", "pdm", "efc"])
+def test_verify_moment_witness_matches_per_action_loop_on_instantiations(inst):
+    """gamma < 1 (discounted), repeated favourite outcomes (pdm) and 2 (n-1) L
+    touched entries per action (efc), along a potential-rule run."""
+    n, gamma = 4, 1.0
+    rng = np.random.default_rng(5)
+    if inst == "discounted":
+        gamma = 0.7
+        state, params = allocation.PropxState(n, gamma), allocation.propx_params(n)
+        build, witness = allocation.propx_candidates, allocation.propx_witness
+        draw = lambda: rng.random(n)
+    elif inst == "pdm":
+        state, params = public_decisions.PdmState(n, 2), public_decisions.pdm_params(n)
+        build, witness = public_decisions.pdm_candidates, public_decisions.pdm_witness
+        draw = lambda: rng.random((n, 2))
+    else:
+        theta = [0.25, 0.5, 1.0]
+        state = allocation.EfcThresholdState(n, theta)
+        params = allocation.efc_params(n, len(theta))
+        build, witness = allocation.efc_candidates, allocation.efc_witness
+        draw = lambda: rng.choice([0.0, *theta], n)
+    repeats = 0
+    for _ in range(60):
+        values = draw()
+        z_prev, cands, w = state.profile(), build(state, values), witness(state, values)
+        repeats += len(set(w.ref_actions)) < len(w.ref_actions)
+        report = verify_moment_witness(z_prev, cands, w, params, gamma=gamma)
+        assert report == loop_witness_report(z_prev, cands, w, params, gamma=gamma)
+        state.apply(values, choose_action(cands, params))
+    assert inst != "pdm" or repeats > 0
 
 
 def test_params_validation():

@@ -14,7 +14,9 @@ from perpetual.baselines import (
     make_policy,
     stream_generate,
 )
-from perpetual.framework import verify_moment_witness
+from perpetual.framework import (ct_threshold, disappointed_count, profile_psi,
+                                 verify_moment_witness)
+from perpetual.metrics import gini, gmd, gmd_bound
 from perpetual.simulate import (
     CSV_COLUMNS,
     ConfigInvalid,
@@ -196,6 +198,36 @@ def test_verify_moments_follows_the_configured_policy():
     assert verify_moments_run(cfg) == (ok, worst)
     # the potential rule's trajectory gives another worst residual
     assert verify_moments_run(RunConfig.from_dict({**raw, "policy": "potential"})) != (ok, worst)
+
+
+#: per instantiation, the config keys besides n of a short uniform run
+_EXTRA = {
+    "propx": {},
+    "efx": {},
+    "efc": {"theta": [0.25, 0.5, 1.0],
+            "stream": {"kind": "choice", "seed": 4, "params": {"values": [0.25, 0.5, 1.0]}}},
+    "pdm": {"num_outcomes": 3},
+    "discounted": {"gamma": 0.8},
+}
+
+
+@pytest.mark.parametrize("n", [2, 5])
+@pytest.mark.parametrize("inst", sorted(_EXTRA))
+def test_rows_equal_the_public_metric_functions(inst, n):
+    """Every row equals, exactly, its columns recomputed one public call at a
+    time on a replay of the row's action."""
+    cfg = RunConfig.from_dict(base_config(instantiation=inst, n=n, length=60, **{
+        "stream": {"kind": "uniform_random", "seed": 4}, **_EXTRA[inst]}))
+    rows = run_simulation(cfg)
+    h = build_harness(cfg)
+    assert len(rows) == 60
+    for t, (row, values) in enumerate(zip(rows, stream_generate(cfg.stream)), start=1):
+        h.state.apply(values, row["action"])
+        z = h.state.profile()
+        psi, ct = profile_psi(z, h.params), ct_threshold(t, h.params)
+        assert row == {"t": t, "action": row["action"], "max_deficit": float(np.max(z)),
+                       "ct_bound": ct, "psi": psi, "disappointed": disappointed_count(z, ct),
+                       "gini": gini(z), "gmd": gmd(z), "gmd_bound": gmd_bound(psi, h.params)}
 
 
 def test_simulation_zero_length(tmp_path):
