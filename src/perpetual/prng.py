@@ -4,8 +4,13 @@ Streams must be bit-exact across platforms and implementations, so we pin the
 generator explicitly instead of relying on ``random`` or numpy defaults:
 xoshiro256** seeded from a splitmix64 expansion of the 64-bit user seed.
 Doubles are produced the canonical way, ``(x >> 11) * 2**-53``.  The engine is
-linear over GF(2), so a block of 256 steps is an XOR of basis-table rows picked
-by the state's set bits; numpy applies the scrambler ``rotl(s1 * 5, 7) * 9``.
+linear over GF(2), so a block of 256 steps is an XOR of table rows, one per
+3-bit group of the state (the method of four Russians): each state word has 22
+groups, bits 3k..3k+2, the last holding bit 63 alone.  The 704 x 260 uint64
+group table (1.46 MB) has a row for each group and value; it is built in place
+once per process, on the first draw.  Row indices are taken by shifts on the
+uint64 state words, so they do not depend on byte order.  numpy applies the
+scrambler ``rotl(s1 * 5, 7) * 9``.
 """
 from __future__ import annotations
 
@@ -14,7 +19,11 @@ from functools import cache
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
-_SHIFTS = np.arange(64, dtype=np.uint64)
+_GROUP_BITS = 3
+_GROUP_SHIFTS = np.arange(0, 64, _GROUP_BITS, dtype=np.uint64)  # 22 groups per word
+_GROUP_MASK = np.uint64((1 << _GROUP_BITS) - 1)
+# the table row of value 0 of each of the state's 88 groups, word by word
+_GROUP_ROWS = np.arange(4 * len(_GROUP_SHIFTS), dtype=np.uint64) << np.uint64(_GROUP_BITS)
 
 
 def _splitmix64_next(state: int) -> tuple[int, int]:
@@ -26,12 +35,15 @@ def _splitmix64_next(state: int) -> tuple[int, int]:
 
 
 @cache
-def _basis_table() -> np.ndarray:
-    """Row k: the pre-step ``s1`` of 256 engine steps from the unit state with
-    only bit k % 64 of word k // 64 set, then the 4 state words after them."""
-    s0, s1, s2, s3 = np.kron(np.eye(4, dtype=np.uint64), np.uint64(1) << _SHIFTS)
-    table = np.empty((256, 260), dtype=np.uint64)
-    for j in range(256):  # the engine step, on all 256 unit states at once
+def _group_table() -> np.ndarray:
+    """Row 8 g + v, for group g = 22 w + k of word w and value v: the pre-step
+    ``s1`` of 256 engine steps from the state whose only set bits are v << 3k in
+    word w, then the 4 state words after them.  The top group has only
+    bit 63, so its rows for v >= 2 are never read."""
+    values = (np.arange(1 << _GROUP_BITS, dtype=np.uint64) << _GROUP_SHIFTS[:, None]).ravel()
+    s0, s1, s2, s3 = np.kron(np.eye(4, dtype=np.uint64), values)
+    table = np.empty((len(values) * 4, 260), dtype=np.uint64)
+    for j in range(256):  # the engine step, on all 704 group states at once
         table[:, j] = s1
         s0, s1, s2, s3 = (s0 ^ s3 ^ s1, s1 ^ s2 ^ s0, s2 ^ s0 ^ (s1 << np.uint64(17)),
                           (s3 ^ s1) << np.uint64(45) | (s3 ^ s1) >> np.uint64(19))
@@ -51,10 +63,12 @@ class Xoshiro256StarStar:
 
     def u64s(self, m: int) -> np.ndarray:
         """The next ``m`` outputs as a uint64 array."""
+        if m < 0:
+            raise ValueError(f"cannot draw {m} outputs")
         words = [self._pre]
         for _ in range(-((len(self._pre) - m) // 256)):  # the blocks to add
-            bits = (self._state[:, None] >> _SHIFTS & np.uint64(1)).ravel().astype(bool)
-            block = np.bitwise_xor.reduce(_basis_table()[bits], axis=0)
+            rows = (self._state[:, None] >> _GROUP_SHIFTS & _GROUP_MASK).ravel() + _GROUP_ROWS
+            block = np.bitwise_xor.reduce(_group_table().take(rows, axis=0), axis=0)
             words.append(block[:256])
             self._state = block[256:]
         pre = np.concatenate(words)
@@ -73,4 +87,6 @@ class Xoshiro256StarStar:
 
     def next_index(self, bound: int) -> int:
         """Uniform integer in [0, bound) derived from one double draw."""
+        if bound < 1:
+            raise ValueError(f"bound must be >= 1, got {bound}")
         return min(int(self.next_double() * bound), bound - 1)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import perpetual
 from perpetual.baselines import RANDOM_KINDS, StreamSpec, stream_generate
-from perpetual.prng import Xoshiro256StarStar, _splitmix64_next
+from perpetual.prng import Xoshiro256StarStar, _group_table, _splitmix64_next
 
 MASK = (1 << 64) - 1
 
@@ -104,6 +104,40 @@ def test_scalar_wrappers_equal_scalar_oracle():
     _assert_continues_from(rng, s)
 
 
+@pytest.mark.parametrize("refused", [lambda rng: rng.u64s(-3), lambda rng: rng.doubles(-1),
+                                     lambda rng: rng.next_index(0),
+                                     lambda rng: rng.next_index(-3)])
+def test_refused_call_leaves_the_stream_in_step(refused):
+    rng = Xoshiro256StarStar(99)
+    s = _oracle_seed(99)
+    for _ in range(10):
+        _, s = _oracle_step(s)
+    rng.u64s(10)
+    with pytest.raises(ValueError):
+        refused(rng)
+    _assert_continues_from(rng, s)
+
+
+def test_group_table_rows_equal_scalar_oracle_runs():
+    """Row 8 (22 w + k) + v holds the pre-step s1 of 256 oracle steps from the
+    state with only the bits v << 3k of word w set, then the state after them;
+    group 21 of each word holds bit 63 alone."""
+    table = _group_table()
+    assert table.shape == (704, 260) and table.nbytes <= 1.5e6
+    with pytest.raises(ValueError):
+        table[1, 0] = 1
+    cases = [(w, 21, v) for w in range(4) for v in (0, 1)]
+    cases += [(w, k, v) for w in range(4) for k in (0, 11, 20) for v in range(1, 8)]
+    for w, k, v in cases:
+        s = [0, 0, 0, 0]
+        s[w] = v << 3 * k
+        want = []
+        for _ in range(256):
+            want.append(s[1])
+            _, s = _oracle_step(s)
+        assert table[8 * (22 * w + k) + v].tolist() == want + s
+
+
 # (kind, params) -> the value one drawn double d gives
 _PER_DRAW = [
     ("uniform_random", {}, lambda d: d),
@@ -151,19 +185,19 @@ def test_every_64_bit_seed_is_accepted(seed):
 
 
 def test_import_and_config_build_no_basis_table():
-    """The basis table is built on the first draw: importing the package,
+    """The group table is built on the first draw: importing the package,
     building a random-stream config and seeding a generator leave it unbuilt."""
     code = textwrap.dedent("""
         import perpetual
-        from perpetual.prng import Xoshiro256StarStar, _basis_table
+        from perpetual.prng import Xoshiro256StarStar, _group_table
         from perpetual.simulate import RunConfig
         RunConfig.from_dict({"instantiation": "pdm", "policy": "potential", "n": 64,
                              "length": 10, "num_outcomes": 16,
                              "stream": {"kind": "uniform_random", "seed": 7}})
         rng = Xoshiro256StarStar(7)
-        assert _basis_table.cache_info().currsize == 0
+        assert _group_table.cache_info().currsize == 0
         rng.u64s(1)
-        assert _basis_table.cache_info().currsize == 1
+        assert _group_table.cache_info().currsize == 1
     """)
     src = str(Path(perpetual.__file__).parents[1])
     subprocess.run([sys.executable, "-c", code], check=True,
