@@ -360,6 +360,44 @@ def test_lb_game_constant_policy_fast_violation():
     assert res.violation_round is not None and res.violation_round <= 10
 
 
+#: (policy, n, c) -> violation round of every criterion-04 game, as recorded
+#: before the adversary read its slacks from the policy's state
+LB_GOLDEN = {
+    ("round_robin", 2, 1.0): 59, ("util_greedy", 2, 1.0): 67,
+    ("deficit_greedy", 2, 1.0): 67, ("potential", 2, 1.0): 67,
+    ("constant", 2, 1.0): 4, ("benade2", 2, 1.0): 4, ("exp_exact", 2, 1.0): 71,
+    ("round_robin", 3, 1.0): 59, ("util_greedy", 3, 1.0): 5,
+    ("deficit_greedy", 3, 1.0): 68, ("potential", 3, 1.0): 68, ("constant", 3, 1.0): 5,
+    ("round_robin", 2, 2.0): 287, ("util_greedy", 2, 2.0): 303,
+    ("deficit_greedy", 2, 2.0): 303, ("potential", 2, 2.0): 303,
+    ("constant", 2, 2.0): 7, ("benade2", 2, 2.0): 7,
+    ("round_robin", 5, 1.0): 74, ("util_greedy", 5, 1.0): 9,
+    ("deficit_greedy", 5, 1.0): 89, ("potential", 5, 1.0): 89, ("constant", 5, 1.0): 9,
+}
+
+
+def test_lb_game_golden_rounds():
+    """Criterion 04's games, set up as it sets them up, keep their violation
+    rounds, and every monitor holds."""
+    got = {}
+    for name, n, c in LB_GOLDEN:
+        limit = int(4900 * n * c * c)
+        res = run_lb_game(make_policy(name, n, c=c, T=limit, k_max=9), n, c, limit)
+        assert res.monitor_ok, (name, n, c, res.worst_monitor_violation)
+        got[name, n, c] = res.violation_round
+    assert got == LB_GOLDEN
+
+
+@pytest.mark.parametrize("policy, c, rounds", [
+    ("potential", 1.0, 67), ("potential", 1.125, 87), ("potential", 1.25, 111),
+    ("potential", 1.375, 135), ("exp_exact", 1.0, 71)])
+def test_lb_game_readme_table_rounds(policy, c, rounds):
+    """The README's n = 2 table, at the CLI's defaults (k_max 12, one round
+    past 4900 n c^2)."""
+    res = run_lb_game(make_policy(policy, 2, c=c), 2, c, int(4900 * 2 * c * c) + 1)
+    assert (res.violation_round, res.monitor_ok) == (rounds, True)
+
+
 def test_lb_game_requires_c_at_least_one():
     with pytest.raises(ValueError):
         run_lb_game(make_policy("round_robin", 2), 2, 0.5, 100)
