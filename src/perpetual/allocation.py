@@ -31,12 +31,14 @@ class GammaOutOfRange(ValueError):
     pass
 
 
-def _as_values(values, n: int) -> np.ndarray:
+def _as_values(values, *shape: int) -> np.ndarray:
+    """The round's values as floats, once they have ``shape`` and every one
+    is finite and nonnegative."""
     v = np.asarray(values, dtype=float)
-    if v.shape != (n,):
-        raise DimensionMismatch(f"item has shape {v.shape}, expected ({n},)")
+    if v.shape != shape:
+        raise DimensionMismatch(f"values have shape {v.shape}, expected {shape}")
     if not (v.min() >= 0.0 and v.max() < math.inf):
-        raise ValueError("item values must be finite and nonnegative")
+        raise ValueError("values must be finite and nonnegative")
     return v
 
 
@@ -254,7 +256,9 @@ class EfcThresholdState:
         self.L = len(th)
         self.counts = np.zeros((n, n, self.L), dtype=np.int64)
         self._theta = np.array(th)
-        self._widths = np.diff(self._theta, prepend=0.0)
+        self._ledger = np.array([0.0, *th])  # the values a round may hold
+        self._widths = np.diff(self._ledger)
+        self._layers = np.arange(self.L)
         self._off = _off_diagonal(n)
         quality = np.zeros((n, n, self.L), dtype=np.intp)
         quality[self._off] = np.arange(self.m).reshape(-1, self.L)  # quality_index
@@ -272,10 +276,11 @@ class EfcThresholdState:
     def _indicator_counts(self, values) -> np.ndarray:
         """s[i, l] = 1 if v_i(g) >= theta[l]."""
         x = _as_values(values, self.n)
-        stray = (x > 0) & ~np.isin(x, self._theta)
-        if np.any(stray):
+        k = np.searchsorted(self._theta, x, side="right")  # #{l : theta[l] <= x_i}
+        stray = self._ledger[k] != x
+        if stray.any():
             raise ValueNotInLedger(f"value {x[stray][0]} not in the declared ledger")
-        return (x[:, None] >= self._theta).astype(np.int64)
+        return (k[:, None] > self._layers).astype(np.int64)
 
     def _gaps(self) -> np.ndarray:
         """gap[i, j, l] = C[i, j, l] - C[i, i, l]."""

@@ -1,10 +1,11 @@
 """Baseline policies, canonical counterexample streams, random stream
 generators, and the adaptive lower-bound adversary.
 
-The adversary tracks shifted slacks Z_i = 2c + u_i - Prop_i (fairness holds
-iff every Z_i >= c) and reveals values x_i = Z_i / (Z_i + c), which live in
-[1/2, 1) on fair prefixes.  It forces a bounded-proportionality violation
-within 4900 n c^2 rounds against any policy.
+The adversary reads shifted slacks Z_i = 2c + u_i - Prop_i off the policy's
+own proportionality state (fairness holds iff every Z_i >= c) and reveals
+values x_i = Z_i / (Z_i + c), which live in [1/2, 1) on fair prefixes.  It
+forces a bounded-proportionality violation within 4900 n c^2 rounds against
+any policy.
 """
 from __future__ import annotations
 
@@ -321,37 +322,23 @@ class PrefixAlreadyUnfair(RuntimeError):
     pass
 
 
-@dataclass
-class SlackVector:
-    z: list[float]
-    c: float
-
-
-def lb_adversary_next(s: SlackVector) -> list[float]:
+def lb_adversary_next(z: list[float], c: float) -> list[float]:
     """x_i = Z_i / (Z_i + c); requires the prefix to still be c-fair."""
-    if min(s.z) < s.c:
+    if min(z) < c:
         raise PrefixAlreadyUnfair("some slack is already below c")
-    return [zi / (zi + s.c) for zi in s.z]
+    return [zi / (zi + c) for zi in z]
 
 
-def lb_slack_update(s: SlackVector, x, winner: int) -> SlackVector:
-    n = len(s.z)
-    z = [zi - xi / n for zi, xi in zip(s.z, x)]
-    z[winner] = s.z[winner] + (1.0 - 1.0 / n) * x[winner]
-    return SlackVector(z=z, c=s.c)
-
-
-def lb_potential_monitor(s: SlackVector) -> tuple[float, float]:
+def lb_potential_monitor(z: list[float], c: float) -> tuple[float, float]:
     """(Phi, S) with Phi = sum (Z_i + c ln Z_i) and S = sum Z_i."""
-    phi = sum(zi + s.c * math.log(zi) for zi in s.z)
-    return phi, sum(s.z)
+    phi = sum(zi + c * math.log(zi) for zi in z)
+    return phi, sum(z)
 
 
 @dataclass
 class LbGameResult:
     violation_round: int | None
     rounds_played: int
-    slack: SlackVector
     monitor_ok: bool
     worst_monitor_violation: float
     prop: np.ndarray  # v_i(G) / n at the end of play
@@ -361,29 +348,34 @@ class LbGameResult:
 def run_lb_game(policy: ItemPolicy, n: int, c: float, max_rounds: int,
                 tol: float = 1e-9) -> LbGameResult:
     """Play the adaptive adversary against ``policy`` until bounded
-    proportionality fails (some Z_i < c).  Monitors, on every fair prefix:
+    proportionality fails (some Z_i < c).  The slacks Z are read off the
+    policy's own state after each round.  Monitors, on every fair prefix:
     x in [1/2, 1), Phi nonincreasing, S < 3nc, mean revealed value < 3/4."""
     if c < 1:
         raise ValueError("the construction requires c >= 1")
-    slack = SlackVector(z=[2.0 * c] * n, c=c)
-    phi_prev, _ = lb_potential_monitor(slack)
+    state = policy.state
+
+    def slacks() -> list[float]:
+        return (2.0 * c + state.bundle_value - state.total_value / n).tolist()
+
+    z = slacks()
+    phi_prev, _ = lb_potential_monitor(z, c)
     worst = 0.0  # largest monitor excess; the monitors hold while it is <= tol
     violation = None
 
     for t in range(1, max_rounds + 1):
-        x = lb_adversary_next(slack)
+        x = lb_adversary_next(z, c)
         worst = max(worst, 0.5 - min(x), max(x) - (1.0 - 1e-15), sum(x) / n - 0.75)
         items = np.asarray(x)
         w = policy.choose(items)
         policy.update(items, w)
-        slack = lb_slack_update(slack, x, w)
-        if min(slack.z) < c:
+        z = slacks()
+        if min(z) < c:
             violation = t
             break
-        phi, total = lb_potential_monitor(slack)
+        phi, total = lb_potential_monitor(z, c)
         worst = max(worst, phi - phi_prev, total - 3.0 * n * c)
         phi_prev = phi
 
-    state = policy.state
-    return LbGameResult(violation, violation or max_rounds, slack, worst <= tol, worst,
+    return LbGameResult(violation, violation or max_rounds, worst <= tol, worst,
                         state.total_value / n, state.bundle_value.copy())

@@ -8,17 +8,10 @@ outcome).
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .allocation import proportional_delta, propx_params
-from .framework import (
-    CandidateSet,
-    DimensionMismatch,
-    MomentWitness,
-    normalized,
-)
+from .allocation import _as_values, proportional_delta, propx_params
+from .framework import CandidateSet, MomentWitness, normalized
 
 
 class PdmState:
@@ -33,16 +26,6 @@ class PdmState:
         self.prop = np.zeros(n)
         self.run_max = np.zeros(n)
 
-    def _round_values(self, values) -> np.ndarray:
-        v = np.asarray(values, dtype=float)
-        if v.shape != (self.n, self.num_outcomes):
-            raise DimensionMismatch(
-                f"round has shape {v.shape}, expected ({self.n},{self.num_outcomes})"
-            )
-        if not (v.min() >= 0.0 and v.max() < math.inf):
-            raise ValueError("round values must be finite and nonnegative")
-        return v
-
     def deficits(self) -> np.ndarray:
         return self.prop - self.util
 
@@ -50,7 +33,7 @@ class PdmState:
         return normalized(self.deficits(), self.run_max)
 
     def apply(self, values, outcome: int) -> None:
-        v = self._round_values(values)
+        v = _as_values(values, self.n, self.num_outcomes)
         m_fav = v.max(axis=1)
         self.prop += m_fav / self.n
         self.util += v[:, outcome]
@@ -60,7 +43,7 @@ class PdmState:
 def pdm_candidates(s: PdmState, values) -> CandidateSet:
     """Outcome o's profile in row o, every entry touched; the scale
     V' = max{V, M} is computed once, independent of the outcome."""
-    v = s._round_values(values)
+    v = _as_values(values, s.n, s.num_outcomes)
     m_fav = v.max(axis=1)
     d = s.deficits() + m_fav / s.n
     z = normalized(d - v.T, np.maximum(s.run_max, m_fav))
@@ -70,7 +53,7 @@ def pdm_candidates(s: PdmState, values) -> CandidateSet:
 def pdm_witness(s: PdmState, values) -> MomentWitness:
     """Reference action k = agent k's favorite outcome (lowest index on ties);
     s_i = M_i / V'_i in ``proportional_delta``."""
-    v = s._round_values(values)
+    v = _as_values(values, s.n, s.num_outcomes)
     m_fav = v.max(axis=1)
     delta = proportional_delta(normalized(m_fav, np.maximum(s.run_max, m_fav)))
     return MomentWitness(ref_actions=tuple(int(o) for o in np.argmax(v, axis=1)), delta=delta)

@@ -258,8 +258,14 @@ def test_efc_ledger_enforced():
     s = EfcThresholdState(2, [0.5, 1.0])
     with pytest.raises(ValueNotInLedger):
         s.apply([0.7, 0.5], 0)
+    with pytest.raises(ValueNotInLedger):
+        s.apply([0.25, 0.5], 0)  # below the smallest entry
+    with pytest.raises(ValueNotInLedger):
+        s.apply([1.0, 1.5], 0)  # above the largest entry
     s.apply([0.5, 1.0], 0)  # fine
     s.apply([0.0, 0.5], 1)  # zeros always allowed
+    s.apply([-0.0, 1.0], 1)  # and so is -0.0
+    assert s.counts[:, :, 0].tolist() == [[1, 0], [1, 2]]
 
 
 def test_efc_alternating_unit_items():

@@ -13,13 +13,11 @@ from perpetual.baselines import (
     DeficitGreedyPolicy,
     PrefixAlreadyUnfair,
     RoundRobinPolicy,
-    SlackVector,
     StreamSpec,
     UtilGreedyPolicy,
     _STREAMS,
     lb_adversary_next,
     lb_potential_monitor,
-    lb_slack_update,
     make_policy,
     run_lb_game,
     stream_generate,
@@ -303,46 +301,21 @@ def test_benade2_linear_envy_window():
 # ---------------------------------------------------------------------------
 
 def test_lb_adversary_values():
-    assert lb_adversary_next(SlackVector([2.0, 2.0], 1.0)) == [pytest.approx(2 / 3)] * 2
-    assert lb_adversary_next(SlackVector([1.0, 1.0], 1.0)) == [0.5, 0.5]
-    x = lb_adversary_next(SlackVector([7 / 3, 5 / 3], 1.0))
+    assert lb_adversary_next([2.0, 2.0], 1.0) == [pytest.approx(2 / 3)] * 2
+    assert lb_adversary_next([1.0, 1.0], 1.0) == [0.5, 0.5]
+    x = lb_adversary_next([7 / 3, 5 / 3], 1.0)
     assert x[0] == pytest.approx(7 / 10)
     assert x[1] == pytest.approx(5 / 8)
     with pytest.raises(PrefixAlreadyUnfair):
-        lb_adversary_next(SlackVector([0.5, 2.0], 1.0))
-
-
-def test_lb_slack_update():
-    s = lb_slack_update(SlackVector([2.0, 2.0], 1.0), [2 / 3, 2 / 3], winner=0)
-    assert s.z[0] == pytest.approx(7 / 3)
-    assert s.z[1] == pytest.approx(5 / 3)
-    s = lb_slack_update(SlackVector([2.0, 2.0], 1.0), [0.0, 0.0], winner=0)
-    assert s.z == [2.0, 2.0]
-
-
-def test_lb_slack_matches_history_replay():
-    from perpetual.prng import Xoshiro256StarStar
-
-    n, c = 3, 1.0
-    rng = Xoshiro256StarStar(17)
-    slack = SlackVector([2.0 * c] * n, c)
-    util = np.zeros(n)
-    prop = np.zeros(n)
-    for _ in range(100):
-        x = [0.5 + 0.49 * rng.next_double() for _ in range(n)]
-        w = rng.next_index(n)
-        slack = lb_slack_update(slack, x, w)
-        util[w] += x[w]
-        prop += np.asarray(x) / n
-        assert np.allclose(slack.z, 2 * c + util - prop, rtol=1e-12, atol=1e-12)
+        lb_adversary_next([0.5, 2.0], 1.0)
 
 
 def test_lb_potential_monitor_values():
-    phi, total = lb_potential_monitor(SlackVector([2.0, 2.0], 1.0))
+    phi, total = lb_potential_monitor([2.0, 2.0], 1.0)
     assert phi == pytest.approx(4 + 2 * math.log(2))
     assert total == 4.0
     n, c = 3, 2.0
-    phi, _ = lb_potential_monitor(SlackVector([c] * n, c))
+    phi, _ = lb_potential_monitor([c] * n, c)
     assert phi == pytest.approx(n * (c + c * math.log(c)))
 
 
@@ -405,14 +378,11 @@ def test_lb_game_requires_c_at_least_one():
 
 def test_lb_game_envy_dominates_prop_deficit_at_violation():
     """At the first unfair round, max envy >= max proportionality deficit.
-    With two agents the other bundle is worth v_i(G) - v_i(P_i) = 2 prop_i - util_i.
-    The adversary's slack ledger Z_i = 2c + util_i - prop_i is kept apart from
-    the policy's PropxState, so the two must agree."""
+    With two agents the other bundle is worth v_i(G) - v_i(P_i) = 2 prop_i - util_i."""
     c = 1.0
     for name in ("round_robin", "potential", "constant"):
         res = run_lb_game(make_policy(name, 2), 2, c, 9801)
         assert res.violation_round is not None
-        assert np.allclose(res.slack.z, 2 * c + res.util - res.prop, rtol=0, atol=1e-9)
         envy = float(np.max((2 * res.prop - res.util) - res.util))
         deficit = float(np.max(res.prop - res.util))
         assert envy >= deficit - 1e-9
