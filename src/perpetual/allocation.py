@@ -7,6 +7,11 @@ EFc threshold counts alone also answer the classical EF-up-to-k check.
 Deficits are recomputed from aggregates each round; aggregates update
 incrementally.
 Candidate builders return every action's touched entries as one array.
+
+EF-times-c and EFc share one pairwise kernel (``_PairState``): one quality
+variable per ordered pair and layer, the gap to the agent's own bundle over
+a scale.  EF-times-c runs it on one layer of cross-values over the pair
+scales; EFc runs it on the L threshold-count layers over a unit scale.
 """
 from __future__ import annotations
 
@@ -40,6 +45,12 @@ def _as_values(values, *shape: int) -> np.ndarray:
     if not (v.min() >= 0.0 and v.max() < math.inf):
         raise ValueError("values must be finite and nonnegative")
     return v
+
+
+def _check_action(a: int, count: int) -> None:
+    """Reject an action id (recipient or outcome) outside [0, count)."""
+    if not 0 <= a < count:
+        raise ValueError(f"action id {a} outside [0, {count})")
 
 
 def _missed(x: np.ndarray, recipient: int) -> np.ndarray:
@@ -97,6 +108,7 @@ class PropxState:
 
     def apply(self, values, recipient: int) -> None:
         x = _as_values(values, self.n)
+        _check_action(recipient, self.n)
         self.bundle_value *= self.gamma
         self.total_value *= self.gamma
         self.total_value += x
@@ -132,99 +144,111 @@ def propx_params(n: int, p: float = 0.0) -> PotentialParams:
 # Pairwise quality variables (Cases 3 and 4)
 # ---------------------------------------------------------------------------
 
-def _off_diagonal(n: int) -> np.ndarray:
-    return ~np.eye(n, dtype=bool)
+def _take_pairs(a: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """The (n (n-1), ...) rows of an (n, n, ...) array at the ordered pairs
+    i != j, in pair-major order; ``pairs`` is their flat (i, j) positions."""
+    return a.reshape(len(a) ** 2, -1).take(pairs, axis=0)
 
 
-def _touching(into: np.ndarray, out_of: np.ndarray) -> np.ndarray:
+def _touching(into: np.ndarray, out_of: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     """Per action a, the entries of the ordered pairs that contain a, in patch
-    order: for each i != a, into[i, a] then out_of[a, i] -- single entries for
-    (n, n) inputs, interleaved per threshold l for (n, n, L) inputs.  Returns
-    shape (n, 2 (n-1) L)."""
-    n = into.shape[0]
+    order: for each i != a, into[i, a, l] then out_of[a, i, l], interleaved
+    per layer l.  Returns shape (n, 2 (n-1) L)."""
     both = np.stack([np.swapaxes(into, 0, 1), out_of], axis=-1)
-    return both[_off_diagonal(n)].reshape(n, -1)
+    return _take_pairs(both, pairs).reshape(len(into), -1)
 
 
-def _pair_columns(n: int, per_pair: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat positions in the (m, n) witness matrix of each row's +step (at
-    reference action j) and -step (at i), rows in pair-major (i, j[, l]) order."""
-    i, j = np.nonzero(_off_diagonal(n))
-    rows = np.arange(len(i) * per_pair) * n
-    return rows + np.repeat(j, per_pair), rows + np.repeat(i, per_pair)
+class _PairState:
+    """One quality variable per ordered pair (i, j), i != j, and layer l:
+    [held[i, j, l] - held[i, i, l]]_+ / scale[i, j, l], where ``held`` is
+    (n, n, L) and ``scale`` broadcasts against it.  A round adds its (n, 1, L)
+    ``step`` to the recipient's column of ``held``."""
+
+    def __init__(self, n: int, held: np.ndarray, scale):
+        if n < 2:
+            raise ValueError("need at least 2 agents")
+        self.n = n
+        self.held = held
+        self.scale = scale
+        self.L = held.shape[2]
+        self._pairs = np.flatnonzero(~np.eye(n, dtype=bool))
+        quality = np.zeros((n * n, self.L), dtype=np.intp)
+        quality[self._pairs] = np.arange(self.m).reshape(-1, self.L)  # quality_index
+        quality = quality.reshape(held.shape)
+        self._touched = _touching(quality, quality, self._pairs)
+        # flat positions in the (m, n) witness matrix of each row's +step (at
+        # reference action j) and -step (at i), rows in (i, j, l) order
+        i, j = np.divmod(self._pairs, n)
+        rows = np.arange(self.m) * n
+        self._columns = rows + np.repeat(j, self.L), rows + np.repeat(i, self.L)
+
+    @property
+    def m(self) -> int:
+        return self.n * (self.n - 1) * self.L
+
+    def quality_index(self, i: int, j: int, l: int = 0) -> int:
+        return (i * (self.n - 1) + (j if j < i else j - 1)) * self.L + l
+
+    def _gaps(self) -> np.ndarray:
+        """gap[i, j, l] = held[i, j, l] - held[i, i, l]."""
+        own = self.held.reshape(self.n * self.n, self.L)[::self.n + 1]
+        return self.held - own[:, None, :]
+
+    def profile(self) -> np.ndarray:
+        return _take_pairs(normalized(self._gaps(), self.scale), self._pairs).ravel()
 
 
-def _pair_delta(s, step: np.ndarray) -> np.ndarray:
-    """Witness increments of pairwise quality variables: row (i, j[, l]) has
-    +step at reference action j and -step at i.  ``step`` is (n, n) or
-    (n, n, L), indexed by the row's own (i, j[, l]); the diagonal is unused.
-    ``s._columns`` is ``_pair_columns`` for the state's shape."""
-    per_row = step[s._off].ravel()
-    delta = np.zeros(per_row.size * s.n)
+def _pair_candidates(s: _PairState, step: np.ndarray) -> CandidateSet:
+    """Base = current profile; candidate r patches only the 2(n-1)L entries of
+    the pairs that contain r: (i, r), whose gap grows by step_i (and whose
+    scale rises to it), and (r, i), whose gap shrinks by step_r."""
+    gaps = s._gaps()
+    into = normalized(gaps + step, np.maximum(s.scale, step))
+    out_of = normalized(gaps - step, s.scale)
+    return CandidateSet(s.profile(), s._touched, _touching(into, out_of, s._pairs))
+
+
+def _pair_witness(s: _PairState, step: np.ndarray) -> MomentWitness:
+    """Row (i, j, l): alpha = step_i / max{scale[i, j, l], step_i} at reference
+    action j, -alpha at i, zeros elsewhere.  sigma^2 = 2."""
+    alpha = normalized(np.broadcast_to(step, s.held.shape), np.maximum(s.scale, step))
+    per_row = _take_pairs(alpha, s._pairs).ravel()
+    delta = np.zeros(s.m * s.n)
     delta[s._columns[0]] = per_row
     delta[s._columns[1]] = -per_row
-    return delta.reshape(per_row.size, s.n)
+    return MomentWitness(ref_actions=tuple(range(s.n)), delta=delta.reshape(s.m, s.n))
 
 
 # ---------------------------------------------------------------------------
 # Case 3: pairwise envy scaled by the largest item in the envied bundle
 # ---------------------------------------------------------------------------
 
-class EfxState:
+class EfxState(_PairState):
     """Cross-values v_i(P_j) and pair scales s_(i,j) = max value i assigns to
-    an item in j's bundle.  Quality variables are ordered pairs i != j."""
+    an item in j's bundle: one layer, ``held`` and ``scale`` are views onto
+    them.  Quality variables are ordered pairs i != j."""
 
     def __init__(self, n: int):
-        if n < 2:
-            raise ValueError("need at least 2 agents")
-        self.n = n
         self.cross_value = np.zeros((n, n))
         self.pair_scale = np.zeros((n, n))  # diagonal unused
-        self._off = _off_diagonal(n)
-        pairs = np.zeros((n, n), dtype=np.intp)
-        pairs[self._off] = np.arange(self.m)  # pair_index(i, j)
-        self._touched = _touching(pairs, pairs)
-        self._columns = _pair_columns(n, 1)
-
-    @property
-    def m(self) -> int:
-        return self.n * (self.n - 1)
-
-    def pair_index(self, i: int, j: int) -> int:
-        return i * (self.n - 1) + (j if j < i else j - 1)
-
-    def _envy(self) -> np.ndarray:
-        """envy[i, j] = v_i(P_j) - v_i(P_i)."""
-        return self.cross_value - np.diag(self.cross_value)[:, None]
-
-    def profile(self) -> np.ndarray:
-        return normalized(self._envy(), self.pair_scale)[self._off]
+        super().__init__(n, self.cross_value[..., None], self.pair_scale[..., None])
 
     def apply(self, values, recipient: int) -> None:
         x = _as_values(values, self.n)
+        _check_action(recipient, self.n)
         self.cross_value[:, recipient] += x
         col = self.pair_scale[:, recipient]
         np.maximum(col, _missed(x, recipient), out=col)
 
 
 def efx_candidates(s: EfxState, values) -> CandidateSet:
-    """Base = current profile; candidate r patches only the 2(n-1) pairs that
-    contain r: (i, r), where i's envy toward r grows by x_i, and (r, i), where
-    r's envy toward i shrinks by x_r."""
-    x = _as_values(values, s.n)
-    envy = s._envy()
-    into = normalized(envy + x[:, None], np.maximum(s.pair_scale, x[:, None]))
-    out_of = normalized(envy - x[:, None], s.pair_scale)
-    return CandidateSet(s.profile(), s._touched, _touching(into, out_of))
+    """Pair (i, r)'s envy grows by x_i when r receives; (r, i)'s shrinks by x_r."""
+    return _pair_candidates(s, _as_values(values, s.n)[:, None, None])
 
 
 def efx_witness(s: EfxState, values) -> MomentWitness:
-    """Pair (i,j) row: alpha = x_i / max{s_(i,j), x_i}; +alpha at reference
-    action j, -alpha at i, zeros elsewhere.  sigma^2 = 2."""
-    x = _as_values(values, s.n)
-    alpha = normalized(np.broadcast_to(x[:, None], (s.n, s.n)),
-                       np.maximum(s.pair_scale, x[:, None]))
-    return MomentWitness(ref_actions=tuple(range(s.n)), delta=_pair_delta(s, alpha))
+    """alpha = x_i / max{s_(i,j), x_i} per pair (i, j)."""
+    return _pair_witness(s, _as_values(values, s.n)[:, None, None])
 
 
 def efx_params(n: int, p: float = 0.0) -> PotentialParams:
@@ -235,9 +259,10 @@ def efx_params(n: int, p: float = 0.0) -> PotentialParams:
 # Case 4: classical EFc via threshold counts over a fixed value ledger
 # ---------------------------------------------------------------------------
 
-class EfcThresholdState:
+class EfcThresholdState(_PairState):
     """Counts C[i, j, l] = #{g in P_j : v_i(g) >= theta[l]} over a fixed
-    sorted ledger theta of distinct positive values (known in advance).
+    sorted ledger theta of distinct positive values (known in advance): the
+    pairwise kernel on the L threshold layers with unit scale.
 
     The counts are the whole ledger: with layer widths
     w_l = theta[l] - theta[l-1] (theta[-1] = 0), agent i's multiset of
@@ -246,32 +271,16 @@ class EfcThresholdState:
     """
 
     def __init__(self, n: int, theta):
-        if n < 2:
-            raise ValueError("need at least 2 agents")
         th = sorted(float(v) for v in theta)
-        if len(th) != len(set(th)) or any(v <= 0 for v in th):
-            raise ValueError("theta must be distinct positive values")
-        self.n = n
+        if not th or len(th) != len(set(th)) or not all(0.0 < v < math.inf for v in th):
+            raise ValueError(f"theta must be nonempty, distinct, positive and finite; got {theta!r}")
         self.theta = th
-        self.L = len(th)
-        self.counts = np.zeros((n, n, self.L), dtype=np.int64)
+        self.counts = np.zeros((n, n, len(th)), dtype=np.int64)
+        super().__init__(n, self.counts, 1.0)
         self._theta = np.array(th)
         self._ledger = np.array([0.0, *th])  # the values a round may hold
         self._widths = np.diff(self._ledger)
         self._layers = np.arange(self.L)
-        self._off = _off_diagonal(n)
-        quality = np.zeros((n, n, self.L), dtype=np.intp)
-        quality[self._off] = np.arange(self.m).reshape(-1, self.L)  # quality_index
-        self._touched = _touching(quality, quality)
-        self._columns = _pair_columns(n, self.L)
-
-    @property
-    def m(self) -> int:
-        return self.n * (self.n - 1) * self.L
-
-    def quality_index(self, i: int, j: int, l: int) -> int:
-        pair = i * (self.n - 1) + (j if j < i else j - 1)
-        return pair * self.L + l
 
     def _indicator_counts(self, values) -> np.ndarray:
         """s[i, l] = 1 if v_i(g) >= theta[l]."""
@@ -282,34 +291,21 @@ class EfcThresholdState:
             raise ValueNotInLedger(f"value {x[stray][0]} not in the declared ledger")
         return (k[:, None] > self._layers).astype(np.int64)
 
-    def _gaps(self) -> np.ndarray:
-        """gap[i, j, l] = C[i, j, l] - C[i, i, l]."""
-        own = self.counts[np.arange(self.n), np.arange(self.n)]
-        return self.counts - own[:, None, :]
-
-    def profile(self) -> np.ndarray:
-        return np.maximum(self._gaps()[self._off], 0).ravel().astype(float)
-
     def apply(self, values, recipient: int) -> None:
-        self.counts[:, recipient, :] += self._indicator_counts(values)
+        ind = self._indicator_counts(values)
+        _check_action(recipient, self.n)
+        self.counts[:, recipient, :] += ind
 
 
 def efc_candidates(s: EfcThresholdState, values) -> CandidateSet:
-    """Base = current profile; candidate a touches only the 2(n-1)L entries of
-    pairs containing a."""
-    ind = s._indicator_counts(values)[:, None, :]
-    gaps = s._gaps()
-    into = np.maximum(gaps + ind, 0)
-    out_of = np.maximum(gaps - ind, 0)
-    return CandidateSet(s.profile(), s._touched, _touching(into, out_of))
+    """The pairwise candidates with the round's indicators as the step."""
+    return _pair_candidates(s, s._indicator_counts(values)[:, None, :])
 
 
 def efc_witness(s: EfcThresholdState, values) -> MomentWitness:
-    """Row (i,j,l): -1[v_i >= theta_l] at reference action i, +1[v_i >= theta_l]
-    at j, zeros elsewhere.  sigma^2 = 2."""
-    ind = s._indicator_counts(values).astype(float)
-    step = np.broadcast_to(ind[:, None, :], (s.n, s.n, s.L))
-    return MomentWitness(ref_actions=tuple(range(s.n)), delta=_pair_delta(s, step))
+    """Row (i, j, l): -1[v_i >= theta_l] at reference action i, +1[v_i >= theta_l]
+    at j, zeros elsewhere."""
+    return _pair_witness(s, s._indicator_counts(values)[:, None, :])
 
 
 def efc_params(n: int, L: int, p: float = 0.0) -> PotentialParams:
@@ -324,6 +320,5 @@ def check_efk(s: EfcThresholdState, k: int, tol: float = 1e-9) -> dict[tuple[int
         raise ValueError("k must be >= 0")
     envy = s._gaps() @ s._widths
     top_k = np.minimum(s.counts, min(k, int(s.counts.max(initial=0)))) @ s._widths
-    ok = np.maximum(envy, 0.0) <= top_k + tol
-    i, j = np.nonzero(s._off)
-    return {(int(a), int(b)): bool(v) for a, b, v in zip(i, j, ok[s._off])}
+    ok = (np.maximum(envy, 0.0) <= top_k + tol).ravel()
+    return {divmod(int(q), s.n): bool(ok[q]) for q in s._pairs}

@@ -87,6 +87,8 @@ _FINITE = 1 << 512
 
 #: default largest horizon k that aux and exp_policy search
 K_MAX = 12
+#: most points a level may reach while it is built (FrontierSizeExceeded past it)
+FRONTIER_CAP = 10**6
 
 
 def is_inf(v) -> bool:
@@ -187,24 +189,24 @@ def _staircase(top: dict) -> list:
     return kept
 
 
-def _step(pts: list, n: int, unit: int, prune: bool, cap: int) -> list:
+def _step(pts: list, n: int, unit: int, prune: bool) -> list:
     """The next level from ``pts``, integer tuples at scale ``unit`` whose
     finite coordinates are multiples of n, sorted descending: for every
     ordered n-tuple of points, coordinate i of the generated point is the LP
     value of the tuple's i-th coordinates.  Returns the level sorted
     descending, at the same scale."""
     if n == 2 and prune:
-        return _step2(pts, unit, cap)
+        return _step2(pts, unit)
     out = set()
     y = functools.lru_cache(maxsize=None)(lambda xi, mu: _lp(xi, mu, n, unit)[0])
     for tup in itertools.product(pts, repeat=n):
         out.add(tuple(y(c[i], min(c[:i] + c[i + 1:])) for i, c in enumerate(zip(*tup))))
-        if len(out) > cap:
-            raise FrontierSizeExceeded(f"frontier exceeds {cap} points")
+        if len(out) > FRONTIER_CAP:
+            raise FrontierSizeExceeded(f"frontier exceeds {FRONTIER_CAP} points")
     return _pareto_front(out, n) if prune else sorted(out, reverse=True)
 
 
-def _step2(pts: list, unit: int, cap: int) -> list:
+def _step2(pts: list, unit: int) -> list:
     """The pruned n = 2 step from a staircase ``pts``.  For a first point a,
     every b with b0 >= a0 gives coordinate 0 = a0, so the last of them
     dominates the others; every b with b1 >= a1 + 2 unit gives coordinate
@@ -223,29 +225,28 @@ def _step2(pts: list, unit: int, cap: int) -> list:
             y1 = b1 if b1 <= a1 else (b1 + a1) // 2 if b1 - a1 <= two else a1 + unit
             if top.get(y0, y1) <= y1:
                 top[y0] = y1
-        if len(top) > cap:
-            raise FrontierSizeExceeded(f"frontier exceeds {cap} points")
+        if len(top) > FRONTIER_CAP:
+            raise FrontierSizeExceeded(f"frontier exceeds {FRONTIER_CAP} points")
     return _staircase(top)
 
 
-def next_frontier(points, n: int, prune: bool = True, cap: int = 10**6) -> frozenset:
+def next_frontier(points, n: int, prune: bool = True) -> frozenset:
     """D^{k+1} from D^k: for every ordered n-tuple of D^k points, coordinate i
     of the generated point is the LP value of the tuple's i-th coordinates."""
     pts, unit = _scaled(points, n)
     # pruning the inputs first is sound: every LP value is monotone in its inputs
     pts = _pareto_front(pts, 2) if n == 2 and prune else sorted(pts, reverse=True)
-    return _to_fractions(_step(pts, n, unit, prune, cap), unit)
+    return _to_fractions(_step(pts, n, unit, prune), unit)
 
 
 class FrontierBuilder:
     """Lazily builds and caches D^0, D^1, ... for a fixed n: integer levels
     for the solver, and each level's ``Fraction`` form once it is asked for."""
 
-    def __init__(self, n: int, cap: int = 10**6, prune: bool = True):
+    def __init__(self, n: int, prune: bool = True):
         if n < 2:
             raise ValueError("need at least 2 agents")
         self.n = n
-        self.cap = cap
         self.prune = prune
         self._levels = [_axis_level(n)]
         self._fractions: dict[int, frozenset] = {}
@@ -259,7 +260,7 @@ class FrontierBuilder:
             j = len(self._levels)
             # the previous level at scale n**j: every finite coordinate a multiple of n
             pts = [tuple(v if v == _INF else v * n for v in p) for p in self._levels[-1]]
-            self._levels.append(_step(pts, n, n ** j, self.prune, self.cap))
+            self._levels.append(_step(pts, n, n ** j, self.prune))
         return self._levels[k]
 
     def get(self, k: int) -> frozenset:

@@ -91,10 +91,6 @@ class CandidateSet:
             raise DimensionMismatch(f"need idx and val of one shape (actions, touched >= 1); "
                                     f"got {self.idx.shape} and {self.val.shape}")
 
-    @property
-    def m(self) -> int:
-        return len(self.base)
-
     def action_ids(self) -> list[int]:
         return list(range(self.idx.shape[0]))
 

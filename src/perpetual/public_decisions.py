@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .allocation import _as_values, proportional_delta, propx_params
+from .allocation import _as_values, _check_action, proportional_delta, propx_params
 from .framework import CandidateSet, MomentWitness, normalized
 
 
@@ -34,6 +34,7 @@ class PdmState:
 
     def apply(self, values, outcome: int) -> None:
         v = _as_values(values, self.n, self.num_outcomes)
+        _check_action(outcome, self.num_outcomes)
         m_fav = v.max(axis=1)
         self.prop += m_fav / self.n
         self.util += v[:, outcome]

@@ -31,6 +31,8 @@ from perpetual.framework import (
 )
 from perpetual.prng import Xoshiro256StarStar
 
+from oracles import efk_oracle, naive_efc, naive_efx
+
 
 def _report(num: int, desc: str, ok: bool, detail: str = ""):
     print(f"[criterion {num:02d}] {'PASS' if ok else 'FAIL'} - {desc}"
@@ -202,13 +204,6 @@ def test_criterion_06_benade2_linear_envy():
 # 7. classical envy-freeness up to ceil(ct) items
 # ---------------------------------------------------------------------------
 
-def _efk_oracle(bundles, i, j, k):
-    """Recompute from full history: remove the k highest v_i items from P_j."""
-    vals = sorted((v[i] for v in bundles[j]), reverse=True)
-    envy = sum(vals) - sum(v[i] for v in bundles[i])
-    return envy - sum(vals[:k]) <= 1e-9
-
-
 def test_criterion_07_classical_ef_up_to_k():
     n, theta = 3, [0.25, 0.5, 1.0, 2.0]
     # the ledger caps values at 2; rescale sigma handling is unaffected since
@@ -230,7 +225,7 @@ def test_criterion_07_classical_ef_up_to_k():
                 ok = False
             for i in range(n):
                 for j in range(n):
-                    if i != j and not _efk_oracle(bundles, i, j, k):
+                    if i != j and not efk_oracle(bundles, i, j, k):
                         ok = False
     _report(7, "threshold-count rule is envy-free up to ceil(ct) items at "
                "every prefix (fast check and full-history oracle)", ok)
@@ -316,44 +311,6 @@ def _naive_propx(history, n, cand, values):
     return np.array([safe_div(max(di, 0.0), si) for di, si in zip(d, scale)])
 
 
-def _naive_efx(history, n, cand, values, state_cls=allocation.EfxState):
-    rounds = history + [(np.asarray(values, float), cand)]
-    cross = np.zeros((n, n))
-    scale = np.zeros((n, n))
-    for x, a in rounds:
-        cross[:, a] += x
-        for i in range(n):
-            if i != a:
-                scale[i, a] = max(scale[i, a], x[i])
-    ref = state_cls(n)
-    z = np.zeros(ref.m)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                envy = cross[i, j] - cross[i, i]
-                z[ref.pair_index(i, j)] = safe_div(max(envy, 0.0), scale[i, j])
-    return z
-
-
-def _naive_efc(history, n, theta, cand, values):
-    rounds = history + [(np.asarray(values, float), cand)]
-    ref = allocation.EfcThresholdState(n, theta)
-    counts = np.zeros((n, n, len(theta)))
-    for x, a in rounds:
-        for i in range(n):
-            for l, th in enumerate(sorted(theta)):
-                if x[i] >= th:
-                    counts[i, a, l] += 1
-    z = np.zeros(ref.m)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                for l in range(len(theta)):
-                    z[ref.quality_index(i, j, l)] = max(
-                        counts[i, j, l] - counts[i, i, l], 0.0)
-    return z
-
-
 def _naive_pdm(history, n, cand, values):
     rounds = history + [(np.asarray(values, float), cand)]
     util = np.zeros(n)
@@ -424,14 +381,14 @@ def test_criterion_10_oracle_equivalence_suite():
     ok &= _run_candidate_oracle(
         allocation.EfxState(4), allocation.efx_candidates,
         allocation.efx_params(4), _uniform(4, 50, seed=2),
-        lambda h, a, x: _naive_efx(h, 4, a, x), range(4))
+        lambda h, a, x: naive_efx(h + [(x, a)], 4), range(4))
     theta = [0.25, 0.5, 1.0]
     ok &= _run_candidate_oracle(
         allocation.EfcThresholdState(3, theta), allocation.efc_candidates,
         allocation.efc_params(3, 3),
         stream_generate(StreamSpec("choice", 3, 50, seed=3,
                                    params={"values": theta})),
-        lambda h, a, x: _naive_efc(h, 3, theta, a, x), range(3))
+        lambda h, a, x: naive_efc(h + [(x, a)], 3, theta), range(3))
     ok &= _run_candidate_oracle(
         pdm_mod.PdmState(4, 3), pdm_mod.pdm_candidates, pdm_mod.pdm_params(4),
         stream_generate(StreamSpec("uniform_random", 4, 50, seed=4, width=3)),

@@ -26,6 +26,9 @@ from perpetual.allocation import (
 from perpetual.baselines import StreamSpec, stream_generate
 from perpetual.framework import choose_action, safe_div, verify_moment_witness
 from perpetual.prng import Xoshiro256StarStar
+from perpetual.public_decisions import PdmState
+
+from oracles import naive_efc, naive_efx
 
 
 def _random_items(n, rounds, seed):
@@ -134,6 +137,30 @@ def test_states_reject_nonfinite_and_negative_items(bad):
             state.apply(item, 0)
 
 
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_apply_rejects_action_ids_outside_range(bad):
+    """Recipients lie in [0, n) and pdm outcomes in [0, num_outcomes); a
+    rejected round leaves the state as it was."""
+    item = [0.5, 0.25, 0.5]
+    for state, values in ((PropxState(3), item),
+                          (PropxState(3, gamma=0.9), item),
+                          (EfxState(3), item),
+                          (EfcThresholdState(3, [0.25, 0.5]), item),
+                          (PdmState(3, 3), [item] * 3)):
+        before = state.profile()
+        with pytest.raises(ValueError, match="action id"):
+            state.apply(values, bad)
+        assert np.array_equal(state.profile(), before)
+        state.apply(values, 2)  # the last id in range is accepted
+
+
+@pytest.mark.parametrize("theta", [[], [math.nan], [math.inf], [0.5, 0.5], [0.0], [-1.0],
+                                   [0.5, math.nan]])
+def test_efc_rejects_bad_theta(theta):
+    with pytest.raises(ValueError, match="theta"):
+        EfcThresholdState(2, theta)
+
+
 def test_envy_from_deficit_inequality():
     # max_j v_i(P_j) - v_i(P_i) >= Prop_i - v_i(P_i) at every prefix
     n = 4
@@ -158,8 +185,8 @@ def test_efx_fresh_unit_item():
     s = EfxState(2)
     cands = efx_candidates(s, [1.0, 1.0])
     z = cands.profile(0)  # give to agent 0
-    assert z[s.pair_index(1, 0)] == pytest.approx(1.0)
-    assert z[s.pair_index(0, 1)] == 0.0
+    assert z[s.quality_index(1, 0)] == pytest.approx(1.0)
+    assert z[s.quality_index(0, 1)] == 0.0
 
 
 def test_efx_zero_item_noop():
@@ -169,24 +196,6 @@ def test_efx_zero_item_noop():
     cands = efx_candidates(s, [0.0, 0.0, 0.0])
     for a in cands.action_ids():
         assert np.allclose(cands.profile(a), before)
-
-
-def naive_efx_profile(items, allocations, n, candidate, final_item):
-    history = list(zip(items, allocations)) + [(final_item, candidate)]
-    cross = np.zeros((n, n))
-    scale = np.zeros((n, n))
-    for x, a in history:
-        cross[:, a] += x
-        for i in range(n):
-            if i != a:
-                scale[i, a] = max(scale[i, a], x[i])
-    s = EfxState(n)
-    z = np.zeros(n * (n - 1))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                z[s.pair_index(i, j)] = safe_div(max(cross[i, j] - cross[i, i], 0.0), scale[i, j])
-    return z
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -199,7 +208,7 @@ def test_efx_candidates_match_naive(n):
         logs = cands.log_phi(params)
         p = params.p
         for a in range(n):
-            naive = naive_efx_profile(items, allocs, n, a, x)
+            naive = naive_efx([*zip(items, allocs), (x, a)], n)
             assert np.allclose(cands.profile(a), naive, rtol=1e-12, atol=1e-12)
             # swap-evaluated log potential equals the plain-arithmetic one
             naive_log = math.log(sum((u * u + 4 * p * p) ** p for u in naive))
@@ -213,10 +222,10 @@ def test_efx_candidates_match_naive(n):
 def test_efx_witness_by_hand():
     s = EfxState(2)
     w = efx_witness(s, [1.0, 0.0])
-    q = s.pair_index(0, 1)
+    q = s.quality_index(0, 1)
     assert w.delta[q, 1] == pytest.approx(1.0)  # alpha = 1 (scale 0, x = 1)
     assert w.delta[q, 0] == pytest.approx(-1.0)
-    assert np.allclose(w.delta[s.pair_index(1, 0)], 0.0)  # x_2 = 0
+    assert np.allclose(w.delta[s.quality_index(1, 0)], 0.0)  # x_2 = 0
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -275,25 +284,6 @@ def test_efc_alternating_unit_items():
         assert np.max(s.profile()) <= 1.0
 
 
-def naive_efc_profile(items, allocations, n, theta, candidate, final_item):
-    history = list(zip(items, allocations)) + [(final_item, candidate)]
-    L = len(theta)
-    counts = np.zeros((n, n, L), dtype=int)
-    for x, a in history:
-        for i in range(n):
-            for l, tau in enumerate(theta):
-                if x[i] >= tau:
-                    counts[i, a, l] += 1
-    s = EfcThresholdState(n, theta)
-    z = np.zeros(n * (n - 1) * L)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                for l in range(L):
-                    z[s.quality_index(i, j, l)] = max(counts[i, j, l] - counts[i, i, l], 0)
-    return z
-
-
 def test_efc_candidates_match_naive():
     n, theta = 3, [0.25, 0.5, 1.0]
     s = EfcThresholdState(n, theta)
@@ -303,7 +293,7 @@ def test_efc_candidates_match_naive():
     for x in stream_generate(spec):
         cands = efc_candidates(s, x)
         for a in range(n):
-            naive = naive_efc_profile(items, allocs, n, theta, a, x)
+            naive = naive_efc([*zip(items, allocs), (x, a)], n, theta)
             assert np.array_equal(cands.profile(a), naive)
         a = choose_action(cands, params)
         s.apply(x, a)

@@ -300,7 +300,7 @@ def _argv(tmp_path, argv):
 @pytest.mark.parametrize("argv", DEEP_N2)
 def test_frontier_cap_exit_2(tmp_path, capsys, monkeypatch, argv):
     # both answers search n = 2 up to D^12; a 1000-point cap stops the build at D^10
-    monkeypatch.setattr(eg.FrontierBuilder.__init__, "__defaults__", (1000, True))
+    monkeypatch.setattr(eg, "FRONTIER_CAP", 1000)
     assert cli_dispatch(_argv(tmp_path, argv)) == 2
     captured = capsys.readouterr()
     assert "1000 points" in captured.err and "cap" in captured.err

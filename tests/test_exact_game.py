@@ -181,8 +181,8 @@ def test_windowed_step_matches_full_enumeration_n2():
     builder = FrontierBuilder(2)
     for k in range(1, 11):
         pts = [tuple(v if v == _INF else 2 * v for v in p) for p in builder._level(k - 1)]
-        full = _step(pts, 2, 2 ** k, False, 10**6)
-        assert _step(pts, 2, 2 ** k, True, 10**6) == _pareto_front(full, 2) == builder._level(k)
+        full = _step(pts, 2, 2 ** k, False)
+        assert _step(pts, 2, 2 ** k, True) == _pareto_front(full, 2) == builder._level(k)
 
 
 def test_frontier_sizes_n3():
@@ -273,9 +273,10 @@ def test_prune_preserves_dominated_region_n3():
     _check_prune_preserves_dominated_region(3, 2, [F(k, 3) for k in range(7)])
 
 
-def test_frontier_cap():
+def test_frontier_cap(monkeypatch):
+    monkeypatch.setattr("perpetual.exact_game.FRONTIER_CAP", 4)
     with pytest.raises(FrontierSizeExceeded):
-        FrontierBuilder(2, cap=4).get(3)
+        FrontierBuilder(2).get(3)
 
 
 def test_pareto_prune_basic():

@@ -15,14 +15,9 @@ from perpetual.allocation import EfcThresholdState, EfxState, check_efk
 from perpetual.baselines import make_policy
 from perpetual.public_decisions import PdmState
 
+from oracles import efk_oracle
+
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=120)
-
-
-def _efk_oracle(bundles, i, j, k):
-    """Recompute from full history: remove the k highest v_i items from P_j."""
-    vals = sorted((v[i] for v in bundles[j]), reverse=True)
-    envy = sum(vals) - sum(v[i] for v in bundles[i])
-    return envy - sum(vals[:k]) <= 1e-9
 
 
 @st.composite
@@ -54,7 +49,7 @@ def test_count_based_check_efk_equals_history_oracle(history, ks):
         checks = check_efk(state, k)
         assert set(checks) == {(i, j) for i in range(n) for j in range(n) if i != j}
         for (i, j), ok in checks.items():
-            assert ok == _efk_oracle(bundles, i, j, k), (i, j, k)
+            assert ok == efk_oracle(bundles, i, j, k), (i, j, k)
 
 
 _EXTREMES = [0.0, 1e-300, 0.25, 0.5, 1.0, 1e300]
