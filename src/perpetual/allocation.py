@@ -20,6 +20,7 @@ import math
 import numpy as np
 
 from .framework import (
+    ABS_TOL,
     CandidateSet,
     DimensionMismatch,
     MomentWitness,
@@ -48,9 +49,9 @@ def _as_values(values, *shape: int) -> np.ndarray:
 
 
 def _check_action(a: int, count: int) -> None:
-    """Reject an action id (recipient or outcome) outside [0, count)."""
-    if not 0 <= a < count:
-        raise ValueError(f"action id {a} outside [0, {count})")
+    """Accept only an integer action id (recipient or outcome) in [0, count)."""
+    if type(a) is bool or not isinstance(a, (int, np.integer)) or not 0 <= a < count:
+        raise ValueError(f"action id {a!r} is not an integer in [0, {count})")
 
 
 def _missed(x: np.ndarray, recipient: int) -> np.ndarray:
@@ -162,7 +163,8 @@ class _PairState:
     """One quality variable per ordered pair (i, j), i != j, and layer l:
     [held[i, j, l] - held[i, i, l]]_+ / scale[i, j, l], where ``held`` is
     (n, n, L) and ``scale`` broadcasts against it.  A round adds its (n, 1, L)
-    ``step`` to the recipient's column of ``held``."""
+    step to the recipient's column of ``held``; each subclass's
+    ``_step(values)`` checks the round and returns that step."""
 
     def __init__(self, n: int, held: np.ndarray, scale):
         if n < 2:
@@ -198,25 +200,32 @@ class _PairState:
         return _take_pairs(normalized(self._gaps(), self.scale), self._pairs).ravel()
 
 
-def _pair_candidates(s: _PairState, step: np.ndarray) -> CandidateSet:
+def _pair_candidates(s: _PairState, values) -> CandidateSet:
     """Base = current profile; candidate r patches only the 2(n-1)L entries of
     the pairs that contain r: (i, r), whose gap grows by step_i (and whose
     scale rises to it), and (r, i), whose gap shrinks by step_r."""
+    step = s._step(values)
     gaps = s._gaps()
     into = normalized(gaps + step, np.maximum(s.scale, step))
     out_of = normalized(gaps - step, s.scale)
     return CandidateSet(s.profile(), s._touched, _touching(into, out_of, s._pairs))
 
 
-def _pair_witness(s: _PairState, step: np.ndarray) -> MomentWitness:
+def _pair_witness(s: _PairState, values) -> MomentWitness:
     """Row (i, j, l): alpha = step_i / max{scale[i, j, l], step_i} at reference
     action j, -alpha at i, zeros elsewhere.  sigma^2 = 2."""
+    step = s._step(values)
     alpha = normalized(np.broadcast_to(step, s.held.shape), np.maximum(s.scale, step))
     per_row = _take_pairs(alpha, s._pairs).ravel()
     delta = np.zeros(s.m * s.n)
     delta[s._columns[0]] = per_row
     delta[s._columns[1]] = -per_row
     return MomentWitness(ref_actions=tuple(range(s.n)), delta=delta.reshape(s.m, s.n))
+
+
+#: EF-times-c and EFc differ only in their ``_step``
+efx_candidates = efc_candidates = _pair_candidates
+efx_witness = efc_witness = _pair_witness
 
 
 # ---------------------------------------------------------------------------
@@ -233,22 +242,16 @@ class EfxState(_PairState):
         self.pair_scale = np.zeros((n, n))  # diagonal unused
         super().__init__(n, self.cross_value[..., None], self.pair_scale[..., None])
 
+    def _step(self, values) -> np.ndarray:
+        """The item's values: pair (i, r)'s envy grows by x_i when r receives."""
+        return _as_values(values, self.n)[:, None, None]
+
     def apply(self, values, recipient: int) -> None:
         x = _as_values(values, self.n)
         _check_action(recipient, self.n)
         self.cross_value[:, recipient] += x
         col = self.pair_scale[:, recipient]
         np.maximum(col, _missed(x, recipient), out=col)
-
-
-def efx_candidates(s: EfxState, values) -> CandidateSet:
-    """Pair (i, r)'s envy grows by x_i when r receives; (r, i)'s shrinks by x_r."""
-    return _pair_candidates(s, _as_values(values, s.n)[:, None, None])
-
-
-def efx_witness(s: EfxState, values) -> MomentWitness:
-    """alpha = x_i / max{s_(i,j), x_i} per pair (i, j)."""
-    return _pair_witness(s, _as_values(values, s.n)[:, None, None])
 
 
 def efx_params(n: int, p: float = 0.0) -> PotentialParams:
@@ -282,37 +285,26 @@ class EfcThresholdState(_PairState):
         self._widths = np.diff(self._ledger)
         self._layers = np.arange(self.L)
 
-    def _indicator_counts(self, values) -> np.ndarray:
-        """s[i, l] = 1 if v_i(g) >= theta[l]."""
+    def _step(self, values) -> np.ndarray:
+        """The item's threshold indicators: step[i, 0, l] = 1 if v_i(g) >= theta[l]."""
         x = _as_values(values, self.n)
         k = np.searchsorted(self._theta, x, side="right")  # #{l : theta[l] <= x_i}
         stray = self._ledger[k] != x
         if stray.any():
             raise ValueNotInLedger(f"value {x[stray][0]} not in the declared ledger")
-        return (k[:, None] > self._layers).astype(np.int64)
+        return (k[:, None, None] > self._layers).astype(np.int64)
 
     def apply(self, values, recipient: int) -> None:
-        ind = self._indicator_counts(values)
+        step = self._step(values)
         _check_action(recipient, self.n)
-        self.counts[:, recipient, :] += ind
-
-
-def efc_candidates(s: EfcThresholdState, values) -> CandidateSet:
-    """The pairwise candidates with the round's indicators as the step."""
-    return _pair_candidates(s, s._indicator_counts(values)[:, None, :])
-
-
-def efc_witness(s: EfcThresholdState, values) -> MomentWitness:
-    """Row (i, j, l): -1[v_i >= theta_l] at reference action i, +1[v_i >= theta_l]
-    at j, zeros elsewhere."""
-    return _pair_witness(s, s._indicator_counts(values)[:, None, :])
+        self.counts[:, recipient, :] += step[:, 0]
 
 
 def efc_params(n: int, L: int, p: float = 0.0) -> PotentialParams:
     return PotentialParams(m=n * (n - 1) * L, n_ref=n, sigma_sq=2.0, p=p)
 
 
-def check_efk(s: EfcThresholdState, k: int, tol: float = 1e-9) -> dict[tuple[int, int], bool]:
+def check_efk(s: EfcThresholdState, k: int) -> dict[tuple[int, int], bool]:
     """Envy-free up to k items per ordered pair (i, j): removing the k highest
     v_i-valued goods from P_j leaves no envy.  Exact for every k, from the
     layer-cake sums over the threshold counts."""
@@ -320,5 +312,5 @@ def check_efk(s: EfcThresholdState, k: int, tol: float = 1e-9) -> dict[tuple[int
         raise ValueError("k must be >= 0")
     envy = s._gaps() @ s._widths
     top_k = np.minimum(s.counts, min(k, int(s.counts.max(initial=0)))) @ s._widths
-    ok = (np.maximum(envy, 0.0) <= top_k + tol).ravel()
+    ok = (np.maximum(envy, 0.0) <= top_k + ABS_TOL).ravel()
     return {divmod(int(q), s.n): bool(ok[q]) for q in s._pairs}

@@ -18,7 +18,7 @@ import numpy as np
 
 from .allocation import PropxState, propx_candidates, propx_params
 from .exact_game import K_MAX, FrontierBuilder, exp_policy
-from .framework import PotentialParams, choose_action
+from .framework import ABS_TOL, PotentialParams, choose_action
 from .prng import Xoshiro256StarStar
 
 # ---------------------------------------------------------------------------
@@ -345,8 +345,7 @@ class LbGameResult:
     util: np.ndarray  # v_i(P_i) at the end of play
 
 
-def run_lb_game(policy: ItemPolicy, n: int, c: float, max_rounds: int,
-                tol: float = 1e-9) -> LbGameResult:
+def run_lb_game(policy: ItemPolicy, n: int, c: float, max_rounds: int) -> LbGameResult:
     """Play the adaptive adversary against ``policy`` until bounded
     proportionality fails (some Z_i < c).  The slacks Z are read off the
     policy's own state after each round.  Monitors, on every fair prefix:
@@ -360,7 +359,7 @@ def run_lb_game(policy: ItemPolicy, n: int, c: float, max_rounds: int,
 
     z = slacks()
     phi_prev, _ = lb_potential_monitor(z, c)
-    worst = 0.0  # largest monitor excess; the monitors hold while it is <= tol
+    worst = 0.0  # largest monitor excess; the monitors hold while it is <= ABS_TOL
     violation = None
 
     for t in range(1, max_rounds + 1):
@@ -377,5 +376,5 @@ def run_lb_game(policy: ItemPolicy, n: int, c: float, max_rounds: int,
         worst = max(worst, phi - phi_prev, total - 3.0 * n * c)
         phi_prev = phi
 
-    return LbGameResult(violation, violation or max_rounds, worst <= tol, worst,
+    return LbGameResult(violation, violation or max_rounds, worst <= ABS_TOL, worst,
                         state.total_value / n, state.bundle_value.copy())

@@ -62,16 +62,20 @@ def c_gamma(params: PotentialParams, gamma: float) -> float:
     return math.e * math.sqrt(inner)
 
 
-def inflation_equiv_check(gamma: float, rounds, rel_tol: float = 1e-9,
-                          max_rounds: int = 200) -> tuple[bool, float]:
+#: the inflation check's relative tolerance, and its round cap (beta^t overflows past desk scale)
+INFLATION_REL_TOL = 1e-9
+INFLATION_MAX_ROUNDS = 200
+
+
+def inflation_equiv_check(gamma: float, rounds) -> tuple[bool, float]:
     """Dual-ledger equivalence: the decay ledger (aggregates multiplied by
     gamma each round) and the beta-inflated ledger (beta = 1/gamma; the
     round-t contribution enters weighted by beta^t and is never decayed)
     describe the same normalized deficits after rescaling,
     z^{t,gamma} = beta^(-t) * z-bar^t.
 
-    ``rounds`` is an iterable of (values, recipient).  Capped at
-    ``max_rounds`` because beta^t overflows beyond desk scale.
+    ``rounds`` is an iterable of (values, recipient); only the first
+    ``INFLATION_MAX_ROUNDS`` are checked.
     Returns (pass, worst relative difference over all prefixes).
     """
     _check_gamma(gamma)
@@ -80,7 +84,7 @@ def inflation_equiv_check(gamma: float, rounds, rel_tol: float = 1e-9,
     worst = 0.0
     weight = 1.0  # beta^t
     for t, (values, recipient) in enumerate(rounds, start=1):
-        if t > max_rounds:
+        if t > INFLATION_MAX_ROUNDS:
             break
         x = np.asarray(values, dtype=float)
         if decay is None:
@@ -98,4 +102,4 @@ def inflation_equiv_check(gamma: float, rounds, rel_tol: float = 1e-9,
         denom = np.maximum(np.abs(z), np.abs(z_from_bar))
         rel = np.where(denom > 0, np.abs(z - z_from_bar) / np.maximum(denom, 1e-300), 0.0)
         worst = max(worst, float(np.max(rel)))
-    return worst <= rel_tol, worst
+    return worst <= INFLATION_REL_TOL, worst

@@ -12,8 +12,8 @@ from . import allocation, public_decisions as pdm_mod
 from .baselines import BENADE_T, POLICY_NAMES, StreamSpec, make_policy, stream_generate
 from .discounted import c_gamma
 from .exact_game import K_MAX
-from .framework import (PotentialParams, choose_action, ct_threshold, disappointed_count,
-                        profile_psi, verify_moment_witness)
+from .framework import (ABS_TOL, PotentialParams, choose_action, ct_threshold,
+                        disappointed_count, profile_psi, verify_moment_witness)
 from .metrics import gmd_bound, metrics
 
 CSV_COLUMNS = ("t", "action", "max_deficit", "ct_bound", "psi",
@@ -79,6 +79,9 @@ class RunConfig:
         n, length = _typed("n", raw["n"], int), _typed("length", raw["length"], int)
         opt = {key: _typed(key, raw[key], convert) for key, convert in _OPTIONAL_KEYS.items()
                if raw.get(key) is not None}
+        for key, reader in (("gamma", "discounted"), ("theta", "efc"), ("num_outcomes", "pdm")):
+            if key in opt and inst != reader:
+                raise ConfigInvalid(f"{key!r} is read only by the {reader} instantiation")
         if n < 2 or length < 0:
             raise ConfigInvalid("need n >= 2 and length >= 0")
         for key, least in (("c", 0), ("benade_T", 1), ("k_max", 0)):
@@ -101,7 +104,7 @@ class RunConfig:
             spec = StreamSpec(kind=sraw.get("kind"), n=n, length=length,
                               seed=sraw.get("seed"),
                               params=sraw.get("params", {}),
-                              width=opt.get("num_outcomes") if inst == "pdm" else None)
+                              width=opt.get("num_outcomes"))
         except (TypeError, ValueError) as e:
             raise ConfigInvalid(str(e)) from e
         return cls(instantiation=inst, policy=policy, stream=spec, n=n, length=length, **opt)
@@ -227,8 +230,8 @@ def bound_violations(cfg: RunConfig, rows: list[dict]) -> int:
     ``ct_bound``) otherwise."""
     if cfg.instantiation == "discounted":
         bound = c_gamma(allocation.propx_params(cfg.n, cfg.p), cfg.gamma)
-        return sum(r["max_deficit"] > bound + 1e-9 for r in rows)
-    return sum(r["max_deficit"] > r["ct_bound"] + 1e-9 for r in rows)
+        return sum(r["max_deficit"] > bound + ABS_TOL for r in rows)
+    return sum(r["max_deficit"] > r["ct_bound"] + ABS_TOL for r in rows)
 
 
 def verify_moments_run(cfg: RunConfig):

@@ -15,6 +15,42 @@ def efk_oracle(bundles, i, j, k):
     return envy - sum(vals[:k]) <= 1e-9
 
 
+def naive_propx(rounds, n, gamma=1.0):
+    """The PROP-times-c profile after ``rounds``, a list of (values,
+    recipient), with round t of T weighted by gamma^(T-t); gamma = 1 is the
+    undiscounted case (the weights 1.0 ** k are exact)."""
+    T = len(rounds)
+    total = np.zeros(n)
+    util = np.zeros(n)
+    scale = np.zeros(n)
+    for t, (x, a) in enumerate(rounds, 1):
+        x = np.asarray(x, float)
+        w = gamma ** (T - t)
+        total += w * x
+        util[a] += w * x[a]
+        for i in range(n):
+            if i != a:
+                scale[i] = max(scale[i], x[i])
+    d = total / n - util
+    return np.array([safe_div(max(di, 0.0), si) for di, si in zip(d, scale)])
+
+
+def naive_pdm(rounds, n):
+    """The public-decision profile after ``rounds``, a list of (values,
+    outcome) with values of shape (n, outcomes)."""
+    util = np.zeros(n)
+    prop = np.zeros(n)
+    run_max = np.zeros(n)
+    for v, o in rounds:
+        v = np.asarray(v, float)
+        fav = v.max(axis=1)
+        prop += fav / n
+        util += v[:, o]
+        run_max = np.maximum(run_max, fav)
+    d = prop - util
+    return np.array([safe_div(max(di, 0.0), vi) for di, vi in zip(d, run_max)])
+
+
 def naive_efx(rounds, n):
     """The EF-times-c profile after ``rounds``, a list of (values, recipient)."""
     cross = np.zeros((n, n))

@@ -26,12 +26,11 @@ from perpetual.framework import (
     ct_threshold,
     one_step_growth_bound,
     profile_psi,
-    safe_div,
     verify_moment_witness,
 )
 from perpetual.prng import Xoshiro256StarStar
 
-from oracles import efk_oracle, naive_efc, naive_efx
+from oracles import efk_oracle, naive_efc, naive_efx, naive_pdm, naive_propx
 
 
 def _report(num: int, desc: str, ok: bool, detail: str = ""):
@@ -258,7 +257,7 @@ def test_criterion_08_discounted_uniform_bound():
         a = choose_action(allocation.propx_candidates(state, v), params)
         state.apply(v, a)
         run.append((v, a))
-    infl_ok, infl_worst = inflation_equiv_check(gamma, run, rel_tol=1e-9)
+    infl_ok, infl_worst = inflation_equiv_check(gamma, run)
     _report(8, "discounted deficits stay below c_gamma on 1e5-round random "
                "streams; inflated ledger matches for t <= 200",
             worst <= 1e-9 and infl_ok,
@@ -296,52 +295,6 @@ def test_criterion_09_window_counterexample():
 # 10. oracle equivalence suite
 # ---------------------------------------------------------------------------
 
-def _naive_propx(history, n, cand, values):
-    rounds = history + [(np.asarray(values, float), cand)]
-    total = np.zeros(n)
-    util = np.zeros(n)
-    scale = np.zeros(n)
-    for x, a in rounds:
-        total += x
-        util[a] += x[a]
-        for i in range(n):
-            if i != a:
-                scale[i] = max(scale[i], x[i])
-    d = total / n - util
-    return np.array([safe_div(max(di, 0.0), si) for di, si in zip(d, scale)])
-
-
-def _naive_pdm(history, n, cand, values):
-    rounds = history + [(np.asarray(values, float), cand)]
-    util = np.zeros(n)
-    prop = np.zeros(n)
-    run_max = np.zeros(n)
-    for v, o in rounds:
-        fav = v.max(axis=1)
-        prop += fav / n
-        util += v[:, o]
-        run_max = np.maximum(run_max, fav)
-    d = prop - util
-    return np.array([safe_div(max(di, 0.0), vi) for di, vi in zip(d, run_max)])
-
-
-def _naive_discounted(history, n, gamma, cand, values):
-    rounds = history + [(np.asarray(values, float), cand)]
-    T = len(rounds)
-    total = np.zeros(n)
-    util = np.zeros(n)
-    scale = np.zeros(n)
-    for t, (x, a) in enumerate(rounds, 1):
-        w = gamma ** (T - t)
-        total += w * x
-        util[a] += w * x[a]
-        for i in range(n):
-            if i != a:
-                scale[i] = max(scale[i], x[i])
-    d = total / n - util
-    return np.array([safe_div(max(di, 0.0), si) for di, si in zip(d, scale)])
-
-
 def _run_candidate_oracle(state, candidates, params, stream, naive, actions):
     history = []
     ok = True
@@ -377,7 +330,7 @@ def test_criterion_10_oracle_equivalence_suite():
     ok &= _run_candidate_oracle(
         allocation.PropxState(5), allocation.propx_candidates,
         allocation.propx_params(5), _uniform(5, 50, seed=1),
-        lambda h, a, x: _naive_propx(h, 5, a, x), range(5))
+        lambda h, a, x: naive_propx(h + [(x, a)], 5), range(5))
     ok &= _run_candidate_oracle(
         allocation.EfxState(4), allocation.efx_candidates,
         allocation.efx_params(4), _uniform(4, 50, seed=2),
@@ -392,11 +345,11 @@ def test_criterion_10_oracle_equivalence_suite():
     ok &= _run_candidate_oracle(
         pdm_mod.PdmState(4, 3), pdm_mod.pdm_candidates, pdm_mod.pdm_params(4),
         stream_generate(StreamSpec("uniform_random", 4, 50, seed=4, width=3)),
-        lambda h, a, x: _naive_pdm(h, 4, a, x), range(3))
+        lambda h, a, x: naive_pdm(h + [(x, a)], 4), range(3))
     ok &= _run_candidate_oracle(
         allocation.PropxState(3, 0.9), allocation.propx_candidates,
         allocation.propx_params(3), _uniform(3, 50, seed=5),
-        lambda h, a, x: _naive_discounted(h, 3, 0.9, a, x), range(3))
+        lambda h, a, x: naive_propx(h + [(x, a)], 3, 0.9), range(3))
 
     # lp_solve vs grid oracle
     rng = random.Random(10)

@@ -24,11 +24,11 @@ from perpetual.allocation import (
     propx_witness,
 )
 from perpetual.baselines import StreamSpec, stream_generate
-from perpetual.framework import choose_action, safe_div, verify_moment_witness
+from perpetual.framework import DimensionMismatch, choose_action, verify_moment_witness
 from perpetual.prng import Xoshiro256StarStar
 from perpetual.public_decisions import PdmState
 
-from oracles import naive_efc, naive_efx
+from oracles import naive_efc, naive_efx, naive_propx
 
 
 def _random_items(n, rounds, seed):
@@ -57,22 +57,6 @@ def test_propx_zero_item_noop():
         assert np.allclose(cands.profile(a), before)
 
 
-def naive_propx_profile(items, allocations, n, candidate, final_item):
-    """Recompute candidate profiles from the raw history, from scratch."""
-    history = list(zip(items, allocations)) + [(final_item, candidate)]
-    total = np.zeros(n)
-    bundle = np.zeros(n)
-    missed = np.zeros(n)
-    for x, a in history:
-        total += x
-        bundle[a] += x[a]
-        for i in range(n):
-            if i != a:
-                missed[i] = max(missed[i], x[i])
-    d = total / n - bundle
-    return np.array([safe_div(max(di, 0.0), u) for di, u in zip(d, missed)])
-
-
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_propx_candidates_match_naive_recomputation(n):
     s = PropxState(n)
@@ -81,7 +65,7 @@ def test_propx_candidates_match_naive_recomputation(n):
     for t, x in enumerate(_random_items(n, 50, seed=100 + n)):
         cands = propx_candidates(s, x)
         for a in range(n):
-            naive = naive_propx_profile(items, allocs, n, a, x)
+            naive = naive_propx([*zip(items, allocs), (x, a)], n)
             fast = cands.profile(a)
             assert np.allclose(fast, naive, rtol=1e-12, atol=1e-12)
         a = choose_action(cands, params)
@@ -126,21 +110,25 @@ def test_missed_scale_nondecreasing():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
 def test_states_reject_nonfinite_and_negative_items(bad):
+    """Candidates, witness and apply each reject a bad item, and a
+    wrong-length one with ``DimensionMismatch``."""
     item = [0.5, bad, 0.25]
-    for state, candidates in ((PropxState(3), propx_candidates),
-                              (PropxState(3, gamma=0.9), propx_candidates),
-                              (EfxState(3), efx_candidates),
-                              (EfcThresholdState(3, [0.25, 0.5]), efc_candidates)):
-        with pytest.raises(ValueError):
-            candidates(state, item)
-        with pytest.raises(ValueError):
-            state.apply(item, 0)
+    for state, candidates, witness in (
+            (PropxState(3), propx_candidates, propx_witness),
+            (PropxState(3, gamma=0.9), propx_candidates, propx_witness),
+            (EfxState(3), efx_candidates, efx_witness),
+            (EfcThresholdState(3, [0.25, 0.5]), efc_candidates, efc_witness)):
+        for check in (candidates, witness, lambda s, v: s.apply(v, 0)):
+            with pytest.raises(ValueError):
+                check(state, item)
+            with pytest.raises(DimensionMismatch):
+                check(state, [0.5, 0.25])
 
 
-@pytest.mark.parametrize("bad", [-1, 3])
+@pytest.mark.parametrize("bad", [-1, 3, 1.5, "1", None, True])
 def test_apply_rejects_action_ids_outside_range(bad):
-    """Recipients lie in [0, n) and pdm outcomes in [0, num_outcomes); a
-    rejected round leaves the state as it was."""
+    """Recipients are integers in [0, n) and pdm outcomes integers in
+    [0, num_outcomes); a rejected round leaves the state as it was."""
     item = [0.5, 0.25, 0.5]
     for state, values in ((PropxState(3), item),
                           (PropxState(3, gamma=0.9), item),
@@ -152,6 +140,7 @@ def test_apply_rejects_action_ids_outside_range(bad):
             state.apply(values, bad)
         assert np.array_equal(state.profile(), before)
         state.apply(values, 2)  # the last id in range is accepted
+        state.apply(values, np.int64(2))  # and so is a numpy integer
 
 
 @pytest.mark.parametrize("theta", [[], [math.nan], [math.inf], [0.5, 0.5], [0.0], [-1.0],
@@ -267,6 +256,10 @@ def test_efc_ledger_enforced():
     s = EfcThresholdState(2, [0.5, 1.0])
     with pytest.raises(ValueNotInLedger):
         s.apply([0.7, 0.5], 0)
+    with pytest.raises(ValueNotInLedger):
+        efc_candidates(s, [0.7, 0.5])
+    with pytest.raises(ValueNotInLedger):
+        efc_witness(s, [0.5, 0.7])
     with pytest.raises(ValueNotInLedger):
         s.apply([0.25, 0.5], 0)  # below the smallest entry
     with pytest.raises(ValueNotInLedger):

@@ -163,6 +163,7 @@ def test_exact_exp_cli(capsys):
     {"window": 3},  # not a config key
     {"instantiation": "pdm", "num_outcomes": 3},  # pdm on the table1 stream
     {"instantiation": "discounted", "gamma": 1.0},  # the discounted bounds need gamma < 1
+    {"gamma": 0.5},  # the default propx run would ignore it
 ])
 def test_config_errors_exit_2(tmp_path, capsys, overrides):
     assert cli_dispatch(["simulate", write_config(tmp_path, **overrides)]) == 2

@@ -234,6 +234,6 @@ def test_inflation_equivalence(gamma):
 def test_inflation_equivalence_respects_cap():
     # gamma = 0.5 -> beta^t overflows near t ~ 1024; the cap keeps it finite
     run = _random_run(2, 500, seed=2)
-    ok, worst = inflation_equiv_check(0.5, run, max_rounds=200)
+    ok, worst = inflation_equiv_check(0.5, run)
     assert ok
     assert math.isfinite(worst)

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from perpetual.allocation import PropxState, propx_candidates, propx_params
-from perpetual.framework import DimensionMismatch, choose_action, safe_div, verify_moment_witness
+from perpetual.framework import DimensionMismatch, choose_action, verify_moment_witness
 from perpetual.prng import Xoshiro256StarStar
 from perpetual.public_decisions import PdmState, pdm_candidates, pdm_params, pdm_witness
+
+from oracles import naive_pdm
 
 
 def _random_rounds(n, C, rounds, seed):
@@ -36,20 +38,6 @@ def test_pdm_zero_round_noop():
         assert np.allclose(cands.profile(o), before)
 
 
-def naive_pdm_profile(rounds, outcomes, n, candidate, final_round):
-    history = list(zip(rounds, outcomes)) + [(np.asarray(final_round), candidate)]
-    util = np.zeros(n)
-    prop = np.zeros(n)
-    run_max = np.zeros(n)
-    for v, o in history:
-        m_fav = v.max(axis=1)
-        prop += m_fav / n
-        util += v[:, o]
-        run_max = np.maximum(run_max, m_fav)
-    d = prop - util
-    return np.array([safe_div(max(di, 0.0), vi) for di, vi in zip(d, run_max)])
-
-
 def test_pdm_candidates_match_naive():
     n, C = 3, 4
     s = PdmState(n, C)
@@ -58,7 +46,7 @@ def test_pdm_candidates_match_naive():
     for v in _random_rounds(n, C, 20, seed=31):
         cands = pdm_candidates(s, v)
         for o in range(C):
-            naive = naive_pdm_profile(rounds, outcomes, n, o, v)
+            naive = naive_pdm([*zip(rounds, outcomes), (v, o)], n)
             assert np.allclose(cands.profile(o), naive, rtol=1e-12, atol=1e-12)
         o = choose_action(cands, params)
         s.apply(v, o)

@@ -72,6 +72,10 @@ def test_config_roundtrip(tmp_path):
     {"benade_T": 0},
     {"benade_T": -400},
     {"stream": {"kind": "table1", "params": {"epsilon": 0.5}}},
+    # a key that only another instantiation reads (the base run is propx)
+    {"gamma": 0.5},
+    {"theta": [0.5, 1.0]},
+    {"num_outcomes": 3},
 ])
 def test_config_rejects_bad_values(bad):
     with pytest.raises(ConfigInvalid):
