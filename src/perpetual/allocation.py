@@ -26,6 +26,7 @@ from .framework import (
     MomentWitness,
     PotentialParams,
     normalized,
+    valid_id,
 )
 
 
@@ -50,7 +51,7 @@ def _as_values(values, *shape: int) -> np.ndarray:
 
 def _check_action(a: int, count: int) -> None:
     """Accept only an integer action id (recipient or outcome) in [0, count)."""
-    if type(a) is bool or not isinstance(a, (int, np.integer)) or not 0 <= a < count:
+    if not valid_id(a, count):
         raise ValueError(f"action id {a!r} is not an integer in [0, {count})")
 
 

@@ -14,7 +14,7 @@ potential, disappointed-count, c_t threshold) are exposed as runtime checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -60,15 +60,21 @@ class PotentialParams:
             raise ValueError("p must be >= 1")
 
 
-def profile_psi(z, params: PotentialParams) -> float:
-    """Psi = Phi^(1/p), computed as exp(logsumexp / p)."""
-    z = np.asarray(z, dtype=float)
-    if z.shape != (params.m,):
-        raise DimensionMismatch(f"profile length {z.shape} != m={params.m}")
+def psi_rows(z, params: PotentialParams) -> list[float]:
+    """Psi = Phi^(1/p) of each row of z (rounds, m), computed as
+    exp(logsumexp / p); the final exp and log run per row in ``math``."""
+    if z.shape[1:] != (params.m,):
+        raise DimensionMismatch(f"profile shape {z.shape[1:]} != ({params.m},)")
     p = params.p
     logf = p * np.log(z * z + 4.0 * p * p)
-    mx = float(logf.max())
-    return math.exp((mx + math.log(float(np.exp(logf - mx).sum()))) / p)
+    mx = logf.max(axis=1)
+    sums = np.exp(logf - mx[:, None]).sum(axis=1)
+    return [math.exp((a + math.log(s)) / p) for a, s in zip(mx.tolist(), sums.tolist())]
+
+
+def profile_psi(z, params: PotentialParams) -> float:
+    """Psi of one profile; see ``psi_rows``."""
+    return psi_rows(np.asarray(z, dtype=float)[None], params)[0]
 
 
 class CandidateSet:
@@ -117,7 +123,7 @@ class CandidateSet:
 
 def choose_action(candidates: CandidateSet, params: PotentialParams) -> int:
     """argmin_a Psi(a); exact ties go to the lowest action id."""
-    return int(np.argmin(candidates.log_phi(params)))
+    return int(candidates.log_phi(params).argmin())
 
 
 def _envelope(t: float, params: PotentialParams) -> float:
@@ -127,12 +133,18 @@ def _envelope(t: float, params: PotentialParams) -> float:
     return 4.0 * p * p + 2.0 * SQRT_E * p * params.sigma_sq * t / params.n_ref
 
 
-def disappointed_count(z, c: float) -> int:
-    """|{q : z_q > c}| (strict)."""
-    if c < 0:
+def disappointed_rows(z, c) -> np.ndarray:
+    """|{q : z_q > c}| (strict) of each row of z (rounds, m); c is one
+    threshold or one per row."""
+    c = np.asarray(c, dtype=float)
+    if (c < 0).any():
         raise NonpositiveC("c must be >= 0")
-    z = np.asarray(z, dtype=float)
-    return int(np.count_nonzero(z > c))
+    return (z > c[..., None]).sum(axis=1)
+
+
+def disappointed_count(z, c: float) -> int:
+    """|{q : z_q > c}| of one profile; see ``disappointed_rows``."""
+    return int(disappointed_rows(np.asarray(z, dtype=float)[None], c)[0])
 
 
 def bound_disappointed(t: int, c: float, params: PotentialParams) -> float:
@@ -176,6 +188,8 @@ class MomentWitness:
 
 @dataclass
 class WitnessReport:
+    """One round's checks; from ``check_witness_rows``, one entry per round."""
+
     shift_ok: bool
     first_moment_ok: bool
     second_moment_ok: bool
@@ -186,26 +200,18 @@ class WitnessReport:
 
     @property
     def ok(self) -> bool:
-        return self.shift_ok and self.first_moment_ok and self.second_moment_ok and self.range_ok
+        return self.shift_ok & self.first_moment_ok & self.second_moment_ok & self.range_ok
 
 
-def verify_moment_witness(
-    z_prev,
-    candidates: CandidateSet,
-    w: MomentWitness,
-    params: PotentialParams,
-    tol: float = ABS_TOL,
-    gamma: float = 1.0,
-) -> WitnessReport:
-    """Check the shift / first-moment / second-moment conditions.
+def valid_id(a, count: int) -> bool:
+    """An action id is an integer (not a bool) in [0, count)."""
+    return type(a) is not bool and isinstance(a, (int, np.integer)) and 0 <= a < count
 
-    Shift: for each reference action a_k, the candidate profile satisfies
-    z_next <= [gamma * z_prev + Delta[:, k]]_+ + tol entrywise (gamma = 1 for
-    the undiscounted framework, < 1 for the discounted shift form).
-    First moment: row sums of Delta <= 0.  Second: row sums of squares
-    <= sigma^2.  Entries must lie in [-1, 1].  Every reference action id
-    must be a candidate's, in [0, actions).
-    """
+
+def witness_row(z_prev, candidates: CandidateSet, w: MomentWitness,
+                params: PotentialParams) -> tuple:
+    """Check one round's witness dimensions and reference action ids (each a
+    candidate's) and return (z_prev, base, idx[refs], val[refs], delta)."""
     z_prev = np.asarray(z_prev, dtype=float)
     delta = np.asarray(w.delta, dtype=float)
     if z_prev.shape != (params.m,) or delta.shape != (params.m, params.n_ref):
@@ -216,29 +222,54 @@ def verify_moment_witness(
     if len(w.ref_actions) != params.n_ref:
         raise DimensionMismatch("ref_actions length != n_ref")
     for a in w.ref_actions:
-        if not 0 <= a < len(candidates.idx):
-            raise DimensionMismatch(f"reference action id {a} outside [0, {len(candidates.idx)})")
+        if not valid_id(a, len(candidates.idx)):
+            raise DimensionMismatch(f"reference action id {a!r} is not an integer in "
+                                    f"[0, {len(candidates.idx)})")
     refs = np.array(w.ref_actions)
+    return z_prev, candidates.base, candidates.idx[refs], candidates.val[refs], delta
 
-    range_ok = float(np.abs(delta).max()) <= 1.0 + tol
-    worst_first = float(delta.sum(axis=1).max())
-    worst_second = float((delta * delta).sum(axis=1).max())
 
-    # row k of z_next is the candidate profile of reference action k
-    z_next = np.repeat(candidates.base[None, :], len(refs), axis=0)
-    z_next[np.arange(len(refs))[:, None], candidates.idx[refs]] = candidates.val[refs]
-    allowed = np.maximum(gamma * z_prev + delta.T, 0.0)
-    worst_shift = max(0.0, float((z_next - allowed).max()))
+def check_witness_rows(rows, params: PotentialParams, tol: float = ABS_TOL,
+                       gamma: float = 1.0) -> WitnessReport:
+    """Check the shift / first-moment / second-moment conditions of a block
+    of rounds, each given by ``witness_row``, stacked on a leading axis.
+
+    Shift: for each reference action a_k, the candidate profile satisfies
+    z_next <= [gamma * z_prev + Delta[:, k]]_+ + tol entrywise (gamma = 1 for
+    the undiscounted framework, < 1 for the discounted shift form).
+    First moment: row sums of Delta <= 0.  Second: row sums of squares
+    <= sigma^2.  Entries must lie in [-1, 1].  Reductions run along the last
+    axis of C-contiguous arrays, so a round gets the same bits in any block."""
+    z_prev, base, idx, val, delta = (np.array(a) for a in zip(*rows))
+    rounds, n_ref, m = *idx.shape[:2], base.shape[1]
+    worst_first = delta.sum(axis=2).max(axis=1)
+    worst_second = (delta * delta).sum(axis=2).max(axis=1)
+
+    # row k of z_next[r] is the candidate profile of round r's reference action k,
+    # patched through a flat view of the C-contiguous repeat
+    z_next = np.repeat(base[:, None, :], n_ref, axis=1)
+    z_next.reshape(-1)[idx + np.arange(0, z_next.size, m).reshape(rounds, n_ref, 1)] = val
+    allowed = np.maximum(gamma * z_prev[:, None, :] + delta.transpose(0, 2, 1), 0.0)
+    over = (z_next - allowed).reshape(rounds, -1).max(axis=1)
+    worst_shift = np.where(over > 0.0, over, 0.0)
 
     return WitnessReport(
         shift_ok=worst_shift <= tol,
         first_moment_ok=worst_first <= tol,
         second_moment_ok=worst_second <= params.sigma_sq + tol,
-        range_ok=range_ok,
+        range_ok=np.abs(delta).reshape(rounds, -1).max(axis=1) <= 1.0 + tol,
         worst_shift_violation=worst_shift,
         worst_first_moment=worst_first,
         worst_second_moment=worst_second,
     )
+
+
+def verify_moment_witness(z_prev, candidates: CandidateSet, w: MomentWitness,
+                          params: PotentialParams, tol: float = ABS_TOL,
+                          gamma: float = 1.0) -> WitnessReport:
+    """The checks of ``check_witness_rows`` for one round."""
+    block = check_witness_rows([witness_row(z_prev, candidates, w, params)], params, tol, gamma)
+    return WitnessReport(*(getattr(block, f.name)[0].item() for f in fields(WitnessReport)))
 
 
 def safe_div(x: float, y: float) -> float:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
+from itertools import islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -12,12 +14,16 @@ from . import allocation, public_decisions as pdm_mod
 from .baselines import BENADE_T, POLICY_NAMES, StreamSpec, make_policy, stream_generate
 from .discounted import c_gamma
 from .exact_game import K_MAX
-from .framework import (ABS_TOL, PotentialParams, choose_action, ct_threshold,
-                        disappointed_count, profile_psi, verify_moment_witness)
-from .metrics import gmd_bound, metrics
+from .framework import (ABS_TOL, PotentialParams, check_witness_rows, choose_action,
+                        ct_threshold, disappointed_rows, psi_rows, witness_row)
+from .metrics import gmd_bound, metrics_rows
 
 CSV_COLUMNS = ("t", "action", "max_deficit", "ct_bound", "psi",
                "disappointed", "gini", "gmd", "gmd_bound")
+#: one CSV line; "%.17g" writes the bytes of format(v, ".17g"), "inf" included
+_CSV_LINE = "%d,%d,%.17g,%.17g,%.17g,%d,%.17g,%.17g,%.17g\n"
+#: array elements one block of reported or audited rounds holds (at least one round)
+_BLOCK_ELEMENTS = 2 ** 14
 
 #: optional top-level key -> conversion; a key that is absent or null keeps
 #: its ``RunConfig`` default
@@ -157,17 +163,19 @@ def build_harness(cfg: RunConfig) -> Harness:
     return _HARNESSES[cfg.instantiation](cfg)
 
 
-def _format_cell(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return format(float(v), ".17g")
-
-
 def write_csv(rows, path: str) -> None:
+    cells = itemgetter(*CSV_COLUMNS)
     with open(path, "w", newline="") as f:
         f.write(",".join(CSV_COLUMNS) + "\n")
-        for row in rows:
-            f.write(",".join(_format_cell(row[c]) for c in CSV_COLUMNS) + "\n")
+        f.writelines(_CSV_LINE % cells(row) for row in rows)
+
+
+def _blocks(rounds, per_round: int):
+    """Consecutive lists of ``rounds`` of at most ``_BLOCK_ELEMENTS`` array
+    elements (at least one round) when a round holds ``per_round``."""
+    rounds, size = iter(rounds), max(1, _BLOCK_ELEMENTS // per_round)
+    while block := list(islice(rounds, size)):
+        yield block
 
 
 def _play(cfg: RunConfig, h: Harness, observe=None):
@@ -198,27 +206,21 @@ def _play(cfg: RunConfig, h: Harness, observe=None):
 
 
 def run_simulation(cfg: RunConfig) -> list[dict]:
-    """Run one configured simulation and return per-round records (and write
-    CSV when cfg.output is set).  Deterministic given the config."""
+    """Run one configured simulation and return per-round records, computed per
+    block of rounds (and write CSV when cfg.output is set).  Deterministic."""
     h = build_harness(cfg)
     rows = []
-    for t, action in _play(cfg, h):
-        z = h.state.profile()
-        psi = profile_psi(z, h.params)
-        ct = ct_threshold(t, h.params)
-        c_ref = cfg.c if cfg.c is not None else ct
-        g, d = metrics(z)
-        rows.append({
-            "t": t,
-            "action": action,
-            "max_deficit": float(z.max()),
-            "ct_bound": ct,
-            "psi": psi,
-            "disappointed": disappointed_count(z, c_ref),
-            "gini": g,
-            "gmd": d,
-            "gmd_bound": gmd_bound(psi, h.params),
-        })
+    played = ((t, action, h.state.profile()) for t, action in _play(cfg, h))
+    for block in _blocks(played, h.params.m):
+        ts, actions, z = zip(*block)
+        z = np.array(z)
+        ct = [ct_threshold(t, h.params) for t in ts]
+        psi = psi_rows(z, h.params)
+        g, d = metrics_rows(z)
+        columns = (ts, actions, z.max(axis=1).tolist(), ct, psi,
+                   disappointed_rows(z, ct if cfg.c is None else cfg.c).tolist(),
+                   g.tolist(), d.tolist(), gmd_bound(np.array(psi), h.params).tolist())
+        rows += [dict(zip(CSV_COLUMNS, row)) for row in zip(*columns)]
     if cfg.output:
         write_csv(rows, cfg.output)
     return rows
@@ -235,19 +237,20 @@ def bound_violations(cfg: RunConfig, rows: list[dict]) -> int:
 
 
 def verify_moments_run(cfg: RunConfig):
-    """Run the configured policy on the configured instantiation, building and
-    checking the moment witness every round.  Returns (ok, worst_violation)."""
+    """Run the configured policy on the configured instantiation, checking each
+    round's moment witness per block of rounds.  Returns (ok, worst_violation)."""
     h = build_harness(cfg)
     ok, worst = True, 0.0
+    pending = []
 
     def check(values, cands):
-        nonlocal ok, worst
-        report = verify_moment_witness(h.state.profile(), cands, h.witness(h.state, values),
-                                       h.params, gamma=h.shift_gamma)
-        ok = ok and report.ok
-        worst = max(worst, report.worst_shift_violation, report.worst_first_moment,
-                    max(0.0, report.worst_second_moment - h.params.sigma_sq))
+        pending.append(witness_row(h.state.profile(), cands, h.witness(h.state, values), h.params))
 
-    for _ in _play(cfg, h, check):
-        pass
+    for _ in _blocks(_play(cfg, h, check), h.params.m * h.params.n_ref):
+        report = check_witness_rows(pending, h.params, gamma=h.shift_gamma)
+        pending.clear()
+        ok = ok and bool(report.ok.all())
+        worst = max(worst, float(report.worst_shift_violation.max()),
+                    float(report.worst_first_moment.max()),
+                    float(report.worst_second_moment.max()) - h.params.sigma_sq)
     return ok, worst

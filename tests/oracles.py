@@ -1,11 +1,13 @@
-"""Full-history oracles shared by the test modules: each recomputes from the
-whole round history what a state keeps as running aggregates."""
+"""Oracles shared by the test modules: full-history ones, each recomputing from
+the whole round history what a state keeps as running aggregates, and a
+round-by-round one for the block-wise witness check."""
 from __future__ import annotations
 
 import numpy as np
 
 from perpetual.allocation import EfcThresholdState, EfxState
-from perpetual.framework import safe_div
+from perpetual.framework import safe_div, verify_moment_witness
+from perpetual.simulate import _play, build_harness
 
 
 def efk_oracle(bundles, i, j, k):
@@ -87,3 +89,22 @@ def naive_efc(rounds, n, theta):
                     z[ref.quality_index(i, j, l)] = max(
                         counts[i, j, l] - counts[i, i, l], 0.0)
     return z
+
+
+def verify_moments_oracle(cfg):
+    """``verify_moments_run`` one round at a time: each round's witness is
+    checked by ``verify_moment_witness`` in its round and folded in order."""
+    h = build_harness(cfg)
+    ok, worst = True, 0.0
+
+    def check(values, cands):
+        nonlocal ok, worst
+        report = verify_moment_witness(h.state.profile(), cands, h.witness(h.state, values),
+                                       h.params, gamma=h.shift_gamma)
+        ok = ok and report.ok
+        worst = max(worst, report.worst_shift_violation, report.worst_first_moment,
+                    max(0.0, report.worst_second_moment - h.params.sigma_sq))
+
+    for _ in _play(cfg, h, check):
+        pass
+    return ok, worst

@@ -256,7 +256,8 @@ def test_verify_moment_witness_shift_fail_and_dims():
 def test_verify_moment_witness_rejects_unknown_reference_action():
     params = PotentialParams(m=1, n_ref=2, sigma_sq=1.0)
     cands = _simple_candidates({0: [0.5], 1: [1.5]})
-    for bad in (-1, 2):
+    # the rule of ``allocation._check_action``: an integer, not a bool, in range
+    for bad in (-1, 2, 0.5, True):
         w = MomentWitness(ref_actions=(0, bad), delta=np.array([[-0.5, 0.5]]))
         with pytest.raises(DimensionMismatch, match=f"reference action id {bad} "):
             verify_moment_witness([1.0], cands, w, params)

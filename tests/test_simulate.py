@@ -1,11 +1,13 @@
 """Config validation, the simulation loop, and CSV determinism."""
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
 import pytest
 
+from perpetual import simulate
 from perpetual.allocation import EfxState, efx_candidates, efx_params, efx_witness
 from perpetual.baselines import (
     POLICY_NAMES,
@@ -14,8 +16,8 @@ from perpetual.baselines import (
     make_policy,
     stream_generate,
 )
-from perpetual.framework import (ct_threshold, disappointed_count, profile_psi,
-                                 verify_moment_witness)
+from perpetual.framework import (DimensionMismatch, MomentWitness, ct_threshold,
+                                 disappointed_count, profile_psi, verify_moment_witness)
 from perpetual.metrics import gini, gmd, gmd_bound
 from perpetual.simulate import (
     CSV_COLUMNS,
@@ -26,6 +28,8 @@ from perpetual.simulate import (
     verify_moments_run,
     write_csv,
 )
+
+from oracles import verify_moments_oracle
 
 
 def base_config(**overrides):
@@ -215,23 +219,132 @@ _EXTRA = {
 }
 
 
+#: lengths that end a run inside, on and past the boundaries of 3-round blocks
+_BLOCK_LENGTHS = (0, 1, 2, 3, 4, 7, 60)
+
+
+def _blocks_of_three(monkeypatch, per_round: int) -> None:
+    """Let a block of reported or audited rounds hold 3 rounds."""
+    monkeypatch.setattr(simulate, "_BLOCK_ELEMENTS", 3 * per_round)
+
+
+def _csv_oracle(rows) -> str:
+    """The CSV written one cell at a time: integers by ``str``, reals by
+    ``format(v, ".17g")``."""
+    def cell(v):
+        return str(int(v)) if isinstance(v, (int, np.integer)) else format(float(v), ".17g")
+    lines = [CSV_COLUMNS] + [[cell(row[c]) for c in CSV_COLUMNS] for row in rows]
+    return "".join(",".join(line) + "\n" for line in lines)
+
+
 @pytest.mark.parametrize("n", [2, 5])
 @pytest.mark.parametrize("inst", sorted(_EXTRA))
-def test_rows_equal_the_public_metric_functions(inst, n):
+def test_rows_equal_the_public_metric_functions(inst, n, monkeypatch, tmp_path):
     """Every row equals, exactly, its columns recomputed one public call at a
-    time on a replay of the row's action."""
-    cfg = RunConfig.from_dict(base_config(instantiation=inst, n=n, length=60, **{
-        "stream": {"kind": "uniform_random", "seed": 4}, **_EXTRA[inst]}))
-    rows = run_simulation(cfg)
-    h = build_harness(cfg)
-    assert len(rows) == 60
-    for t, (row, values) in enumerate(zip(rows, stream_generate(cfg.stream)), start=1):
-        h.state.apply(values, row["action"])
+    time on a replay of the row's action, and the CSV equals its per-cell
+    oracle, with rows computed in blocks of 3 rounds, for runs that end
+    inside or on a block boundary and with ``c`` absent or given."""
+    out = tmp_path / "run.csv"
+    raw = base_config(instantiation=inst, n=n, output=str(out), **{
+        "stream": {"kind": "uniform_random", "seed": 4}, **_EXTRA[inst]})
+    _blocks_of_three(monkeypatch, build_harness(RunConfig.from_dict(raw)).params.m)
+    for length in _BLOCK_LENGTHS:
+        for c in (None, 0.3):
+            cfg = RunConfig.from_dict({**raw, "length": length, "c": c})
+            rows = run_simulation(cfg)
+            h = build_harness(cfg)
+            assert len(rows) == length
+            for t, (row, values) in enumerate(zip(rows, stream_generate(cfg.stream)), start=1):
+                h.state.apply(values, row["action"])
+                z = h.state.profile()
+                psi, ct = profile_psi(z, h.params), ct_threshold(t, h.params)
+                assert row == {
+                    "t": t, "action": row["action"], "max_deficit": float(np.max(z)),
+                    "ct_bound": ct, "psi": psi, "disappointed": disappointed_count(z, c or ct),
+                    "gini": gini(z), "gmd": gmd(z), "gmd_bound": gmd_bound(psi, h.params)}
+            assert out.read_text() == _csv_oracle(rows)
+
+
+def test_all_zero_profile_inside_a_block(monkeypatch):
+    """A block whose middle round has the all-zero profile (Gini's T <= 0
+    branch) between rounds that do not: each row still equals its per-round
+    public functions."""
+    _blocks_of_three(monkeypatch, 2)
+    raw = base_config(stream={"kind": "constant", "params": {"value": 1.0}}, length=7)
+    rows = run_simulation(RunConfig.from_dict(raw))
+    zero = [r["t"] for r in rows if r["max_deficit"] == 0.0]
+    assert 2 in zero and 1 not in zero and 3 not in zero
+    h = build_harness(RunConfig.from_dict(raw))
+    for row in rows:
+        h.state.apply([1.0, 1.0], row["action"])
         z = h.state.profile()
-        psi, ct = profile_psi(z, h.params), ct_threshold(t, h.params)
-        assert row == {"t": t, "action": row["action"], "max_deficit": float(np.max(z)),
-                       "ct_bound": ct, "psi": psi, "disappointed": disappointed_count(z, ct),
-                       "gini": gini(z), "gmd": gmd(z), "gmd_bound": gmd_bound(psi, h.params)}
+        assert (row["gini"], row["gmd"], row["psi"]) == (gini(z), gmd(z), profile_psi(z, h.params))
+    assert rows[1]["gini"] == rows[1]["gmd"] == 0.0 and rows[0]["gini"] > 0.0
+
+
+def _witness_harness(monkeypatch, inst: str, edit) -> None:
+    """Give ``inst``'s harness the witness ``edit(round, witness)``; rounds
+    count from 1 on each run."""
+    make = simulate._HARNESSES[inst]
+
+    def build(cfg):
+        h, rounds = make(cfg), iter(range(1, cfg.length + 1))
+        witness = h.witness
+        h.witness = lambda state, values: edit(next(rounds), witness(state, values))
+        return h
+
+    monkeypatch.setitem(simulate._HARNESSES, inst, build)
+
+
+@pytest.mark.parametrize("inst", sorted(_EXTRA))
+def test_verify_moments_run_equals_the_per_round_oracle(inst, monkeypatch):
+    """Witnesses checked in blocks of 3 rounds fold to the (ok, worst) of the
+    round-by-round check, for runs that end inside or on a block boundary;
+    a witness that fails gives ok False and a positive worst, and a bad
+    reference id at round 5 raises there, as it does round by round."""
+    raw = base_config(instantiation=inst, n=3, **{
+        "stream": {"kind": "uniform_random", "seed": 9}, **_EXTRA[inst]})
+    params = build_harness(RunConfig.from_dict(raw)).params
+    _blocks_of_three(monkeypatch, params.m * params.n_ref)
+    policies = ("potential",) if inst == "pdm" else ("potential", "util_greedy")
+    for policy, length, c in itertools.product(policies, _BLOCK_LENGTHS, (None, 0.3)):
+        cfg = RunConfig.from_dict({**raw, "policy": policy, "length": length, "c": c})
+        assert verify_moments_run(cfg) == verify_moments_oracle(cfg)
+        if length:
+            assert verify_moments_run(cfg)[0]
+
+    cfg = RunConfig.from_dict({**raw, "length": 7})
+    _witness_harness(monkeypatch, inst,
+                     lambda t, w: MomentWitness(w.ref_actions, w.delta + 0.05 * (t == 5)))
+    ok, worst = verify_moments_run(cfg)
+    assert (ok, worst) == verify_moments_oracle(cfg) and not ok and worst > 0.0
+
+    seen = []
+
+    def bad_at_5(t, w):
+        seen.append(t)
+        return MomentWitness((0.5,) * len(w.ref_actions) if t == 5 else w.ref_actions, w.delta)
+
+    _witness_harness(monkeypatch, inst, bad_at_5)
+    for run in (verify_moments_run, verify_moments_oracle):
+        seen.clear()
+        with pytest.raises(DimensionMismatch, match="reference action id 0.5 "):
+            run(cfg)
+        assert seen == [1, 2, 3, 4, 5]
+
+
+def test_a_block_holds_one_round_past_the_element_budget(monkeypatch):
+    """efc with n = 40, L = 3 has m n_ref = 187200 witness entries per round,
+    past the block budget: each witness block holds one round."""
+    raw = base_config(instantiation="efc", n=40, length=3, **_EXTRA["efc"])
+    params = build_harness(RunConfig.from_dict(raw)).params
+    assert params.m * params.n_ref > simulate._BLOCK_ELEMENTS
+    sizes = []
+    check = simulate.check_witness_rows
+    monkeypatch.setattr(simulate, "check_witness_rows",
+                        lambda rows, *a, **k: sizes.append(len(rows)) or check(rows, *a, **k))
+    assert verify_moments_run(RunConfig.from_dict(raw))[0]
+    assert sizes == [1, 1, 1]
 
 
 def test_simulation_zero_length(tmp_path):
