@@ -5,8 +5,8 @@ Each state stores fixed-shape running aggregates only (bundle values, totals,
 missed-item maxima, pair scales, threshold counts) -- never item lists; the
 EFc threshold counts alone also answer the classical EF-up-to-k check.
 Deficits are recomputed from aggregates each round; aggregates update
-incrementally.
-Candidate builders return every action's touched entries as one array.
+incrementally.  Each state prepares a round once (``framework.RoundState``);
+its candidates return every action's touched entries as one array.
 
 EF-times-c and EFc share one pairwise kernel (``_PairState``): one quality
 variable per ordered pair and layer, the gap to the agent's own bundle over
@@ -25,6 +25,7 @@ from .framework import (
     DimensionMismatch,
     MomentWitness,
     PotentialParams,
+    RoundState,
     normalized,
     valid_id,
 )
@@ -55,11 +56,11 @@ def _check_action(a: int, count: int) -> None:
         raise ValueError(f"action id {a!r} is not an integer in [0, {count})")
 
 
-def _missed(x: np.ndarray, recipient: int) -> np.ndarray:
-    """The item's values to everyone but the recipient (0 for the recipient)."""
-    out = x.copy()
-    out[recipient] = 0.0
-    return out
+def _raise_missed(scale: np.ndarray, raised: np.ndarray, recipient: int) -> None:
+    """``scale`` = the prepared max{scale, x} but at the recipient's entry."""
+    own = scale[recipient]
+    scale[:] = raised
+    scale[recipient] = own
 
 
 def proportional_delta(s: np.ndarray) -> np.ndarray:
@@ -76,7 +77,7 @@ def proportional_delta(s: np.ndarray) -> np.ndarray:
 # Case 1: proportionality scaled by the largest missed item (PROP x c)
 # ---------------------------------------------------------------------------
 
-class PropxState:
+class PropxState(RoundState):
     """Per-agent aggregates: bundle value v_i(P_i), total value v_i(G), and
     missed-item max U_i.
 
@@ -108,34 +109,38 @@ class PropxState:
     def profile(self) -> np.ndarray:
         return normalized(self.deficits(), self.missed_max)
 
-    def apply(self, values, recipient: int) -> None:
+    def prepare(self, values) -> tuple:
+        """The item x and the missed scale max{U, x}."""
         x = _as_values(values, self.n)
+        return x, np.maximum(self.missed_max, x)
+
+    def candidates(self, item) -> CandidateSet:
+        """Post-decay hypothetical profiles per recipient: the base is the
+        everyone-missed profile; candidate a swaps entry a."""
+        x, scale = item
+        d = self.gamma * self.deficits()
+        z_recv = normalized(d - (1.0 - 1.0 / self.n) * x, self.missed_max)
+        return CandidateSet(normalized(d + x / self.n, scale), self._touched, z_recv[:, None])
+
+    def witness(self, item) -> MomentWitness:
+        """Reference actions are the n recipients, with s_i = x_i / max{U_i, x_i}
+        in ``proportional_delta``.  For gamma < 1 the same Delta is verified
+        against the gamma-shift form [gamma z + Delta]_+."""
+        return MomentWitness(tuple(range(self.n)), proportional_delta(normalized(*item)))
+
+    def update(self, item, recipient: int) -> None:
+        x, scale = item
         _check_action(recipient, self.n)
         self.bundle_value *= self.gamma
         self.total_value *= self.gamma
         self.total_value += x
         self.bundle_value[recipient] += x[recipient]
-        np.maximum(self.missed_max, _missed(x, recipient), out=self.missed_max)
+        _raise_missed(self.missed_max, scale, recipient)
 
 
-def propx_candidates(s: PropxState, values) -> CandidateSet:
-    """Post-decay hypothetical profiles per recipient: the base is the
-    everyone-missed profile; candidate a swaps entry a."""
-    n = s.n
-    x = _as_values(values, n)
-    d = s.gamma * s.deficits()
-    z_miss = normalized(d + x / n, np.maximum(s.missed_max, x))
-    z_recv = normalized(d - (1.0 - 1.0 / n) * x, s.missed_max)
-    return CandidateSet(z_miss, s._touched, z_recv[:, None])
-
-
-def propx_witness(s: PropxState, values) -> MomentWitness:
-    """Reference actions are the n recipients, with s_i = x_i / max{U_i, x_i}
-    in ``proportional_delta``.  For gamma < 1 the same Delta is verified
-    against the gamma-shift form [gamma z + Delta]_+."""
-    x = _as_values(values, s.n)
-    delta = proportional_delta(normalized(x, np.maximum(s.missed_max, x)))
-    return MomentWitness(ref_actions=tuple(range(s.n)), delta=delta)
+#: the raw-values entry points (state, values) of every state
+propx_candidates = efx_candidates = efc_candidates = RoundState.candidates_of
+propx_witness = efx_witness = efc_witness = RoundState.witness_of
 
 
 def propx_params(n: int, p: float = 0.0) -> PotentialParams:
@@ -160,12 +165,12 @@ def _touching(into: np.ndarray, out_of: np.ndarray, pairs: np.ndarray) -> np.nda
     return _take_pairs(both, pairs).reshape(len(into), -1)
 
 
-class _PairState:
+class _PairState(RoundState):
     """One quality variable per ordered pair (i, j), i != j, and layer l:
     [held[i, j, l] - held[i, i, l]]_+ / scale[i, j, l], where ``held`` is
     (n, n, L) and ``scale`` broadcasts against it.  A round adds its (n, 1, L)
-    step to the recipient's column of ``held``; each subclass's
-    ``_step(values)`` checks the round and returns that step."""
+    step to the recipient's column of ``held``; each subclass's ``prepare``
+    checks the round and returns that step and max{scale, step}."""
 
     def __init__(self, n: int, held: np.ndarray, scale):
         if n < 2:
@@ -200,33 +205,26 @@ class _PairState:
     def profile(self) -> np.ndarray:
         return _take_pairs(normalized(self._gaps(), self.scale), self._pairs).ravel()
 
+    def candidates(self, item) -> CandidateSet:
+        """Base = current profile; candidate r patches only the 2(n-1)L entries
+        of the pairs that contain r: (i, r), whose gap grows by step_i (and
+        whose scale rises to it), and (r, i), whose gap shrinks by step_r."""
+        step, scale = item
+        gaps = self._gaps()
+        into = normalized(gaps + step, scale)
+        patch = _touching(into, normalized(gaps - step, self.scale), self._pairs)
+        return CandidateSet(self.profile(), self._touched, patch)
 
-def _pair_candidates(s: _PairState, values) -> CandidateSet:
-    """Base = current profile; candidate r patches only the 2(n-1)L entries of
-    the pairs that contain r: (i, r), whose gap grows by step_i (and whose
-    scale rises to it), and (r, i), whose gap shrinks by step_r."""
-    step = s._step(values)
-    gaps = s._gaps()
-    into = normalized(gaps + step, np.maximum(s.scale, step))
-    out_of = normalized(gaps - step, s.scale)
-    return CandidateSet(s.profile(), s._touched, _touching(into, out_of, s._pairs))
-
-
-def _pair_witness(s: _PairState, values) -> MomentWitness:
-    """Row (i, j, l): alpha = step_i / max{scale[i, j, l], step_i} at reference
-    action j, -alpha at i, zeros elsewhere.  sigma^2 = 2."""
-    step = s._step(values)
-    alpha = normalized(np.broadcast_to(step, s.held.shape), np.maximum(s.scale, step))
-    per_row = _take_pairs(alpha, s._pairs).ravel()
-    delta = np.zeros(s.m * s.n)
-    delta[s._columns[0]] = per_row
-    delta[s._columns[1]] = -per_row
-    return MomentWitness(ref_actions=tuple(range(s.n)), delta=delta.reshape(s.m, s.n))
-
-
-#: EF-times-c and EFc differ only in their ``_step``
-efx_candidates = efc_candidates = _pair_candidates
-efx_witness = efc_witness = _pair_witness
+    def witness(self, item) -> MomentWitness:
+        """Row (i, j, l): alpha = step_i / max{scale[i, j, l], step_i} at
+        reference action j, -alpha at i, zeros elsewhere.  sigma^2 = 2."""
+        step, scale = item
+        alpha = normalized(np.broadcast_to(step, self.held.shape), scale)
+        per_row = _take_pairs(alpha, self._pairs).ravel()
+        delta = np.zeros(self.m * self.n)
+        delta[self._columns[0]] = per_row
+        delta[self._columns[1]] = -per_row
+        return MomentWitness(tuple(range(self.n)), delta.reshape(self.m, self.n))
 
 
 # ---------------------------------------------------------------------------
@@ -243,16 +241,15 @@ class EfxState(_PairState):
         self.pair_scale = np.zeros((n, n))  # diagonal unused
         super().__init__(n, self.cross_value[..., None], self.pair_scale[..., None])
 
-    def _step(self, values) -> np.ndarray:
-        """The item's values: pair (i, r)'s envy grows by x_i when r receives."""
-        return _as_values(values, self.n)[:, None, None]
+    def prepare(self, values) -> tuple:
+        """The item's values are the step: (i, r)'s envy grows by x_i if r receives."""
+        step = _as_values(values, self.n)[:, None, None]
+        return step, np.maximum(self.scale, step)
 
-    def apply(self, values, recipient: int) -> None:
-        x = _as_values(values, self.n)
+    def update(self, item, recipient: int) -> None:
         _check_action(recipient, self.n)
-        self.cross_value[:, recipient] += x
-        col = self.pair_scale[:, recipient]
-        np.maximum(col, _missed(x, recipient), out=col)
+        self.cross_value[:, recipient] += item[0][:, 0, 0]
+        _raise_missed(self.pair_scale[:, recipient], item[1][:, recipient, 0], recipient)
 
 
 def efx_params(n: int, p: float = 0.0) -> PotentialParams:
@@ -286,19 +283,18 @@ class EfcThresholdState(_PairState):
         self._widths = np.diff(self._ledger)
         self._layers = np.arange(self.L)
 
-    def _step(self, values) -> np.ndarray:
-        """The item's threshold indicators: step[i, 0, l] = 1 if v_i(g) >= theta[l]."""
+    def prepare(self, values) -> tuple:
+        """The threshold indicators (1 where v_i(g) >= theta[l]) and the never-raised unit scale."""
         x = _as_values(values, self.n)
         k = np.searchsorted(self._theta, x, side="right")  # #{l : theta[l] <= x_i}
         stray = self._ledger[k] != x
         if stray.any():
             raise ValueNotInLedger(f"value {x[stray][0]} not in the declared ledger")
-        return (k[:, None, None] > self._layers).astype(np.int64)
+        return (k[:, None, None] > self._layers).astype(np.int64), self.scale
 
-    def apply(self, values, recipient: int) -> None:
-        step = self._step(values)
+    def update(self, item, recipient: int) -> None:
         _check_action(recipient, self.n)
-        self.counts[:, recipient, :] += step[:, 0]
+        self.counts[:, recipient, :] += item[0][:, 0]
 
 
 def efc_params(n: int, L: int, p: float = 0.0) -> PotentialParams:

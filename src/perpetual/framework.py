@@ -110,12 +110,16 @@ class CandidateSet:
         sum: Phi(a) = Phi(base) + sum_k (f(val[a, k]) - f(base[idx[a, k]])),
         scaled by the base's largest term.  Each row accumulates its swaps
         left to right, so actions with equal entries get equal sums."""
-        p = params.p
-        four_p2 = 4.0 * p * p
-        logf = p * np.log(self.base * self.base + four_p2)
-        mx = logf.max()
-        scaled = np.exp(logf - mx)
-        terms = np.exp(p * np.log(self.val * self.val + four_p2) - mx)
+        p, m = params.p, len(self.base)
+        f = np.concatenate((self.base, self.val.ravel()))  # every term, in one pass, in place
+        f *= f
+        f += 4.0 * p * p
+        np.log(f, out=f)
+        f *= p
+        mx = f[:m].max()
+        f -= mx
+        np.exp(f, out=f)
+        scaled, terms = f[:m], f[m:].reshape(self.val.shape)
         terms -= scaled[self.idx]
         terms[:, 0] += scaled.sum()
         return mx + np.log(np.add.accumulate(terms, axis=1)[:, -1])
@@ -184,6 +188,20 @@ class MomentWitness:
 
     ref_actions: tuple[int, ...]
     delta: np.ndarray  # shape (m, n_ref)
+
+
+class RoundState:
+    """``prepare(values)`` checks a round, the one place a bad round is rejected, and returns
+    the item ``candidates``, ``witness`` and ``update(item, action)`` read until the update."""
+
+    def apply(self, values, action: int) -> None:
+        self.update(self.prepare(values), action)
+
+    def candidates_of(self, values) -> CandidateSet:
+        return self.candidates(self.prepare(values))
+
+    def witness_of(self, values) -> MomentWitness:
+        return self.witness(self.prepare(values))
 
 
 @dataclass

@@ -11,10 +11,10 @@ from __future__ import annotations
 import numpy as np
 
 from .allocation import _as_values, _check_action, proportional_delta, propx_params
-from .framework import CandidateSet, MomentWitness, normalized
+from .framework import CandidateSet, MomentWitness, RoundState, normalized
 
 
-class PdmState:
+class PdmState(RoundState):
     """Per-agent aggregates u_i (realized utility), Prop_i, and running max V_i."""
 
     def __init__(self, n: int, num_outcomes: int):
@@ -32,33 +32,33 @@ class PdmState:
     def profile(self) -> np.ndarray:
         return normalized(self.deficits(), self.run_max)
 
-    def apply(self, values, outcome: int) -> None:
+    def prepare(self, values) -> tuple:
+        """The values v, favorites M and scale V' = max{V, M}, one for every outcome."""
         v = _as_values(values, self.n, self.num_outcomes)
-        _check_action(outcome, self.num_outcomes)
         m_fav = v.max(axis=1)
+        return v, m_fav, np.maximum(self.run_max, m_fav)
+
+    def candidates(self, item) -> CandidateSet:
+        """Outcome o's profile in row o, every entry touched."""
+        v, m_fav, scale = item
+        z = normalized(self.deficits() + m_fav / self.n - v.T, scale)
+        return CandidateSet(np.zeros(self.n), np.broadcast_to(np.arange(self.n), z.shape), z)
+
+    def witness(self, item) -> MomentWitness:
+        """Reference action k is agent k's favorite (lowest index on ties); s_i = M_i / V'_i."""
+        v, m_fav, scale = item
+        return MomentWitness(tuple(int(o) for o in np.argmax(v, axis=1)),
+                             proportional_delta(normalized(m_fav, scale)))
+
+    def update(self, item, outcome: int) -> None:
+        v, m_fav, scale = item
+        _check_action(outcome, self.num_outcomes)
         self.prop += m_fav / self.n
         self.util += v[:, outcome]
-        np.maximum(self.run_max, m_fav, out=self.run_max)
+        self.run_max[:] = scale
 
 
-def pdm_candidates(s: PdmState, values) -> CandidateSet:
-    """Outcome o's profile in row o, every entry touched; the scale
-    V' = max{V, M} is computed once, independent of the outcome."""
-    v = _as_values(values, s.n, s.num_outcomes)
-    m_fav = v.max(axis=1)
-    d = s.deficits() + m_fav / s.n
-    z = normalized(d - v.T, np.maximum(s.run_max, m_fav))
-    return CandidateSet(np.zeros(s.n), np.broadcast_to(np.arange(s.n), z.shape), z)
-
-
-def pdm_witness(s: PdmState, values) -> MomentWitness:
-    """Reference action k = agent k's favorite outcome (lowest index on ties);
-    s_i = M_i / V'_i in ``proportional_delta``."""
-    v = _as_values(values, s.n, s.num_outcomes)
-    m_fav = v.max(axis=1)
-    delta = proportional_delta(normalized(m_fav, np.maximum(s.run_max, m_fav)))
-    return MomentWitness(ref_actions=tuple(int(o) for o in np.argmax(v, axis=1)), delta=delta)
-
+pdm_candidates, pdm_witness = RoundState.candidates_of, RoundState.witness_of
 
 #: one deficit per agent and n reference outcomes, sigma^2 = 1: the PROP x c parameters
 pdm_params = propx_params

@@ -14,8 +14,8 @@ from . import allocation, public_decisions as pdm_mod
 from .baselines import BENADE_T, POLICY_NAMES, StreamSpec, make_policy, stream_generate
 from .discounted import c_gamma
 from .exact_game import K_MAX
-from .framework import (ABS_TOL, PotentialParams, check_witness_rows, choose_action,
-                        ct_threshold, disappointed_rows, psi_rows, witness_row)
+from .framework import (ABS_TOL, PotentialParams, RoundState, check_witness_rows,
+                        choose_action, ct_threshold, disappointed_rows, psi_rows, witness_row)
 from .metrics import gmd_bound, metrics_rows
 
 CSV_COLUMNS = ("t", "action", "max_deficit", "ct_bound", "psi",
@@ -128,31 +128,27 @@ class RunConfig:
 @dataclass
 class Harness:
     """Instantiation-specific hooks used by the main loop."""
-    state: object
+    state: RoundState
     params: PotentialParams
-    candidates: callable  # (state, round_values) -> CandidateSet
-    witness: callable  # (state, round_values) -> MomentWitness
     shift_gamma: float = 1.0
+    candidates = staticmethod(RoundState.candidates_of)  # (state, round_values) -> CandidateSet
+    witness = staticmethod(RoundState.witness_of)  # (state, round_values) -> MomentWitness
 
 
 #: instantiation -> harness constructor (RunConfig) -> Harness
 _HARNESSES = {
     "propx": lambda cfg: Harness(
-        allocation.PropxState(cfg.n), allocation.propx_params(cfg.n, cfg.p),
-        allocation.propx_candidates, allocation.propx_witness),
+        allocation.PropxState(cfg.n), allocation.propx_params(cfg.n, cfg.p)),
     "efx": lambda cfg: Harness(
-        allocation.EfxState(cfg.n), allocation.efx_params(cfg.n, cfg.p),
-        allocation.efx_candidates, allocation.efx_witness),
+        allocation.EfxState(cfg.n), allocation.efx_params(cfg.n, cfg.p)),
     "efc": lambda cfg: Harness(
         allocation.EfcThresholdState(cfg.n, cfg.theta),
-        allocation.efc_params(cfg.n, len(cfg.theta), cfg.p),
-        allocation.efc_candidates, allocation.efc_witness),
+        allocation.efc_params(cfg.n, len(cfg.theta), cfg.p)),
     "pdm": lambda cfg: Harness(
-        pdm_mod.PdmState(cfg.n, cfg.num_outcomes), pdm_mod.pdm_params(cfg.n, cfg.p),
-        pdm_mod.pdm_candidates, pdm_mod.pdm_witness),
+        pdm_mod.PdmState(cfg.n, cfg.num_outcomes), pdm_mod.pdm_params(cfg.n, cfg.p)),
     "discounted": lambda cfg: Harness(
         allocation.PropxState(cfg.n, cfg.gamma), allocation.propx_params(cfg.n, cfg.p),
-        allocation.propx_candidates, allocation.propx_witness, shift_gamma=cfg.gamma),
+        shift_gamma=cfg.gamma),
 }
 INSTANTIATIONS = tuple(_HARNESSES)
 
@@ -179,11 +175,10 @@ def _blocks(rounds, per_round: int):
 
 
 def _play(cfg: RunConfig, h: Harness, observe=None):
-    """The round loop of ``simulate`` and ``verify-moments``: yield each
-    round's (t, action) once the harness state has applied it.  The decision
-    function is picked here, once: the potential rule over the harness, or the
-    configured item policy.  ``observe(values, cands)`` sees each round's
-    candidate set on the pre-round state; the potential rule reuses that set."""
+    """The round loop of ``simulate`` and ``verify-moments``: prepare each
+    round once, decide (the potential rule, or the configured item policy,
+    picked here once), update, and yield (t, action).  ``observe(item, cands)``
+    sees each round's item and candidates, which the potential rule reuses."""
     if cfg.policy == "potential":
         def decide(values, cands):
             return choose_action(cands, h.params)
@@ -195,13 +190,14 @@ def _play(cfg: RunConfig, h: Harness, observe=None):
             action = policy.choose(values)
             policy.update(values, action)
             return action
-    build = h.candidates if cfg.policy == "potential" or observe else lambda state, values: None
-    observe = observe or (lambda values, cands: None)
+    build = h.state.candidates if cfg.policy == "potential" or observe else lambda item: None
+    observe = observe or (lambda item, cands: None)
     for t, values in enumerate(stream_generate(cfg.stream), start=1):
-        cands = build(h.state, values)
-        observe(values, cands)
+        item = h.state.prepare(values)
+        cands = build(item)
+        observe(item, cands)
         action = decide(values, cands)
-        h.state.apply(values, action)
+        h.state.update(item, action)
         yield t, action
 
 
@@ -243,8 +239,8 @@ def verify_moments_run(cfg: RunConfig):
     ok, worst = True, 0.0
     pending = []
 
-    def check(values, cands):
-        pending.append(witness_row(h.state.profile(), cands, h.witness(h.state, values), h.params))
+    def check(item, cands):
+        pending.append(witness_row(h.state.profile(), cands, h.state.witness(item), h.params))
 
     for _ in _blocks(_play(cfg, h, check), h.params.m * h.params.n_ref):
         report = check_witness_rows(pending, h.params, gamma=h.shift_gamma)

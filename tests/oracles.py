@@ -1,12 +1,14 @@
 """Oracles shared by the test modules: full-history ones, each recomputing from
-the whole round history what a state keeps as running aggregates, and a
-round-by-round one for the block-wise witness check."""
+the whole round history what a state keeps as running aggregates, a one-round
+one for the state updates, and a round-by-round one for the block-wise witness
+check."""
 from __future__ import annotations
 
 import numpy as np
 
-from perpetual.allocation import EfcThresholdState, EfxState
+from perpetual.allocation import EfcThresholdState, EfxState, PropxState
 from perpetual.framework import safe_div, verify_moment_witness
+from perpetual.public_decisions import PdmState
 from perpetual.simulate import _play, build_harness
 
 
@@ -91,15 +93,41 @@ def naive_efc(rounds, n, theta):
     return z
 
 
+def applied_oracle(state, values, action) -> dict:
+    """The aggregates ``state`` holds after the round (values, action), by
+    update formulas that read the raw values and no prepared item: attribute
+    name -> array."""
+    v = np.asarray(values, float)
+    if isinstance(state, PdmState):
+        fav = v.max(axis=1)
+        return {"prop": state.prop + fav / state.n, "util": state.util + v[:, action],
+                "run_max": np.maximum(state.run_max, fav)}
+    missed = v.copy()
+    missed[action] = 0.0
+    if isinstance(state, PropxState):
+        bundle = state.bundle_value * state.gamma
+        bundle[action] += v[action]
+        return {"bundle_value": bundle, "total_value": state.total_value * state.gamma + v,
+                "missed_max": np.maximum(state.missed_max, missed)}
+    if isinstance(state, EfxState):
+        cross, scale = state.cross_value.copy(), state.pair_scale.copy()
+        cross[:, action] += v
+        scale[:, action] = np.maximum(scale[:, action], missed)
+        return {"cross_value": cross, "pair_scale": scale}
+    counts = state.counts.copy()
+    counts[:, action, :] += v[:, None] >= np.array(state.theta)
+    return {"counts": counts}
+
+
 def verify_moments_oracle(cfg):
     """``verify_moments_run`` one round at a time: each round's witness is
     checked by ``verify_moment_witness`` in its round and folded in order."""
     h = build_harness(cfg)
     ok, worst = True, 0.0
 
-    def check(values, cands):
+    def check(item, cands):
         nonlocal ok, worst
-        report = verify_moment_witness(h.state.profile(), cands, h.witness(h.state, values),
+        report = verify_moment_witness(h.state.profile(), cands, h.state.witness(item),
                                        h.params, gamma=h.shift_gamma)
         ok = ok and report.ok
         worst = max(worst, report.worst_shift_violation, report.worst_first_moment,

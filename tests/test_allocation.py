@@ -26,9 +26,9 @@ from perpetual.allocation import (
 from perpetual.baselines import StreamSpec, stream_generate
 from perpetual.framework import DimensionMismatch, choose_action, verify_moment_witness
 from perpetual.prng import Xoshiro256StarStar
-from perpetual.public_decisions import PdmState
+from perpetual.public_decisions import PdmState, pdm_params
 
-from oracles import naive_efc, naive_efx, naive_propx
+from oracles import applied_oracle, naive_efc, naive_efx, naive_propx
 
 
 def _random_items(n, rounds, seed):
@@ -108,21 +108,97 @@ def test_missed_scale_nondecreasing():
         prev = s.missed_max.copy()
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+def _aggregates(state) -> dict:
+    return {k: v.copy() for k, v in vars(state).items() if isinstance(v, np.ndarray)}
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+#: every state with one good round: propx, discounted, efx, efc and pdm
+def _states_with_a_round():
+    item = [0.5, 0.25, 0.5]
+    return [(PropxState(3), item), (PropxState(3, gamma=0.9), item), (EfxState(3), item),
+            (EfcThresholdState(3, [0.25, 0.5]), item),
+            (PdmState(3, 2), [[0.5, 0.25], [0.0, 0.5], [0.25, 0.25]])]
+
+
+_ENTRY_POINTS = (lambda s, v: s.prepare(v), lambda s, v: s.candidates_of(v),
+                 lambda s, v: s.witness_of(v), lambda s, v: s.apply(v, 0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, 0.3, "shape", "2-D"])
 def test_states_reject_nonfinite_and_negative_items(bad):
-    """Candidates, witness and apply each reject a bad item, and a
-    wrong-length one with ``DimensionMismatch``."""
-    item = [0.5, bad, 0.25]
-    for state, candidates, witness in (
-            (PropxState(3), propx_candidates, propx_witness),
-            (PropxState(3, gamma=0.9), propx_candidates, propx_witness),
-            (EfxState(3), efx_candidates, efx_witness),
-            (EfcThresholdState(3, [0.25, 0.5]), efc_candidates, efc_witness)):
-        for check in (candidates, witness, lambda s, v: s.apply(v, 0)):
-            with pytest.raises(ValueError):
-                check(state, item)
-            with pytest.raises(DimensionMismatch):
-                check(state, [0.5, 0.25])
+    """``prepare``, the raw candidates and witness and ``apply`` reject a bad
+    round with one exception type: ``ValueError`` for a bad value,
+    ``ValueNotInLedger`` for an efc value off the ledger and
+    ``DimensionMismatch`` for a wrong shape.  The rejected round leaves the
+    state as it was."""
+    for state, good in _states_with_a_round():
+        state.apply(good, 1)
+        values = np.array(good)
+        if bad == "shape":
+            values, expected = values[:-1], DimensionMismatch
+        elif bad == "2-D":
+            values, expected = values[None], DimensionMismatch
+        else:
+            values.flat[1] = bad
+            off_ledger = bad == 0.3 and isinstance(state, EfcThresholdState)
+            expected = ValueNotInLedger if off_ledger else ValueError
+        if expected is ValueError and bad == 0.3:
+            continue  # 0.3 is a good value off the ledger
+        before = _aggregates(state)
+        for call in _ENTRY_POINTS:
+            with pytest.raises(ValueError) as raised:
+                call(state, values)
+            assert type(raised.value) is expected, (state, call)
+            after = _aggregates(state)
+            assert before.keys() == after.keys()
+            assert all(_same_bits(before[k], after[k]) for k in before)
+
+
+def _round_values(state, rng, t):
+    """Round t's values for ``state``: zero rounds, rounds of tied values,
+    and random ones; efc values are the ledger's, each threshold included."""
+    shape = (state.n, state.num_outcomes) if isinstance(state, PdmState) else (state.n,)
+    if isinstance(state, EfcThresholdState):
+        return rng.choice([0.0, *state.theta], size=shape)
+    if t % 4 == 0:
+        return np.zeros(shape)
+    if t % 4 == 1:
+        return np.full(shape, rng.choice([0.25, 0.5, 1.0]))
+    return rng.random(shape).round(2 if t % 4 == 2 else 17)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_prepared_path_equals_raw_path(n):
+    """One prepared item gives the bits of the raw entry points: the
+    candidates (base, idx, val) and witness (refs, delta) from the item equal
+    the raw adapters', and the state after ``update(item, action)`` equals
+    ``applied_oracle``, which reads the raw values.  Each round's item serves
+    candidates, witness and update in that order, as in the run loop."""
+    rng = np.random.default_rng(n)
+    for state, params in ((PropxState(n), propx_params(n)),
+                          (PropxState(n, gamma=0.7), propx_params(n)),
+                          (EfxState(n), efx_params(n)),
+                          (EfcThresholdState(n, [0.25, 0.5, 1.0]), efc_params(n, 3)),
+                          (PdmState(n, 3), pdm_params(n))):
+        for t in range(60):
+            values = _round_values(state, rng, t)
+            raw_c, raw_w = state.candidates_of(values), state.witness_of(values)
+            item = state.prepare(values)
+            cands, w = state.candidates(item), state.witness(item)
+            for a, b in ((cands.base, raw_c.base), (cands.idx, raw_c.idx),
+                         (cands.val, raw_c.val), (w.delta, raw_w.delta)):
+                assert _same_bits(a, b), (state, t)
+            assert w.ref_actions == raw_w.ref_actions
+            # the rule's pick, or a random action for a spread of recipients
+            action = choose_action(cands, params) if t % 2 else int(rng.integers(len(cands.idx)))
+            expected = applied_oracle(state, values, action)
+            state.update(item, action)
+            assert all(_same_bits(getattr(state, k), v) for k, v in expected.items()), (state, t)
 
 
 @pytest.mark.parametrize("bad", [-1, 3, 1.5, "1", None, True])

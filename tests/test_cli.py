@@ -319,3 +319,18 @@ def test_exact_exp_has_no_c_flag():
     with pytest.raises(SystemExit):
         cli_dispatch(["exact", "exp", "--n", "2", "--state", "0,3", "--item", "1,1",
                       "--c", "1"])
+
+
+@pytest.mark.parametrize("policy", ["potential", "util_greedy"])
+def test_efc_round_off_the_ledger_exits_2_alike(tmp_path, capsys, policy):
+    """A round off the efc ledger is rejected where the round is prepared, so
+    ``simulate`` and ``verify-moments`` stop with one message, whatever the
+    policy."""
+    cfg = write_config(tmp_path, instantiation="efc", policy=policy, n=3, theta=[0.5, 1.0],
+                       stream={"kind": "uniform_random", "seed": 3})
+    errs = []
+    for cmd in ("simulate", "verify-moments"):
+        assert cli_dispatch([cmd, cfg]) == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith("error: value ") and "not in the declared ledger" in errs[0]

@@ -283,14 +283,14 @@ def test_all_zero_profile_inside_a_block(monkeypatch):
 
 
 def _witness_harness(monkeypatch, inst: str, edit) -> None:
-    """Give ``inst``'s harness the witness ``edit(round, witness)``; rounds
-    count from 1 on each run."""
+    """Give ``inst``'s harness state the witness ``edit(round, witness)`` of
+    each prepared item; rounds count from 1 on each run."""
     make = simulate._HARNESSES[inst]
 
     def build(cfg):
         h, rounds = make(cfg), iter(range(1, cfg.length + 1))
-        witness = h.witness
-        h.witness = lambda state, values: edit(next(rounds), witness(state, values))
+        witness = h.state.witness
+        h.state.witness = lambda item: edit(next(rounds), witness(item))
         return h
 
     monkeypatch.setitem(simulate._HARNESSES, inst, build)
