@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .allocation import PropxState, propx_candidates, propx_params
+from .allocation import PropxState, propx_params
 from .exact_game import K_MAX, FrontierBuilder, exp_policy
 from .framework import ABS_TOL, PotentialParams, choose_action
 from .prng import Xoshiro256StarStar
@@ -257,14 +257,26 @@ class Benade2Policy(ItemPolicy):
 
 
 class PotentialPropxPolicy(ItemPolicy):
-    """The p-potential rule on the PROP-times-c instantiation."""
+    """The p-potential rule on the PROP-times-c instantiation.  ``choose``
+    prepares the round once and keeps the item, and ``update`` for the same
+    values object applies it."""
+
+    _prepared = (None, None)  # (values, item) of the last choose
 
     @cached_property
     def params(self) -> PotentialParams:
         return propx_params(self.n)
 
     def choose(self, values) -> int:
-        return choose_action(propx_candidates(self.state, values), self.params)
+        item = self.state.prepare(values)
+        self._prepared = (values, item)
+        return choose_action(self.state.candidates(item), self.params)
+
+    def update(self, values, recipient: int) -> None:
+        chosen, item = self._prepared
+        self._prepared = (None, None)
+        self.state.update(item if chosen is values else self.state.prepare(values), recipient)
+        self.t += 1
 
 
 class ExpExactPolicy(ItemPolicy):

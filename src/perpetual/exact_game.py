@@ -4,7 +4,11 @@ State is the shifted surplus delta_i = n*v_i(P_i) - v_i(G) + n*c; the game is
 alive while every coordinate is >= 0.  D^k is the set of frontier points whose
 strictly-dominated region is exactly the set of states from which an adversary
 can force a violation within k rounds; AUX finds the smallest such k and EXP
-picks the recipient maximizing it.
+picks the recipient maximizing it.  The levels are nested -- every point of
+D^k is weakly below some point of D^{k+1}, as a violation forced within k
+rounds is also forced within k + 1 -- so "D^k dominates x" is monotone in k:
+AUX bisects k over the levels already built, and EXP probes each later
+recipient once, at the best horizon so far.
 
 Everything here is exact, and floating point is forbidden in this module --
 domination is a strict inequality and the reference value aux((2,2)) = 10 must
@@ -15,7 +19,9 @@ division of the next LP an exact integer division.  An unbounded coordinate is
 the integer sentinel ``_INF``, which is never scaled and exceeds every finite
 coordinate.  At the API boundary coordinates are ``Fraction`` (or int) or the
 ``INF`` singleton: ``FrontierBuilder.get`` converts a level once and caches
-it, and ``aux`` turns the queried state into integer thresholds per level.
+it.  A queried state is kept as integer (numerator, denominator) pairs, and
+EXP forms its post-states on integers over one common denominator; a level
+probe turns such a state into integer thresholds at the level's scale.
 """
 from __future__ import annotations
 
@@ -250,6 +256,7 @@ class FrontierBuilder:
         self.prune = prune
         self._levels = [_axis_level(n)]
         self._fractions: dict[int, frozenset] = {}
+        self._firsts: dict[int, list] = {}  # n = 2 staircases: negated coordinate 0
 
     def _level(self, k: int) -> list:
         """Level k: integer tuples at scale n**k, sorted descending."""
@@ -263,6 +270,25 @@ class FrontierBuilder:
             self._levels.append(_step(pts, n, n ** j, self.prune))
         return self._levels[k]
 
+    def _covers(self, k: int, x: list) -> bool:
+        """Whether some point of level k strictly dominates the state ``x``,
+        integer (numerator, denominator) pairs with None for INF.  At level k
+        the state becomes integer thresholds t_i = floor(x_i * n**k): an
+        integer p exceeds x_i * n**k exactly when it exceeds t_i.  A threshold
+        past every finite coordinate is clamped below ``_INF``; an INF
+        coordinate is ``_INF`` itself, which nothing exceeds."""
+        level = self._level(k)
+        scale = self.n ** k
+        t = [_INF if r is None else min(r[0] * scale // r[1], _INF - 1) for r in x]
+        if self.n == 2 and self.prune:
+            # the points with p0 > t0 are a prefix; its last point has the largest p1
+            firsts = self._firsts.get(k)
+            if firsts is None:
+                firsts = self._firsts[k] = [-p0 for p0, _ in level]
+            i = bisect_left(firsts, -t[0])
+            return i > 0 and level[i - 1][1] > t[1]
+        return any(all(map(gt, p, t)) for p in level)
+
     def get(self, k: int) -> frozenset:
         got = self._fractions.get(k)
         if got is None:
@@ -274,17 +300,16 @@ class FrontierBuilder:
 # AUX and EXP
 # ---------------------------------------------------------------------------
 
-def dominates(p: tuple, x: tuple) -> bool:
-    """Strict domination in every coordinate; INF > any finite value."""
-    return all(pi > xi for pi, xi in zip(p, x))
-
-
-def _checked(n: int, builder: FrontierBuilder | None, *vectors) -> FrontierBuilder:
-    """The builder to use, once every vector has n rational or INF coordinates."""
+def _checked(n: int, builder: FrontierBuilder | None, k_max: int, *vectors) -> FrontierBuilder:
+    """The builder to use, once k_max >= 0 and every vector has n rational
+    (not bool) or INF coordinates."""
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
     for x in vectors:
         if len(x) != n:
             raise ValueError(f"{len(x)} coordinates given, expected n = {n}")
-        if not all(is_inf(v) or isinstance(v, Rational) for v in x):
+        if not all(is_inf(v) or (isinstance(v, Rational) and not isinstance(v, bool))
+                   for v in x):
             raise ValueError(f"coordinates must be Fraction, int or INF: {x!r}")
     if builder is None:
         return FrontierBuilder(n)
@@ -293,33 +318,31 @@ def _checked(n: int, builder: FrontierBuilder | None, *vectors) -> FrontierBuild
     return builder
 
 
-def _neg0(p: tuple) -> int:
-    return -p[0]
+def _lost(x: list) -> bool:
+    """Whether a coordinate of the state ``x`` is already negative."""
+    return any(r is not None and r[0] < 0 for r in x)
 
 
-def _horizon(x: tuple, builder: FrontierBuilder, k_max: int) -> int:
-    """aux on a checked state, k_max + 1 when no D^k with k <= k_max
-    dominates it.  At level k the state becomes integer thresholds
-    t_i = floor(x_i * n**k): an integer p exceeds x_i * n**k exactly when it
-    exceeds t_i.  A threshold past every finite coordinate is clamped below
-    ``_INF``; an INF coordinate is ``_INF`` itself, which nothing exceeds."""
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
-    n = builder.n
-    ratios = [None if is_inf(v) else (v.numerator, v.denominator) for v in x]
-    if any(r is not None and r[0] < 0 for r in ratios):
+def _horizon(x: list, builder: FrontierBuilder, k_max: int, lo: int = 0) -> int:
+    """aux on a checked state ``x`` of integer (numerator, denominator)
+    pairs, None for INF, given that no level below ``lo`` dominates it;
+    k_max + 1 when no D^k with k <= k_max does.  As the levels are nested,
+    it bisects over the levels already built up to k_max and past them scans
+    upward, so it builds no level that a scan from D^0 would not build."""
+    if _lost(x):
         return 0  # already lost, whatever the other coordinates are
-    staircase = n == 2 and builder.prune
-    for k in range(k_max + 1):
-        scale = n ** k
-        t = [_INF if r is None else min(r[0] * scale // r[1], _INF - 1) for r in ratios]
-        level = builder._level(k)
-        if staircase:
-            # the points with p0 > t0 are a prefix; its last point has the largest p1
-            i = bisect_left(level, -t[0], key=_neg0)
-            if i and level[i - 1][1] > t[1]:
-                return k
-        elif any(all(map(gt, p, t)) for p in level):
+    top = min(len(builder._levels) - 1, k_max)
+    if lo <= top and builder._covers(top, x):
+        hi = top
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if builder._covers(mid, x):
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+    for k in range(max(lo, top + 1), k_max + 1):
+        if builder._covers(k, x):
             return k
     return k_max + 1
 
@@ -328,33 +351,41 @@ def aux(x: tuple, n: int, k_max: int = K_MAX, builder: FrontierBuilder | None = 
     """Smallest k such that some D^k point dominates x, i.e. the minimum
     number of rounds in which an adversary can force a violation from x; 0
     when a coordinate of x is already negative, even beside an INF one."""
-    k = _horizon(x, _checked(n, builder, x), k_max)
+    builder = _checked(n, builder, k_max, x)
+    k = _horizon([None if is_inf(v) else (v.numerator, v.denominator) for v in x],
+                 builder, k_max)
     if k > k_max:
         raise KMaxExceeded(f"no D^k dominates the state for k <= {k_max}")
     return k
 
 
-def surplus_update(delta: tuple, values: tuple, recipient: int) -> tuple:
-    """Shifted-surplus step: the recipient gains (n-1) times their value,
-    everyone else loses theirs."""
-    n = len(delta)
-    return tuple(
-        delta[j] + (n - 1) * values[j] if j == recipient else delta[j] - values[j]
-        for j in range(n)
-    )
-
-
 def exp_policy(delta: tuple, values: tuple, n: int, k_max: int = K_MAX,
                builder: FrontierBuilder | None = None) -> int:
     """Give the item to the recipient whose post-state survives longest
-    (largest AUX; beyond-k_max counts as best); ties -> lowest index."""
-    builder = _checked(n, builder, delta, values)
-    for v in values:
-        if is_inf(v) or v < 0 or v > 1:
-            raise ValueError("item values must be rationals in [0, 1]")
+    (largest AUX; beyond-k_max counts as best); ties -> lowest index.  In
+    the post-state the recipient gains (n-1) times their value and everyone
+    else loses theirs, on integers over one common denominator of delta and
+    the item.  A later recipient wins only if D^best, at the best horizon so
+    far, does not dominate its post-state; only then is its horizon searched,
+    from best + 1 up."""
+    builder = _checked(n, builder, k_max, delta, values)
+    if any(map(is_inf, values)):
+        raise ValueError("item values must be rationals in [0, 1]")
+    den = math.lcm(*(v.denominator for v in (*delta, *values) if not is_inf(v)))
+    d = [None if is_inf(v) else v.numerator * (den // v.denominator) for v in delta]
+    u = [v.numerator * (den // v.denominator) for v in values]
+    if not all(0 <= uj <= den for uj in u):
+        raise ValueError("item values must be rationals in [0, 1]")
+    missed = [None if dj is None else (dj - uj, den) for dj, uj in zip(d, u)]
     best, best_tau = 0, -1
     for i in range(n):
-        tau = _horizon(surplus_update(delta, values, i), builder, k_max)
-        if tau > best_tau:
-            best, best_tau = i, tau
+        x = missed.copy()
+        if d[i] is not None:
+            x[i] = (d[i] + (n - 1) * u[i], den)
+        if best_tau < 0:
+            best_tau = _horizon(x, builder, k_max)
+        elif not _lost(x) and not builder._covers(best_tau, x):
+            best, best_tau = i, _horizon(x, builder, k_max, best_tau + 1)
+        if best_tau > k_max:
+            break
     return best

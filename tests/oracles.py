@@ -1,12 +1,13 @@
 """Oracles shared by the test modules: full-history ones, each recomputing from
 the whole round history what a state keeps as running aggregates, a one-round
-one for the state updates, and a round-by-round one for the block-wise witness
-check."""
+one for the state updates, a round-by-round one for the block-wise witness
+check, and linear ``Fraction`` scans for the exact solver's AUX and EXP."""
 from __future__ import annotations
 
 import numpy as np
 
 from perpetual.allocation import EfcThresholdState, EfxState, PropxState
+from perpetual.exact_game import is_inf
 from perpetual.framework import safe_div, verify_moment_witness
 from perpetual.public_decisions import PdmState
 from perpetual.simulate import _play, build_harness
@@ -136,3 +137,37 @@ def verify_moments_oracle(cfg):
     for _ in _play(cfg, h, check):
         pass
     return ok, worst
+
+
+def surplus_update(delta: tuple, values: tuple, recipient: int) -> tuple:
+    """Shifted-surplus step: the recipient gains (n-1) times their value,
+    everyone else loses theirs."""
+    n = len(delta)
+    return tuple(
+        delta[j] + (n - 1) * values[j] if j == recipient else delta[j] - values[j]
+        for j in range(n)
+    )
+
+
+def dominates(p: tuple, x: tuple) -> bool:
+    """Strict domination in every coordinate; INF > any finite value."""
+    return all(pi > xi for pi, xi in zip(p, x))
+
+
+def oracle_aux(x, builder, k_max):
+    """The Fraction domination scan over FrontierBuilder.get levels, D^0 up;
+    a state with a negative coordinate has already lost."""
+    if any(not is_inf(v) and v < 0 for v in x):
+        return 0
+    for k in range(k_max + 1):
+        if any(dominates(p, x) for p in builder.get(k)):
+            return k
+    return k_max + 1
+
+
+def oracle_exp_policy(delta, values, builder, k_max):
+    """The recipient whose ``surplus_update`` post-state has the largest
+    ``oracle_aux``, every recipient scanned; ties -> lowest index."""
+    taus = [oracle_aux(surplus_update(delta, values, i), builder, k_max)
+            for i in range(len(delta))]
+    return taus.index(max(taus))

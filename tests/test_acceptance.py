@@ -30,7 +30,7 @@ from perpetual.framework import (
 )
 from perpetual.prng import Xoshiro256StarStar
 
-from oracles import efk_oracle, naive_efc, naive_efx, naive_pdm, naive_propx
+from oracles import dominates, efk_oracle, naive_efc, naive_efx, naive_pdm, naive_propx
 
 
 def _report(num: int, desc: str, ok: bool, detail: str = ""):
@@ -373,8 +373,8 @@ def test_criterion_10_oracle_equivalence_suite():
         for x0 in grid:
             for x1 in grid:
                 x = (x0, x1)
-                if any(eg.dominates(pt, x) for pt in p) != any(
-                        eg.dominates(pt, x) for pt in r):
+                if any(dominates(pt, x) for pt in p) != any(
+                        dominates(pt, x) for pt in r):
                     ok = False
 
     # moment witnesses on 1e3 random rounds per instantiation

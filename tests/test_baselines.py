@@ -7,10 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from perpetual.allocation import PropxState
+from perpetual.allocation import PropxState, propx_candidates, propx_params
 from perpetual.baselines import (
     Benade2Policy,
     DeficitGreedyPolicy,
+    ItemPolicy,
     PrefixAlreadyUnfair,
     RoundRobinPolicy,
     StreamSpec,
@@ -22,6 +23,7 @@ from perpetual.baselines import (
     run_lb_game,
     stream_generate,
 )
+from perpetual.framework import choose_action
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +361,58 @@ def test_lb_game_golden_rounds():
         assert res.monitor_ok, (name, n, c, res.worst_monitor_violation)
         got[name, n, c] = res.violation_round
     assert got == LB_GOLDEN
+
+
+class _PreparedTwice(ItemPolicy):
+    """The potential rule with candidates and update each preparing the
+    round from its raw values."""
+
+    def choose(self, values) -> int:
+        return choose_action(propx_candidates(self.state, values), propx_params(self.n))
+
+
+def _recorded(policy):
+    """``policy`` with the recipient of every round appended to ``policy.log``."""
+    decide, policy.log = policy.choose, []
+
+    def choose(values):
+        policy.log.append(decide(values))
+        return policy.log[-1]
+
+    policy.choose = choose
+    return policy
+
+
+@pytest.mark.parametrize("n, c", [(2, 1.0), (3, 1.0), (2, 2.0), (5, 1.0)])
+def test_potential_policy_reuses_prepared_item(n, c):
+    """On criterion 04's games the policy that prepares each round once
+    decides and ends exactly as one preparing it in candidates and update."""
+    limit = int(4900 * n * c * c)
+    once, twice = _recorded(make_policy("potential", n)), _recorded(_PreparedTwice(n))
+    res_once, res_twice = run_lb_game(once, n, c, limit), run_lb_game(twice, n, c, limit)
+    assert res_once.violation_round == res_twice.violation_round == LB_GOLDEN["potential", n, c]
+    assert once.log == twice.log and once.t == twice.t
+    for key in ("bundle_value", "total_value", "missed_max"):
+        assert np.array_equal(getattr(once.state, key), getattr(twice.state, key)), key
+
+
+def test_potential_policy_prepares_each_round_once(monkeypatch):
+    calls = []
+    prepare = PropxState.prepare
+
+    def counted(self, values):
+        calls.append(values)
+        return prepare(self, values)
+
+    monkeypatch.setattr(PropxState, "prepare", counted)
+    res = run_lb_game(make_policy("potential", 3), 3, 1.0, 4900 * 3)
+    assert res.violation_round == len(calls) == LB_GOLDEN["potential", 3, 1.0]
+    # values other than those chosen on are prepared afresh
+    policy = make_policy("potential", 2)
+    policy.choose(np.array([1.0, 0.5]))
+    policy.update(np.array([0.25, 1.0]), 1)
+    assert policy.state.bundle_value.tolist() == [0.0, 1.0]
+    assert len(calls) == LB_GOLDEN["potential", 3, 1.0] + 2
 
 
 @pytest.mark.parametrize("policy, c, rounds", [

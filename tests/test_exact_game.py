@@ -10,6 +10,7 @@ import hashlib
 import itertools
 import random
 from fractions import Fraction
+from operator import ge
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,15 +24,15 @@ from perpetual.exact_game import (
     FrontierSizeExceeded,
     KMaxExceeded,
     aux,
-    dominates,
     exp_policy,
     is_inf,
     lp_solve,
     _pareto_front,
     _step,
     next_frontier,
-    surplus_update,
 )
+
+from oracles import dominates, oracle_aux, oracle_exp_policy, surplus_update
 
 F = Fraction
 
@@ -74,17 +75,6 @@ def _oracle_next_frontier(points, n, prune=True):
         for tup in itertools.product(points, repeat=n)
     }
     return _oracle_prune(out) if prune else frozenset(out)
-
-
-def _oracle_aux(x, builder, k_max):
-    """The Fraction domination scan over FrontierBuilder.get levels; a state
-    with a negative coordinate has already lost."""
-    if any(not is_inf(v) and v < 0 for v in x):
-        return 0
-    for k in range(k_max + 1):
-        if any(dominates(p, x) for p in builder.get(k)):
-            return k
-    return k_max + 1
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +178,33 @@ def test_windowed_step_matches_full_enumeration_n2():
 def test_frontier_sizes_n3():
     builder = FrontierBuilder(3)
     assert [len(builder.get(k)) for k in range(5)] == [3, 6, 13, 31, 100]
+
+
+def _covered(lower, upper, n):
+    """Whether every point of ``lower`` is weakly below some point of
+    ``upper``; for n = 2 a sweep down coordinate 0 that keeps the largest
+    coordinate 1 seen so far."""
+    if n > 2:
+        return all(any(all(map(ge, q, p)) for q in upper) for p in lower)
+    ups = sorted(upper, reverse=True)
+    j, most = 0, None
+    for p0, p1 in sorted(lower, reverse=True):
+        while j < len(ups) and ups[j][0] >= p0:
+            most = ups[j][1] if most is None else max(most, ups[j][1])
+            j += 1
+        if most is None or most < p1:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("n, k_max", [(2, 10), (3, 3)])
+def test_frontier_levels_nested(n, k_max):
+    """Every point of D^k, scaled by n onto D^{k+1}'s grid, is weakly below
+    a point of D^{k+1}: the property the bisection of aux rests on."""
+    builder = FrontierBuilder(n)
+    for k in range(k_max + 1):
+        lower = [tuple(v if v == _INF else n * v for v in p) for p in builder._level(k)]
+        assert _covered(lower, builder._level(k + 1), n), k
 
 
 @pytest.mark.parametrize("n, k_max", [(2, 8), (3, 3)])
@@ -316,11 +333,24 @@ def test_aux_small_values():
 
 def test_aux_rejects_bad_states():
     b = FrontierBuilder(2)
-    for state in ((F(5),), (0, 0, -1), (F(1, 2), 0.25), (0.5, 0.25), ("1", 0)):
+    for state in ((F(5),), (0, 0, -1), (F(1, 2), 0.25), (0.5, 0.25), ("1", 0),
+                  (True, F(1)), (F(0), False)):
         with pytest.raises(ValueError):
             aux(state, 2, builder=b)
     with pytest.raises(ValueError):
         aux((F(1), F(1)), 3, builder=b)  # the builder is for n = 2
+
+
+def test_negative_k_max_rejected_before_any_search(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("searched a rejected query")
+
+    monkeypatch.setattr("perpetual.exact_game._horizon", no_search)
+    b = FrontierBuilder(2)
+    with pytest.raises(ValueError):
+        aux((F(1), F(1)), 2, k_max=-1, builder=b)
+    with pytest.raises(ValueError):
+        exp_policy((F(1), F(1)), (F(1, 2), F(1, 2)), 2, k_max=-1, builder=b)
 
 
 def test_aux_accepts_ints_and_inf():
@@ -356,7 +386,7 @@ def test_integer_aux_matches_fraction_scan(case):
     n, x = case
     x = tuple(x)
     builder, k_max = _BUILDERS[n], _K_MAX[n]
-    want = _oracle_aux(x, builder, k_max)
+    want = oracle_aux(x, builder, k_max)
     if want > k_max:
         with pytest.raises(KMaxExceeded):
             aux(x, n, k_max, builder)
@@ -476,6 +506,75 @@ def test_exp_policy_rejects_bad_shapes_and_floats():
         ((F(1),), (F(1, 2), F(1, 2))),    # state too short
         (state, (0.5, F(1, 2))),          # float item value
         ((1.0, F(1)), (F(1, 2), F(1, 2))),  # float state coordinate
+        (state, (True, F(0))),            # bool item value
+        ((True, F(0)), (F(1, 2), F(1, 2))),  # bool state coordinate
     ):
         with pytest.raises(ValueError):
             exp_policy(delta, item, 2, builder=b)
+
+
+SMALL = st.builds(F, st.integers(-4, 20), st.integers(1, 8))
+ITEM_VALUES = st.builds(lambda a, b: F(min(a, b), b), st.integers(0, 12), st.integers(1, 12))
+#: deepest level each n's EXP test may build
+_DEEPEST = {2: 10, 3: 3}
+_ORACLE_BUILDERS = {2: FrontierBuilder(2), 3: FrontierBuilder(3)}
+
+
+@st.composite
+def _exp_cases(draw):
+    """(n, delta, item, builder kind, levels built before the query, k_max)."""
+    n = draw(st.sampled_from([2, 3]))
+    delta = tuple(draw(st.lists(st.one_of(SMALL, st.just(INF)), min_size=n, max_size=n)))
+    item = tuple(draw(st.lists(ITEM_VALUES, min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(["warm", "fresh", "partial"]))
+    built = draw(st.integers(1, _DEEPEST[n])) if kind == "partial" else 0
+    return n, delta, item, kind, built, draw(st.integers(0, _DEEPEST[n]))
+
+
+@PROPERTY
+@given(_exp_cases())
+@example((2, (F(2), F(2)), (F(1), F(0)), "fresh", 0, 10))
+@example((2, (F(0), F(3)), (F(1), F(1)), "partial", 3, 9))
+@example((3, (INF, F(-1), F(1)), (F(1, 2), F(0), F(1)), "warm", 0, 3))
+def test_exp_policy_matches_linear_fraction_scan(case):
+    """exp_policy equals the argmax of the Fraction scan over every
+    recipient's ``surplus_update`` post-state, ties to the lowest index, on
+    warm, fresh and partly built builders, with k_max below and past the
+    built levels.  It builds exactly the levels that scan builds."""
+    n, delta, item, kind, built, k_max = case
+    if kind == "warm":
+        builder = _BUILDERS[n]
+        builder._level(_K_MAX[n])
+    else:
+        builder = FrontierBuilder(n)
+        builder._level(built)
+    before = len(builder._levels)
+    got = exp_policy(delta, item, n, k_max, builder)
+    oracle = _ORACLE_BUILDERS[n]
+    assert got == oracle_exp_policy(delta, item, oracle, k_max)
+    taus = [oracle_aux(surplus_update(delta, item, i), oracle, k_max) for i in range(n)]
+    assert len(builder._levels) == max(before, min(max(taus), k_max) + 1)
+
+
+def test_search_builds_no_level_the_scan_does_not():
+    """The same seeded aux and exp queries on two fresh builders, one
+    answered by the level-by-level Fraction scan and one by the bisecting
+    search, leave both with the same number of levels after every query."""
+    rng = random.Random(17)
+    for n, deepest in _DEEPEST.items():
+        scan, search = FrontierBuilder(n), FrontierBuilder(n)
+        for _ in range(60):
+            x = tuple(INF if rng.random() < 0.1 else F(rng.randint(-1, 6 * n), rng.randint(1, 4))
+                      for _ in range(n))
+            k_max = rng.randint(0, deepest)
+            if rng.random() < 0.5:
+                want = oracle_aux(x, scan, k_max)
+                try:
+                    assert aux(x, n, k_max, search) == want
+                except KMaxExceeded:
+                    assert want == k_max + 1
+            else:
+                item = tuple(F(rng.randint(0, 4), 4) for _ in range(n))
+                assert (exp_policy(x, item, n, k_max, search)
+                        == oracle_exp_policy(x, item, scan, k_max))
+            assert len(search._levels) == len(scan._levels)
