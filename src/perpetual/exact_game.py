@@ -8,7 +8,10 @@ picks the recipient maximizing it.  The levels are nested -- every point of
 D^k is weakly below some point of D^{k+1}, as a violation forced within k
 rounds is also forced within k + 1 -- so "D^k dominates x" is monotone in k:
 AUX bisects k over the levels already built, and EXP probes each later
-recipient once, at the best horizon so far.
+recipient once, at the best horizon so far.  The game is symmetric in the
+agents, so every level is closed under permuting coordinates: a step prunes
+the sorted forms of its points, then adds their permutations, and for n = 2
+evaluates one of each two mirror pairs of points.
 
 Everything here is exact, and floating point is forbidden in this module --
 domination is a strict inequality and the reference value aux((2,2)) = 10 must
@@ -28,7 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from fractions import Fraction
 from numbers import Rational
 from operator import ge, gt
@@ -117,8 +120,8 @@ def _scaled(points, n: int) -> tuple:
 
 
 def _to_fractions(level, scale: int) -> frozenset:
-    return frozenset(tuple(INF if v == _INF else Fraction(v, scale) for v in p)
-                     for p in level)
+    value = {v: INF if v == _INF else Fraction(v, scale) for v in {v for p in level for v in p}}
+    return frozenset(tuple(map(value.__getitem__, p)) for p in level)
 
 
 # ---------------------------------------------------------------------------
@@ -200,35 +203,58 @@ def _step(pts: list, n: int, unit: int, prune: bool) -> list:
     finite coordinates are multiples of n, sorted descending: for every
     ordered n-tuple of points, coordinate i of the generated point is the LP
     value of the tuple's i-th coordinates.  Returns the level sorted
-    descending, at the same scale."""
+    descending, at the same scale.  Each distinct LP input from a tuple's
+    first n - 1 points is mapped over the last point once.  When ``pts`` is
+    closed under permuting coordinates, so is the generated set, and y is
+    maximal in it exactly when sorted(y) is maximal among the sorted forms."""
+    folded = prune and set(pts) == {q for p in pts for q in itertools.permutations(p)}
     if n == 2 and prune:
-        return _step2(pts, unit)
-    out = set()
-    y = functools.lru_cache(maxsize=None)(lambda xi, mu: _lp(xi, mu, n, unit)[0])
-    for tup in itertools.product(pts, repeat=n):
-        out.add(tuple(y(c[i], min(c[:i] + c[i + 1:])) for i, c in enumerate(zip(*tup))))
-        if len(out) > FRONTIER_CAP:
+        kept = _step2(pts, unit, folded)
+    else:
+        y = functools.lru_cache(maxsize=None)(lambda xi, mu: _lp(xi, mu, n, unit)[0])
+        prefixes = set()
+        for tup in itertools.product(pts, repeat=n - 1):
+            cols = list(zip(*tup))
+            prefixes.add((tuple((c[i], min(c[:i] + c[i + 1:], default=_INF))
+                                for i, c in enumerate(cols[:-1])), min(cols[-1])))
+        cols = list(zip(*pts))
+        out = set()
+        for pairs, mu in prefixes:
+            ys = zip(*(map(y, itertools.repeat(x), map(min, itertools.repeat(m), c))
+                       for (x, m), c in zip(pairs, cols)), map(y, cols[-1], itertools.repeat(mu)))
+            out.update(map(tuple, map(sorted, ys)) if folded else ys)
+            if len(out) > FRONTIER_CAP:
+                raise FrontierSizeExceeded(f"frontier exceeds {FRONTIER_CAP} points")
+        kept = _pareto_front(out, n) if prune else sorted(out, reverse=True)
+    if folded:
+        kept = sorted({q for p in kept for q in itertools.permutations(p)}, reverse=True)
+        if len(kept) > FRONTIER_CAP:
             raise FrontierSizeExceeded(f"frontier exceeds {FRONTIER_CAP} points")
-    return _pareto_front(out, n) if prune else sorted(out, reverse=True)
+    return kept
 
 
-def _step2(pts: list, unit: int) -> list:
-    """The pruned n = 2 step from a staircase ``pts``.  For a first point a,
-    every b with b0 >= a0 gives coordinate 0 = a0, so the last of them
-    dominates the others; every b with b1 >= a1 + 2 unit gives coordinate
-    1 = a1 + unit, so the first of them dominates the others.  Only the window
-    from the one to the other is evaluated, with ``_lp``'s n = 2 value inlined
-    (``_INF`` needs no case: it stays above 2 unit after subtracting a finite
-    value), and a generated point only raises the largest coordinate 1 kept
-    for its coordinate 0."""
-    neg0 = [-p0 for p0, _ in pts]
+def _step2(pts: list, unit: int, folded: bool) -> list:
+    """The pruned n = 2 step from a staircase ``pts``, folded to y0 >= y1
+    when ``folded``.  For a first point a, each b before a gives (a0, b1),
+    below what a gives, and the first b with b1 >= a1 + 2 unit dominates the
+    later ones (all give coordinate 1 = a1 + unit), so only the window from
+    a to it is evaluated, with ``_lp``'s n = 2 value inlined (``_INF`` needs
+    no case: it stays above 2 unit after subtracting a finite value).  When
+    point N-1-i is point i mirrored, the pairs (ia, ib) and (N-1-ib, N-1-ia)
+    generate mirror points, so only ia + ib <= N - 1 is evaluated: a maximal
+    point from a window pair past that line has its mirror from a pair before
+    it, and cutting that pair at its row's window end only lowers ib."""
     one = [p1 for _, p1 in pts]
     two = 2 * unit
+    last = len(pts) - 1
     top = {}
-    for a0, a1 in pts:
-        for b0, b1 in pts[bisect_right(neg0, -a0) - 1:bisect_left(one, a1 + two) + 1]:
+    for ia, (a0, a1) in enumerate(pts):
+        hi = bisect_left(one, a1 + two)
+        for b0, b1 in pts[ia:(min(hi, last - ia) if folded else hi) + 1]:
             y0 = a0 if a0 <= b0 else (a0 + b0) // 2 if a0 - b0 <= two else b0 + unit
             y1 = b1 if b1 <= a1 else (b1 + a1) // 2 if b1 - a1 <= two else a1 + unit
+            if folded and y1 > y0:
+                y0, y1 = y1, y0
             if top.get(y0, y1) <= y1:
                 top[y0] = y1
         if len(top) > FRONTIER_CAP:
@@ -308,8 +334,8 @@ def _checked(n: int, builder: FrontierBuilder | None, k_max: int, *vectors) -> F
     for x in vectors:
         if len(x) != n:
             raise ValueError(f"{len(x)} coordinates given, expected n = {n}")
-        if not all(is_inf(v) or (isinstance(v, Rational) and not isinstance(v, bool))
-                   for v in x):
+        if not all(type(v) is Fraction or type(v) is int or is_inf(v)
+                   or (isinstance(v, Rational) and not isinstance(v, bool)) for v in x):
             raise ValueError(f"coordinates must be Fraction, int or INF: {x!r}")
     if builder is None:
         return FrontierBuilder(n)

@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 from operator import ge
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -175,6 +176,30 @@ def test_windowed_step_matches_full_enumeration_n2():
         assert _step(pts, 2, 2 ** k, True) == _pareto_front(full, 2) == builder._level(k)
 
 
+def test_folded_step_matches_full_enumeration_n3():
+    """The pruned n = 3 step, which keeps the sorted forms and then their
+    permutations, keeps exactly the Pareto front of every generated point."""
+    builder = FrontierBuilder(3)
+    for k in range(1, 5):
+        pts = [tuple(v if v == _INF else 3 * v for v in p) for p in builder._level(k - 1)]
+        full = _step(pts, 3, 3 ** k, False)
+        assert _step(pts, 3, 3 ** k, True) == _pareto_front(full, 3) == builder._level(k)
+
+
+def _closure(points):
+    """Every permutation of every point of ``points``."""
+    return {q for p in points for q in itertools.permutations(p)}
+
+
+@pytest.mark.parametrize("n, k_max", [(2, 12), (3, 4)])
+def test_levels_closed_under_permuting_coordinates(n, k_max):
+    """The game is symmetric in the agents, so every level is: the property
+    that puts each step on its folded path."""
+    builder = FrontierBuilder(n)
+    for k in range(k_max + 1):
+        assert set(builder._level(k)) == _closure(builder._level(k)), k
+
+
 def test_frontier_sizes_n3():
     builder = FrontierBuilder(3)
     assert [len(builder.get(k)) for k in range(5)] == [3, 6, 13, 31, 100]
@@ -244,6 +269,22 @@ def test_next_frontier_accepts_any_rational_points():
     assert next_frontier(pts3, 3) == _oracle_next_frontier(pts3, 3)
 
 
+@pytest.mark.parametrize("n, most", [(2, 8), (3, 2)])
+def test_next_frontier_folds_only_closed_point_sets(n, most):
+    """Seeded point sets that are not closed under permuting coordinates
+    take the unfolded step, and their closures the folded one; both equal
+    the Fraction oracle."""
+    rng = random.Random(40 + n)
+    for _ in range(12):
+        pts = {tuple(INF if rng.random() < 0.1 else F(rng.randint(-3, 12), rng.randint(1, 4))
+                     for _ in range(n)) for _ in range(rng.randint(2, most))}
+        assert pts != _closure(pts)
+        for points in (pts, _closure(pts)):
+            raw = _oracle_next_frontier(points, n, prune=False)
+            assert next_frontier(points, n, prune=False) == raw
+            assert next_frontier(points, n) == _oracle_prune(raw)
+
+
 def _csv_digest(tmp_path, n, k):
     out = tmp_path / f"d{n}_{k}.csv"
     assert cli_dispatch(["exact", "frontier", "--n", str(n), "--k", str(k),
@@ -296,6 +337,16 @@ def test_frontier_cap(monkeypatch):
         FrontierBuilder(2).get(3)
 
 
+def test_frontier_cap_bounds_the_unfolded_level(monkeypatch):
+    """The cap bounds the whole level, not the folded half the n = 2 step
+    builds: D^6 has 71 points, 36 of them with p0 >= p1."""
+    monkeypatch.setattr("perpetual.exact_game.FRONTIER_CAP", 70)
+    builder = FrontierBuilder(2)
+    assert len(builder.get(5)) == 35
+    with pytest.raises(FrontierSizeExceeded):
+        builder.get(6)
+
+
 def test_pareto_prune_basic():
     pts = [(F(1), F(1)), (F(0), F(1)), (F(2), F(0)), (F(1), F(0))]
     assert frozenset(_pareto_front(pts, 2)) == frozenset({(F(1), F(1)), (F(2), F(0))})
@@ -339,6 +390,25 @@ def test_aux_rejects_bad_states():
             aux(state, 2, builder=b)
     with pytest.raises(ValueError):
         aux((F(1), F(1)), 3, builder=b)  # the builder is for n = 2
+
+
+@pytest.mark.parametrize("v, accepted", [
+    (F(1), True), (1, True), (np.int64(1), True),
+    (True, False), (1.0, False), (np.float64(1.0), False), ("1", False), (np.bool_(True), False),
+])
+def test_coordinate_types(v, accepted):
+    """aux and exp_policy take exactly the rational, non-bool coordinates,
+    in a state and in an item, and answer as they do for the Fraction."""
+    b = FrontierBuilder(2)
+    calls = (lambda u: aux((u, F(1)), 2, builder=b),
+             lambda u: exp_policy((u, F(1)), (F(1, 2), F(1, 2)), 2, builder=b),
+             lambda u: exp_policy((F(1), F(1)), (u, F(0)), 2, builder=b))
+    for call in calls:
+        if accepted:
+            assert call(v) == call(F(1))
+        else:
+            with pytest.raises(ValueError):
+                call(v)
 
 
 def test_negative_k_max_rejected_before_any_search(monkeypatch):
