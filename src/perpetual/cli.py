@@ -68,13 +68,22 @@ def _cmd_lowerbound(args) -> int:
     return 0
 
 
+def _builder(args):
+    """Under ``--progress``, a builder that prints k, |D^k| and seconds for
+    each level it builds to stderr; otherwise None (the solver's own)."""
+    if not args.progress:
+        return None
+    return eg.FrontierBuilder(args.n, progress=lambda k, points, ns: print(
+        f"k={k} points={points} seconds={ns / 1e9:.3f}", file=sys.stderr, flush=True))
+
+
 def _cmd_aux(args) -> int:
     c = _fraction(args.c_rational, "--c")
     state = _parse_fractions(args.state, "--state") if args.state else (c * args.n,) * args.n
     if len(state) != args.n:
         raise ConfigInvalid("state length must equal n")
     try:
-        print(eg.aux(state, args.n, args.k_max))
+        print(eg.aux(state, args.n, args.k_max, _builder(args)))
     except eg.KMaxExceeded:
         print(f"exceeded (no forced violation within k_max={args.k_max})")
         return 1
@@ -82,7 +91,7 @@ def _cmd_aux(args) -> int:
 
 
 def _cmd_frontier(args) -> int:
-    pts = sorted(eg.FrontierBuilder(args.n).get(args.k), reverse=True)
+    pts = sorted((_builder(args) or eg.FrontierBuilder(args.n)).get(args.k), reverse=True)
     with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
         out.write(",".join(f"x{i}" for i in range(args.n)) + "\n")
         for p in pts:
@@ -94,7 +103,7 @@ def _cmd_exp(args) -> int:
     state, item = _parse_fractions(args.state, "--state"), _parse_fractions(args.item, "--item")
     if len(state) != args.n or len(item) != args.n:
         raise ConfigInvalid("state and item length must equal n")
-    print(eg.exp_policy(state, item, args.n, args.k_max))
+    print(eg.exp_policy(state, item, args.n, args.k_max, _builder(args)))
     return 0
 
 
@@ -137,6 +146,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--item", required=True)
     p_exp.add_argument("--k-max", type=int, default=eg.K_MAX)
     p_exp.set_defaults(run=_cmd_exp)
+    for p in (p_aux, p_fr, p_exp):
+        p.add_argument("--progress", action="store_true",
+                       help="print k, |D^k| and seconds for each built level to stderr")
 
     return parser
 

@@ -29,9 +29,11 @@ probe turns such a state into integer thresholds at the level's scale.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import math
-from bisect import bisect_left
+import time
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from numbers import Rational
 from operator import ge, gt
@@ -180,21 +182,15 @@ def _pareto_front(points, n: int) -> list:
         for p0, p1 in points:
             if top.get(p0, p1) <= p1:
                 top[p0] = p1
-        return _staircase(top)
+        kept = []
+        for p0 in sorted(top, reverse=True):
+            if not kept or top[p0] > kept[-1][1]:
+                kept.append((p0, top[p0]))
+        return kept
     kept = []
     for q in sorted(set(points), reverse=True):
         if not any(all(map(ge, o, q)) for o in kept):
             kept.append(q)
-    return kept
-
-
-def _staircase(top: dict) -> list:
-    """The Pareto front of the n = 2 points {p0: largest p1}, sorted
-    descending: coordinate 0 strictly falls and coordinate 1 strictly rises."""
-    kept = []
-    for p0 in sorted(top, reverse=True):
-        if not kept or top[p0] > kept[-1][1]:
-            kept.append((p0, top[p0]))
     return kept
 
 
@@ -206,11 +202,17 @@ def _step(pts: list, n: int, unit: int, prune: bool) -> list:
     descending, at the same scale.  Each distinct LP input from a tuple's
     first n - 1 points is mapped over the last point once.  When ``pts`` is
     closed under permuting coordinates, so is the generated set, and y is
-    maximal in it exactly when sorted(y) is maximal among the sorted forms."""
-    folded = prune and set(pts) == {q for p in pts for q in itertools.permutations(p)}
+    maximal in it exactly when sorted(y) is maximal among the sorted forms.
+    For n = 2 ``pts`` is a staircase, closed exactly when it reads the same
+    mirrored and reversed, and the level is the kept half (y0 >= y1,
+    descending) followed by its mirrors, reversed, the diagonal point once."""
     if n == 2 and prune:
+        folded = [(b, a) for a, b in reversed(pts)] == pts
         kept = _step2(pts, unit, folded)
+        if folded:
+            kept += [(b, a) for a, b in reversed(kept) if a != b]
     else:
+        folded = prune and set(pts) == {q for p in pts for q in itertools.permutations(p)}
         y = functools.lru_cache(maxsize=None)(lambda xi, mu: _lp(xi, mu, n, unit)[0])
         prefixes = set()
         for tup in itertools.product(pts, repeat=n - 1):
@@ -226,40 +228,74 @@ def _step(pts: list, n: int, unit: int, prune: bool) -> list:
             if len(out) > FRONTIER_CAP:
                 raise FrontierSizeExceeded(f"frontier exceeds {FRONTIER_CAP} points")
         kept = _pareto_front(out, n) if prune else sorted(out, reverse=True)
-    if folded:
-        kept = sorted({q for p in kept for q in itertools.permutations(p)}, reverse=True)
-        if len(kept) > FRONTIER_CAP:
-            raise FrontierSizeExceeded(f"frontier exceeds {FRONTIER_CAP} points")
+        if folded:
+            kept = sorted({q for p in kept for q in itertools.permutations(p)}, reverse=True)
+    if len(kept) > FRONTIER_CAP:
+        raise FrontierSizeExceeded(f"frontier exceeds {FRONTIER_CAP} points")
     return kept
 
 
 def _step2(pts: list, unit: int, folded: bool) -> list:
     """The pruned n = 2 step from a staircase ``pts``, folded to y0 >= y1
-    when ``folded``.  For a first point a, each b before a gives (a0, b1),
-    below what a gives, and the first b with b1 >= a1 + 2 unit dominates the
-    later ones (all give coordinate 1 = a1 + unit), so only the window from
-    a to it is evaluated, with ``_lp``'s n = 2 value inlined (``_INF`` needs
-    no case: it stays above 2 unit after subtracting a finite value).  When
-    point N-1-i is point i mirrored, the pairs (ia, ib) and (N-1-ib, N-1-ia)
-    generate mirror points, so only ia + ib <= N - 1 is evaluated: a maximal
-    point from a window pair past that line has its mirror from a pair before
-    it, and cutting that pair at its row's window end only lowers ib."""
+    when ``folded``: a heap merge of the rows' staircases.
+
+    Row ia pairs a = pts[ia] with each b = pts[ib] of its window; with
+    b0 <= a0 and b1 >= a1, ``_lp`` gives y0 = (a0 + b0) / 2, or b0 + unit
+    once a0 - b0 > 2 unit, and y1 likewise (coordinates are even, so the
+    halves are exact; an ``_INF`` a0 or b1 takes the second case).  A b
+    before a gives (a0, b1), below a itself.  The window ends at the first
+    b with b1 >= a1 + 2 unit (the later ones all give y1 = a1 + unit, and a
+    lower y0), and at the last ib with b0 >= p0[ia+1] - 2 unit: past it rows
+    ia and ia + 1 both give y0 = b0 + unit, and row ia + 1, whose window
+    reaches at least as far, the larger y1.  When point N-1-i is point i
+    mirrored, the pairs (ia, ib) and (N-1-ib, N-1-ia) give mirror points, so
+    only ia + ib <= N - 1 is evaluated.  A pair cut by any of these leads,
+    by a mirror (which lowers ib) or a step to row ia + 1 (which keeps ib),
+    to an evaluated pair whose point covers its own.  No evaluated point
+    needs folding: with ib <= N-1-ia, b comes no later than a mirrored, so
+    b0 >= a1 and b1 <= a0, and as the LP value is monotone in both inputs,
+    y0 >= lp(a0, a1) >= y1.
+
+    Along a row y0 strictly falls and y1 never falls, so a heap keyed on
+    (-y0, -y1), started from every row's first point (the pair (a, a) gives
+    a), pops the generated points in descending order, and a popped point is
+    kept exactly when its y1 beats the best kept so far.  After each pop the
+    row jumps, by one ``bisect``, to its next ib whose y1 = min((a1 + b1) / 2,
+    a1 + unit) can beat that best; no point jumped over could be kept.
+    ``best`` starts at -``_INF``, below every coordinate, negative ones
+    included; an ``_INF`` best puts every threshold out of reach."""
+    firsts = [-p0 for p0, _ in pts]
     one = [p1 for _, p1 in pts]
     two = 2 * unit
     last = len(pts) - 1
-    top = {}
+    ends = []
     for ia, (a0, a1) in enumerate(pts):
-        hi = bisect_left(one, a1 + two)
-        for b0, b1 in pts[ia:(min(hi, last - ia) if folded else hi) + 1]:
-            y0 = a0 if a0 <= b0 else (a0 + b0) // 2 if a0 - b0 <= two else b0 + unit
-            y1 = b1 if b1 <= a1 else (b1 + a1) // 2 if b1 - a1 <= two else a1 + unit
-            if folded and y1 > y0:
-                y0, y1 = y1, y0
-            if top.get(y0, y1) <= y1:
-                top[y0] = y1
-        if len(top) > FRONTIER_CAP:
-            raise FrontierSizeExceeded(f"frontier exceeds {FRONTIER_CAP} points")
-    return _staircase(top)
+        end = min(bisect_left(one, a1 + two),
+                  bisect_right(firsts, two - pts[ia + 1][0]) - 1 if ia < last else last,
+                  last - ia if folded else last)
+        if end < ia:
+            break
+        ends.append(end)
+    # ascending in -a0, so already a heap
+    heap = [(-a0, -a1, ia, ia) for ia, (a0, a1) in enumerate(pts[:len(ends)])]
+    kept = []
+    best = -_INF
+    while heap:
+        k0, k1, ia, ib = heap[0]  # (-y0, -y1, row, column)
+        if -k1 > best:
+            best = -k1
+            kept.append((-k0, best))
+            if len(kept) > FRONTIER_CAP:
+                raise FrontierSizeExceeded(f"frontier exceeds {FRONTIER_CAP} points")
+        a0, a1 = pts[ia]
+        ib = bisect_right(one, 2 * best - a1, ib + 1, ends[ia] + 1)
+        if a1 + unit > best and ib <= ends[ia]:
+            b0, b1 = pts[ib]
+            heapq.heapreplace(heap, (-((a0 + b0) // 2 if a0 - b0 <= two else b0 + unit),
+                                     -((a1 + b1) // 2 if b1 - a1 <= two else a1 + unit), ia, ib))
+        else:
+            heapq.heappop(heap)
+    return kept
 
 
 def next_frontier(points, n: int, prune: bool = True) -> frozenset:
@@ -275,11 +311,12 @@ class FrontierBuilder:
     """Lazily builds and caches D^0, D^1, ... for a fixed n: integer levels
     for the solver, and each level's ``Fraction`` form once it is asked for."""
 
-    def __init__(self, n: int, prune: bool = True):
+    def __init__(self, n: int, prune: bool = True, progress=None):
         if n < 2:
             raise ValueError("need at least 2 agents")
         self.n = n
         self.prune = prune
+        self.progress = progress  # called as progress(k, points, ns) after building level k
         self._levels = [_axis_level(n)]
         self._fractions: dict[int, frozenset] = {}
         self._firsts: dict[int, list] = {}  # n = 2 staircases: negated coordinate 0
@@ -291,9 +328,12 @@ class FrontierBuilder:
         n = self.n
         while len(self._levels) <= k:
             j = len(self._levels)
+            start = time.perf_counter_ns()
             # the previous level at scale n**j: every finite coordinate a multiple of n
             pts = [tuple(v if v == _INF else v * n for v in p) for p in self._levels[-1]]
             self._levels.append(_step(pts, n, n ** j, self.prune))
+            if self.progress:
+                self.progress(j, len(self._levels[j]), time.perf_counter_ns() - start)
         return self._levels[k]
 
     def _covers(self, k: int, x: list) -> bool:

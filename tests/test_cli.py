@@ -159,6 +159,30 @@ def test_exact_exp_cli(capsys):
     assert capsys.readouterr().out.strip() == "0"
 
 
+@pytest.mark.parametrize("argv", [
+    ["aux", "--n", "2"],
+    ["frontier", "--n", "3", "--k", "2"],
+    ["exp", "--n", "2", "--state", "0,3", "--item", "1,1", "--k-max", "4"],
+])
+def test_exact_progress_on_stderr_only(capsys, argv):
+    """--progress prints one k, |D^k|, seconds line per built level to
+    stderr and leaves stdout byte for byte as it is without the flag."""
+    assert cli_dispatch(["exact", *argv]) in (0, 1)
+    plain = capsys.readouterr()
+    assert plain.err == ""
+    assert cli_dispatch(["exact", *argv, "--progress"]) in (0, 1)
+    shown = capsys.readouterr()
+    assert shown.out == plain.out
+    lines = [line.split() for line in shown.err.splitlines()]
+    n = int(argv[2])
+    builder = eg.FrontierBuilder(n)
+    assert [k for (k, _, _) in lines] == [f"k={k}" for k in range(1, len(lines) + 1)]
+    assert [p for (_, p, _) in lines] == [f"points={len(builder.get(k))}"
+                                          for k in range(1, len(lines) + 1)]
+    assert all(float(s.removeprefix("seconds=")) >= 0 for (_, _, s) in lines)
+    assert len(lines) >= 2
+
+
 @pytest.mark.parametrize("overrides", [
     {"window": 3},  # not a config key
     {"instantiation": "pdm", "num_outcomes": 3},  # pdm on the table1 stream

@@ -176,6 +176,59 @@ def test_windowed_step_matches_full_enumeration_n2():
         assert _step(pts, 2, 2 ** k, True) == _pareto_front(full, 2) == builder._level(k)
 
 
+def test_heap_step_matches_full_enumeration_on_random_staircases():
+    """The n = 2 heap merge on seeded staircases with negative and INF
+    coordinates, closed under the mirror and not, at several scales, keeps
+    exactly the Pareto front of every generated pair."""
+    rng = random.Random(19)
+    seen = set()
+    for _ in range(400):
+        span = rng.choice([3, 10, 40, 200])
+        pts = {tuple(_INF if rng.random() < 0.08 else 2 * rng.randint(-span, span)
+                     for _ in range(2)) for _ in range(rng.randint(1, 30))}
+        if rng.random() < 0.5:
+            pts |= {(b, a) for a, b in pts}
+        pts = _pareto_front(pts, 2)
+        seen.add(set(pts) == _closure(pts))
+        unit = rng.choice([1, 2, 3, 8, 64])
+        assert _step(pts, 2, unit, True) == _pareto_front(_step(pts, 2, unit, False), 2), (
+            pts, unit)
+    assert seen == {False, True}
+
+
+def test_frontier_pinned_n2_deepest():
+    """D^14 as the window-pair step built it (sha256 of the integer level's
+    repr), and |D^15|."""
+    builder = FrontierBuilder(2)
+    assert hashlib.sha256(repr(builder._level(14)).encode()).hexdigest() == (
+        "f99acf46974cfcb8c9353480a99326f83c3521e34a11118acaaeede5ff250c38")
+    assert len(builder._level(15)) == 61653
+
+
+class _CountedReads(list):
+    """A level that counts its indexed reads: the n = 2 step reads one point
+    per row to set up, one per heap pop and one per evaluated pair."""
+
+    def __init__(self, pts):
+        super().__init__(pts)
+        self.reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_heap_step_work_n2():
+    """D^12 from D^11 (3111 points) reads far fewer points than the
+    1,685,267 pairs of the mirror-restricted windows: about 55k, and about
+    78k without the window end at b0 >= p0[ia+1] - 2 unit."""
+    builder = FrontierBuilder(2)
+    pts = [tuple(v if v == _INF else 2 * v for v in p) for p in builder._level(11)]
+    level = _CountedReads(pts)
+    assert _step(level, 2, 2 ** 12, True) == builder._level(12)
+    assert 0 < level.reads < 60_000
+
+
 def test_folded_step_matches_full_enumeration_n3():
     """The pruned n = 3 step, which keeps the sorted forms and then their
     permutations, keeps exactly the Pareto front of every generated point."""
@@ -345,6 +398,18 @@ def test_frontier_cap_bounds_the_unfolded_level(monkeypatch):
     assert len(builder.get(5)) == 35
     with pytest.raises(FrontierSizeExceeded):
         builder.get(6)
+
+
+def test_frontier_cap_counts_the_kept_points(monkeypatch):
+    """The n = 2 step checks the cap against the points it keeps: a cap of
+    |D^9| = 693 builds D^9, and one point less refuses it."""
+    monkeypatch.setattr("perpetual.exact_game.FRONTIER_CAP", 693)
+    assert len(FrontierBuilder(2).get(9)) == 693
+    monkeypatch.setattr("perpetual.exact_game.FRONTIER_CAP", 692)
+    builder = FrontierBuilder(2)
+    assert len(builder.get(8)) == 325
+    with pytest.raises(FrontierSizeExceeded):
+        builder.get(9)
 
 
 def test_pareto_prune_basic():
