@@ -169,24 +169,12 @@ def _axis_level(n: int) -> list:
                   reverse=True)
 
 
-def _pareto_front(points, n: int) -> list:
+def _pareto_front(points) -> list:
     """The Pareto-maximal points of ``points``, sorted descending.
 
     In lexicographic-descending order every point that weakly covers q comes
     before q, and a covered point's coverer covers everything it does, so q
-    is compared only with the points already kept.  For n = 2 only the
-    largest second coordinate per first coordinate can be kept, so the sweep
-    sorts first coordinates, not points."""
-    if n == 2:
-        top = {}
-        for p0, p1 in points:
-            if top.get(p0, p1) <= p1:
-                top[p0] = p1
-        kept = []
-        for p0 in sorted(top, reverse=True):
-            if not kept or top[p0] > kept[-1][1]:
-                kept.append((p0, top[p0]))
-        return kept
+    is compared only with the points already kept."""
     kept = []
     for q in sorted(set(points), reverse=True):
         if not any(all(map(ge, o, q)) for o in kept):
@@ -203,14 +191,13 @@ def _step(pts: list, n: int, unit: int, prune: bool) -> list:
     first n - 1 points is mapped over the last point once.  When ``pts`` is
     closed under permuting coordinates, so is the generated set, and y is
     maximal in it exactly when sorted(y) is maximal among the sorted forms.
-    For n = 2 ``pts`` is a staircase, closed exactly when it reads the same
-    mirrored and reversed, and the level is the kept half (y0 >= y1,
-    descending) followed by its mirrors, reversed, the diagonal point once."""
-    if n == 2 and prune:
-        folded = [(b, a) for a, b in reversed(pts)] == pts
-        kept = _step2(pts, unit, folded)
-        if folded:
-            kept += [(b, a) for a, b in reversed(kept) if a != b]
+    For n = 2 a pruned ``pts`` is a staircase, closed exactly when it reads
+    the same mirrored and reversed; only then does the step take the heap
+    merge ``_step2``, and the level is the kept half (y0 >= y1, descending)
+    followed by its mirrors, reversed, the diagonal point once."""
+    if n == 2 and prune and [(b, a) for a, b in reversed(pts)] == pts:
+        kept = _step2(pts, unit)
+        kept += [(b, a) for a, b in reversed(kept) if a != b]
     else:
         folded = prune and set(pts) == {q for p in pts for q in itertools.permutations(p)}
         y = functools.lru_cache(maxsize=None)(lambda xi, mu: _lp(xi, mu, n, unit)[0])
@@ -227,7 +214,7 @@ def _step(pts: list, n: int, unit: int, prune: bool) -> list:
             out.update(map(tuple, map(sorted, ys)) if folded else ys)
             if len(out) > FRONTIER_CAP:
                 raise FrontierSizeExceeded(f"frontier exceeds {FRONTIER_CAP} points")
-        kept = _pareto_front(out, n) if prune else sorted(out, reverse=True)
+        kept = _pareto_front(out) if prune else sorted(out, reverse=True)
         if folded:
             kept = sorted({q for p in kept for q in itertools.permutations(p)}, reverse=True)
     if len(kept) > FRONTIER_CAP:
@@ -235,9 +222,9 @@ def _step(pts: list, n: int, unit: int, prune: bool) -> list:
     return kept
 
 
-def _step2(pts: list, unit: int, folded: bool) -> list:
-    """The pruned n = 2 step from a staircase ``pts``, folded to y0 >= y1
-    when ``folded``: a heap merge of the rows' staircases.
+def _step2(pts: list, unit: int) -> list:
+    """The pruned n = 2 step from a mirror-closed staircase ``pts``, folded to
+    y0 >= y1: a heap merge of the rows' staircases.
 
     Row ia pairs a = pts[ia] with each b = pts[ib] of its window; with
     b0 <= a0 and b1 >= a1, ``_lp`` gives y0 = (a0 + b0) / 2, or b0 + unit
@@ -247,7 +234,7 @@ def _step2(pts: list, unit: int, folded: bool) -> list:
     b with b1 >= a1 + 2 unit (the later ones all give y1 = a1 + unit, and a
     lower y0), and at the last ib with b0 >= p0[ia+1] - 2 unit: past it rows
     ia and ia + 1 both give y0 = b0 + unit, and row ia + 1, whose window
-    reaches at least as far, the larger y1.  When point N-1-i is point i
+    reaches at least as far, the larger y1.  As point N-1-i is point i
     mirrored, the pairs (ia, ib) and (N-1-ib, N-1-ia) give mirror points, so
     only ia + ib <= N - 1 is evaluated.  A pair cut by any of these leads,
     by a mirror (which lowers ib) or a step to row ia + 1 (which keeps ib),
@@ -272,7 +259,7 @@ def _step2(pts: list, unit: int, folded: bool) -> list:
     for ia, (a0, a1) in enumerate(pts):
         end = min(bisect_left(one, a1 + two),
                   bisect_right(firsts, two - pts[ia + 1][0]) - 1 if ia < last else last,
-                  last - ia if folded else last)
+                  last - ia)
         if end < ia:
             break
         ends.append(end)
@@ -285,7 +272,8 @@ def _step2(pts: list, unit: int, folded: bool) -> list:
         if -k1 > best:
             best = -k1
             kept.append((-k0, best))
-            if len(kept) > FRONTIER_CAP:
+            # unfolding adds the mirror of every kept point but the diagonal one
+            if 2 * len(kept) - 1 > FRONTIER_CAP:
                 raise FrontierSizeExceeded(f"frontier exceeds {FRONTIER_CAP} points")
         a0, a1 = pts[ia]
         ib = bisect_right(one, 2 * best - a1, ib + 1, ends[ia] + 1)
@@ -303,7 +291,7 @@ def next_frontier(points, n: int, prune: bool = True) -> frozenset:
     of the generated point is the LP value of the tuple's i-th coordinates."""
     pts, unit = _scaled(points, n)
     # pruning the inputs first is sound: every LP value is monotone in its inputs
-    pts = _pareto_front(pts, 2) if n == 2 and prune else sorted(pts, reverse=True)
+    pts = _pareto_front(pts) if prune else sorted(pts, reverse=True)
     return _to_fractions(_step(pts, n, unit, prune), unit)
 
 
@@ -311,11 +299,10 @@ class FrontierBuilder:
     """Lazily builds and caches D^0, D^1, ... for a fixed n: integer levels
     for the solver, and each level's ``Fraction`` form once it is asked for."""
 
-    def __init__(self, n: int, prune: bool = True, progress=None):
+    def __init__(self, n: int, progress=None):
         if n < 2:
             raise ValueError("need at least 2 agents")
         self.n = n
-        self.prune = prune
         self.progress = progress  # called as progress(k, points, ns) after building level k
         self._levels = [_axis_level(n)]
         self._fractions: dict[int, frozenset] = {}
@@ -331,7 +318,7 @@ class FrontierBuilder:
             start = time.perf_counter_ns()
             # the previous level at scale n**j: every finite coordinate a multiple of n
             pts = [tuple(v if v == _INF else v * n for v in p) for p in self._levels[-1]]
-            self._levels.append(_step(pts, n, n ** j, self.prune))
+            self._levels.append(_step(pts, n, n ** j, True))
             if self.progress:
                 self.progress(j, len(self._levels[j]), time.perf_counter_ns() - start)
         return self._levels[k]
@@ -346,7 +333,7 @@ class FrontierBuilder:
         level = self._level(k)
         scale = self.n ** k
         t = [_INF if r is None else min(r[0] * scale // r[1], _INF - 1) for r in x]
-        if self.n == 2 and self.prune:
+        if self.n == 2:
             # the points with p0 > t0 are a prefix; its last point has the largest p1
             firsts = self._firsts.get(k)
             if firsts is None:

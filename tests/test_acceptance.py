@@ -365,11 +365,13 @@ def test_criterion_10_oracle_equivalence_suite():
                 ok = False
 
     # pruned vs unpruned dominated-region equality, k <= 4
-    pruned = eg.FrontierBuilder(2, prune=True)
-    raw = eg.FrontierBuilder(2, prune=False)
+    pruned = eg.FrontierBuilder(2)
+    r = pruned.get(0)
     grid = [Fraction(k, 4) for k in range(17)]
     for k in range(5):
-        p, r = pruned.get(k), raw.get(k)
+        if k:
+            r = eg.next_frontier(r, 2, prune=False)
+        p = pruned.get(k)
         for x0 in grid:
             for x1 in grid:
                 x = (x0, x1)

@@ -129,6 +129,12 @@ def test_exact_aux_cli(capsys):
     assert "exceeded" in capsys.readouterr().out
 
 
+def test_exact_aux_readme_game_value_c_9_8(capsys):
+    """The README table's n = 2 game value for c = 9/8."""
+    assert cli_dispatch(["exact", "aux", "--n", "2", "--c", "9/8", "--k-max", "13"]) == 0
+    assert capsys.readouterr().out.strip() == "13"
+
+
 def test_exact_aux_bad_state_exit_2(capsys):
     assert cli_dispatch(["exact", "aux", "--n", "2", "--state", "1,2,3"]) == 2
     assert cli_dispatch(["exact", "aux", "--n", "2", "--state", "x,y"]) == 2

@@ -166,6 +166,11 @@ def test_frontier_sizes_n2_deep():
     assert [len(builder.get(k)) for k in (11, 12)] == [3111, 6571]
 
 
+def _oracle_level(points):
+    """``_oracle_prune`` of ``points`` in the solver's form: sorted descending."""
+    return sorted(_oracle_prune(points), reverse=True)
+
+
 def test_windowed_step_matches_full_enumeration_n2():
     """The pruned n = 2 step, which evaluates only each chain's window, keeps
     exactly the Pareto front of every generated pair."""
@@ -173,13 +178,14 @@ def test_windowed_step_matches_full_enumeration_n2():
     for k in range(1, 11):
         pts = [tuple(v if v == _INF else 2 * v for v in p) for p in builder._level(k - 1)]
         full = _step(pts, 2, 2 ** k, False)
-        assert _step(pts, 2, 2 ** k, True) == _pareto_front(full, 2) == builder._level(k)
+        assert _step(pts, 2, 2 ** k, True) == _oracle_level(full) == builder._level(k)
 
 
 def test_heap_step_matches_full_enumeration_on_random_staircases():
-    """The n = 2 heap merge on seeded staircases with negative and INF
-    coordinates, closed under the mirror and not, at several scales, keeps
-    exactly the Pareto front of every generated pair."""
+    """The pruned n = 2 step on seeded staircases with negative and INF
+    coordinates, at several scales, keeps exactly the Pareto front of every
+    generated pair: through the heap merge when the staircase is closed
+    under the mirror, and through the generic path when it is not."""
     rng = random.Random(19)
     seen = set()
     for _ in range(400):
@@ -188,10 +194,10 @@ def test_heap_step_matches_full_enumeration_on_random_staircases():
                      for _ in range(2)) for _ in range(rng.randint(1, 30))}
         if rng.random() < 0.5:
             pts |= {(b, a) for a, b in pts}
-        pts = _pareto_front(pts, 2)
+        pts = _pareto_front(pts)
         seen.add(set(pts) == _closure(pts))
         unit = rng.choice([1, 2, 3, 8, 64])
-        assert _step(pts, 2, unit, True) == _pareto_front(_step(pts, 2, unit, False), 2), (
+        assert _step(pts, 2, unit, True) == _oracle_level(_step(pts, 2, unit, False)), (
             pts, unit)
     assert seen == {False, True}
 
@@ -229,6 +235,21 @@ def test_heap_step_work_n2():
     assert 0 < level.reads < 60_000
 
 
+def test_frontier_cap_refuses_n2_level_halfway(monkeypatch):
+    """The n = 2 step refuses a level once twice its kept points, less the
+    diagonal one, pass the cap: with the cap at half of |D^12| = 6571 it
+    stops well before the end of the D^12 step."""
+    builder = FrontierBuilder(2)
+    pts = [tuple(v if v == _INF else 2 * v for v in p) for p in builder._level(11)]
+    full = _CountedReads(pts)
+    assert _step(full, 2, 2 ** 12, True) == builder._level(12)
+    monkeypatch.setattr("perpetual.exact_game.FRONTIER_CAP", len(builder._level(12)) // 2)
+    level = _CountedReads(pts)
+    with pytest.raises(FrontierSizeExceeded):
+        _step(level, 2, 2 ** 12, True)
+    assert level.reads < 0.6 * full.reads
+
+
 def test_folded_step_matches_full_enumeration_n3():
     """The pruned n = 3 step, which keeps the sorted forms and then their
     permutations, keeps exactly the Pareto front of every generated point."""
@@ -236,7 +257,7 @@ def test_folded_step_matches_full_enumeration_n3():
     for k in range(1, 5):
         pts = [tuple(v if v == _INF else 3 * v for v in p) for p in builder._level(k - 1)]
         full = _step(pts, 3, 3 ** k, False)
-        assert _step(pts, 3, 3 ** k, True) == _pareto_front(full, 3) == builder._level(k)
+        assert _step(pts, 3, 3 ** k, True) == _pareto_front(full) == builder._level(k)
 
 
 def _closure(points):
@@ -295,15 +316,6 @@ def test_integer_frontiers_match_fraction_oracle(n, k_max):
         raw = _oracle_next_frontier(prev, n, prune=False)
         assert next_frontier(prev, n, prune=False) == raw
         assert next_frontier(prev, n) == builder.get(k) == _oracle_prune(raw)
-
-
-def test_unpruned_builder_matches_fraction_oracle():
-    for n, k_max in ((2, 3), (3, 2)):
-        raw = FrontierBuilder(n, prune=False)
-        chain = FrontierBuilder(n).get(0)
-        for k in range(1, k_max + 1):
-            chain = _oracle_next_frontier(chain, n, prune=False)
-            assert raw.get(k) == chain
 
 
 def test_next_frontier_accepts_any_rational_points():
@@ -367,10 +379,14 @@ def test_pruned_frontier_pairwise_incomparable():
 
 
 def _check_prune_preserves_dominated_region(n, k_max, grid):
-    pruned = FrontierBuilder(n, prune=True)
-    raw = FrontierBuilder(n, prune=False)
+    """Each pruned level and the unpruned chain from D^0 dominate the same
+    grid states."""
+    pruned = FrontierBuilder(n)
+    r = pruned.get(0)
     for k in range(k_max + 1):
-        p, r = pruned.get(k), raw.get(k)
+        if k:
+            r = next_frontier(r, n, prune=False)
+        p = pruned.get(k)
         assert p <= r or k == 0
         for x in itertools.product(grid, repeat=n):
             assert any(dominates(q, x) for q in p) == any(dominates(q, x) for q in r)
@@ -414,7 +430,7 @@ def test_frontier_cap_counts_the_kept_points(monkeypatch):
 
 def test_pareto_prune_basic():
     pts = [(F(1), F(1)), (F(0), F(1)), (F(2), F(0)), (F(1), F(0))]
-    assert frozenset(_pareto_front(pts, 2)) == frozenset({(F(1), F(1)), (F(2), F(0))})
+    assert frozenset(_pareto_front(pts)) == frozenset({(F(1), F(1)), (F(2), F(0))})
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -423,7 +439,7 @@ def test_pareto_prune_matches_quadratic_oracle(n):
     for _ in range(40):
         pts = [tuple(INF if rng.random() < 0.1 else F(rng.randint(0, 6), rng.randint(1, 3))
                      for _ in range(n)) for _ in range(rng.randint(1, 40))]
-        assert frozenset(_pareto_front(pts, n)) == _oracle_prune(pts)
+        assert frozenset(_pareto_front(pts)) == _oracle_prune(pts)
 
 
 # ---------------------------------------------------------------------------
