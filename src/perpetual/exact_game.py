@@ -10,25 +10,28 @@ rounds is also forced within k + 1 -- so "D^k dominates x" is monotone in k:
 AUX bisects k over the levels already built, and EXP probes each later
 recipient once, at the best horizon so far.  The game is symmetric in the
 agents, so every level is closed under permuting coordinates: a step prunes
-the sorted forms of its points, then adds their permutations, and for n = 2
-evaluates one of each two mirror pairs of points.
+the sorted forms of its points, then adds their permutations.  For n = 2 a
+heap merge evaluates one of each two mirror pairs of points; every other step
+evaluates the LP on integer arrays, a block of tuples at a time, and prunes
+each block against the front kept so far.
 
 Everything here is exact, and floating point is forbidden in this module --
 domination is a strict inequality and the reference value aux((2,2)) = 10 must
-be bit-certain.  Inside, the solver runs on Python integers: the LP only ever
-divides by n, so every D^k coordinate is a multiple of 1/n**k, and level k is
-kept as integer tuples at scale n**k.  Multiplying a level by n makes each
-division of the next LP an exact integer division.  An unbounded coordinate is
-the integer sentinel ``_INF``, which is never scaled and exceeds every finite
-coordinate.  At the API boundary coordinates are ``Fraction`` (or int) or the
-``INF`` singleton: ``FrontierBuilder.get`` converts a level once and caches
-it.  A queried state is kept as integer (numerator, denominator) pairs, and
-EXP forms its post-states on integers over one common denominator; a level
-probe turns such a state into integer thresholds at the level's scale.
+be bit-certain.  Inside, the solver runs on integers: the LP only ever divides
+by n, so every D^k coordinate is a multiple of 1/n**k, and level k is kept as
+integer tuples at scale n**k.  Multiplying a level by n makes each division of
+the next LP an exact integer division.  An unbounded coordinate is the integer
+sentinel ``_INF``, which is never scaled and exceeds every finite coordinate;
+the array step swaps it for a finite sentinel, on int64 when the coordinates
+fit and on Python ints otherwise.  At the API boundary coordinates are
+``Fraction`` (or int) or the ``INF`` singleton: ``FrontierBuilder.get``
+converts a level once and caches it.  A queried state is kept as integer
+(numerator, denominator) pairs, and EXP forms its post-states on integers over
+one common denominator; a level probe turns such a state into integer
+thresholds at the level's scale.
 """
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
 import math
@@ -37,6 +40,8 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from numbers import Rational
 from operator import ge, gt
+
+import numpy as np
 
 
 class KMaxExceeded(RuntimeError):
@@ -130,18 +135,17 @@ def _to_fractions(level, scale: int) -> frozenset:
 # The LP
 # ---------------------------------------------------------------------------
 
-def _lp(xi: int, mu: int, n: int, unit: int) -> tuple:
-    """(Y, z*) at scale ``unit`` (the integer standing for 1) on coordinates
-    that are multiples of n or ``_INF``, so (xi - mu) // n is exact."""
-    if xi == _INF:
-        return (_INF, 0) if mu == _INF else (mu + unit, unit)
-    if mu == _INF:
-        return xi, 0
-    z = min(max((xi - mu) // n, 0), unit)
-    y = min(xi - (n - 1) * z, mu + z)
-    # exact feasibility check on every call (the INF cases hold by construction)
-    assert y + (n - 1) * z <= xi
-    assert y - z <= mu
+def _lp(x, mu, n: int, unit: int) -> tuple:
+    """(Y, z*) elementwise at scale ``unit`` (the integer standing for 1) on
+    integer arrays whose coordinates are multiples of n, so (x - mu) // n is
+    exact.  INF is a finite sentinel at least n * unit past every finite
+    coordinate: it gives Y(INF, mu) = mu + unit, Y(x, INF) = x and
+    Y(INF, INF) = INF."""
+    z = np.minimum(np.maximum((x - mu) // n, 0), unit)
+    y = np.minimum(x - (n - 1) * z, mu + z)
+    # exact feasibility check on every value
+    assert (y + (n - 1) * z <= x).all()
+    assert (y - z <= mu).all()
     return y, z
 
 
@@ -155,8 +159,10 @@ def lp_solve(x: tuple, i: int) -> tuple:
     """
     n = len(x)
     (xs,), scale = _scaled([x], n)
-    y, z = _lp(xs[i], min(xs[:i] + xs[i + 1:]), n, scale)
-    return INF if y == _INF else Fraction(y, scale), Fraction(z, scale)
+    top = max((v for v in xs if v != _INF), default=0) + n * scale
+    xs = np.array([top if v == _INF else v for v in xs], dtype=object)
+    (y,), (z,) = _lp(xs[i:i + 1], np.delete(xs, i).min(keepdims=True), n, scale)
+    return INF if y == top else Fraction(y, scale), Fraction(z, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -187,39 +193,133 @@ def _step(pts: list, n: int, unit: int, prune: bool) -> list:
     finite coordinates are multiples of n, sorted descending: for every
     ordered n-tuple of points, coordinate i of the generated point is the LP
     value of the tuple's i-th coordinates.  Returns the level sorted
-    descending, at the same scale.  Each distinct LP input from a tuple's
-    first n - 1 points is mapped over the last point once.  When ``pts`` is
-    closed under permuting coordinates, so is the generated set, and y is
-    maximal in it exactly when sorted(y) is maximal among the sorted forms.
-    For n = 2 a pruned ``pts`` is a staircase, closed exactly when it reads
-    the same mirrored and reversed; only then does the step take the heap
-    merge ``_step2``, and the level is the kept half (y0 >= y1, descending)
-    followed by its mirrors, reversed, the diagonal point once."""
+    descending, at the same scale.  For n = 2 a pruned ``pts`` is a
+    staircase, closed under permuting coordinates exactly when it reads the
+    same mirrored and reversed; only then does the step take the heap merge
+    ``_step2``, and the level is the kept half (y0 >= y1, descending)
+    followed by its mirrors, reversed, the diagonal point once.  Every other
+    input takes the array step ``_stepn``.  Each step counts the unfolded
+    level it keeps against ``FRONTIER_CAP`` as it keeps points, so no count
+    is needed after unfolding."""
     if n == 2 and prune and [(b, a) for a, b in reversed(pts)] == pts:
         kept = _step2(pts, unit)
-        kept += [(b, a) for a, b in reversed(kept) if a != b]
-    else:
-        folded = prune and set(pts) == {q for p in pts for q in itertools.permutations(p)}
-        y = functools.lru_cache(maxsize=None)(lambda xi, mu: _lp(xi, mu, n, unit)[0])
-        prefixes = set()
-        for tup in itertools.product(pts, repeat=n - 1):
-            cols = list(zip(*tup))
-            prefixes.add((tuple((c[i], min(c[:i] + c[i + 1:], default=_INF))
-                                for i, c in enumerate(cols[:-1])), min(cols[-1])))
-        cols = list(zip(*pts))
-        out = set()
-        for pairs, mu in prefixes:
-            ys = zip(*(map(y, itertools.repeat(x), map(min, itertools.repeat(m), c))
-                       for (x, m), c in zip(pairs, cols)), map(y, cols[-1], itertools.repeat(mu)))
-            out.update(map(tuple, map(sorted, ys)) if folded else ys)
+        return kept + [(b, a) for a, b in reversed(kept) if a != b]
+    return _stepn(pts, n, unit, prune)
+
+
+#: generated points per block of the array step
+_BLOCK = 1 << 16
+#: a cover table of the array step has about 2**_TABLE_BITS cells at most
+_TABLE_BITS = 20
+
+
+def _unique(rows, span: int):
+    """The distinct rows of an array of integers in [0, span), sorted
+    descending."""
+    key = rows[:, 0]
+    for i in range(1, rows.shape[1]):
+        key = key * span + rows[:, i]
+    order = np.argsort(key)[::-1]
+    key = key[order]
+    return rows[order[np.concatenate(([True], key[1:] != key[:-1]))]]
+
+
+def _front(rows):
+    """The rows no other row covers, from distinct rows sorted descending:
+    there, no row covers an earlier one, and each covers itself."""
+    # of the rows equal but in the last coordinate, the first covers the rest
+    rows = rows[np.concatenate(([True], (rows[1:, :-1] != rows[:-1, :-1]).any(axis=1)))]
+    kept = rows[:0]
+    for s in range(0, len(rows), 256):
+        chunk = rows[s:s + 256]
+        by = np.concatenate([kept, chunk])
+        below = True
+        for i in range(rows.shape[1]):
+            below = below & (chunk[:, i, None] <= by[:, i])
+        kept = np.concatenate([kept, chunk[np.count_nonzero(below, axis=1) == 1]])
+    return kept
+
+
+def _cover_test(by):
+    """Whether rows are weakly below some row of ``by`` (nonnegative), from
+    a table over a grid of the first n - 1 coordinates of the largest last
+    coordinate at or above each cell.  A grid coarser than every distinct
+    value (past ``_TABLE_BITS``) misses some covered rows, never more."""
+    grids = []
+    for j in range(by.shape[1] - 1):
+        values = np.unique(by[:, j])
+        grids.append(values[::-(-len(values) >> (_TABLE_BITS // (by.shape[1] - 1)))])
+    table = np.full([len(g) + 1 for g in grids], -1, by.dtype)
+    np.maximum.at(table, tuple(np.searchsorted(g, by[:, j], "right") - 1
+                               for j, g in enumerate(grids)), by[:, -1])
+    for axis in range(len(grids)):
+        table = np.flip(np.maximum.accumulate(np.flip(table, axis), axis), axis)
+    return lambda rows: table[tuple(np.searchsorted(g, rows[:, j])
+                                    for j, g in enumerate(grids))] >= rows[:, -1]
+
+
+def _stepn(pts: list, n: int, unit: int, prune: bool) -> list:
+    """``_step`` on integer arrays, a block of tuples at a time: those whose
+    first n - 1 points' indices fall in a range, against every last point.
+
+    Coordinates are offset by the least finite one and INF is the finite
+    sentinel ``top`` that ``_lp`` expects, so each LP value lies in [0, top]
+    and a point packs into one key below ``span ** n``: on int64 when that
+    fits, on Python ints (``dtype=object``) otherwise.  A permutation-closed
+    input generates a permutation-closed set, whose maximal points are the
+    permutations of its maximal sorted forms: the step keeps sorted forms and
+    unfolds them at the end.  Pruned, it keeps the front of the points
+    generated so far, counted unfolded against the cap after each block; a
+    block first drops the tuple prefixes whose image of the all-INF point, a
+    bound on all their images as the LP is monotone, the front covers, then
+    the generated points it covers."""
+    finite = [v for p in pts for v in p if v != _INF]
+    lo = min(finite, default=0)
+    top = max(finite, default=0) - lo + n * unit
+    span = top + 1
+    dtype = np.int64 if span ** n < 1 << 63 else object
+    level = np.array([[top if v == _INF else v - lo for v in p] for p in pts],
+                     dtype=dtype).reshape(-1, n)
+    folded = prune and set(pts) == {q for p in pts for q in itertools.permutations(p)}
+    # the coordinate orders a kept sorted form unfolds to
+    orders = np.array(list(itertools.permutations(range(n))))
+
+    def images(idx, last):
+        """The points the tuples (level[idx[0]], ..., level[idx[-1]], q)
+        generate, for q in ``last``, one row each."""
+        tup = [level[i][:, None] for i in idx] + [last[None]]
+        y = np.empty((len(idx[0]), len(last), n), dtype)
+        for i, t in enumerate(tup):
+            mu = top  # at least every coordinate
+            for u in tup:
+                if u is not t:
+                    mu = np.minimum(mu, u[..., i])
+            y[..., i] = _lp(t[..., i], mu, n, unit)[0]
+        y = y.reshape(-1, n)
+        if folded:
+            y.sort(axis=1)
+        return y
+
+    kept = out = level[:0]
+    covered = None
+    total = len(level) ** (n - 1)
+    size = _BLOCK // (len(level) + 1) + 1
+    for start in range(0, total, size):
+        idx = np.unravel_index(np.arange(start, min(start + size, total)), (len(level),) * (n - 1))
+        if prune and len(kept):
+            covered = covered or _cover_test(kept)
+            idx = [i[~covered(images(idx, np.full((1, n), top, dtype)))] for i in idx]
+        y = images(idx, level)
+        if covered:
+            y = y[~covered(y)]
+        if len(y):
+            kept = _unique(np.concatenate([kept, y]), span)
+            if prune:
+                kept, covered = _front(kept), None
+            out = _unique(kept[:, orders].reshape(-1, n), span) if folded else kept
             if len(out) > FRONTIER_CAP:
                 raise FrontierSizeExceeded(f"frontier exceeds {FRONTIER_CAP} points")
-        kept = _pareto_front(out) if prune else sorted(out, reverse=True)
-        if folded:
-            kept = sorted({q for p in kept for q in itertools.permutations(p)}, reverse=True)
-    if len(kept) > FRONTIER_CAP:
-        raise FrontierSizeExceeded(f"frontier exceeds {FRONTIER_CAP} points")
-    return kept
+    return [tuple(_INF if v == top else v + lo for v in p) for p in out.tolist()]
 
 
 def _step2(pts: list, unit: int) -> list:
@@ -272,8 +372,9 @@ def _step2(pts: list, unit: int) -> list:
         if -k1 > best:
             best = -k1
             kept.append((-k0, best))
-            # unfolding adds the mirror of every kept point but the diagonal one
-            if 2 * len(kept) - 1 > FRONTIER_CAP:
+            # unfolding adds the mirror of every kept point but the diagonal
+            # one, which is kept last (it has the largest y1)
+            if 2 * len(kept) - (-k0 == best) > FRONTIER_CAP:
                 raise FrontierSizeExceeded(f"frontier exceeds {FRONTIER_CAP} points")
         a0, a1 = pts[ia]
         ib = bisect_right(one, 2 * best - a1, ib + 1, ends[ia] + 1)

@@ -337,6 +337,17 @@ def test_frontier_cap_exit_2(tmp_path, capsys, monkeypatch, argv):
     assert "1000 points" in captured.err and "cap" in captured.err
 
 
+def test_frontier_cap_exit_2_n3(tmp_path, capsys, monkeypatch):
+    """n = 3 D^3 has 31 points: a cap of 30 refuses it with exit 2."""
+    monkeypatch.setattr(eg, "FRONTIER_CAP", 30)
+    out = tmp_path / "d3.csv"
+    assert cli_dispatch(["exact", "frontier", "--n", "3", "--k", "3", "--out", str(out)]) == 2
+    assert "30 points" in capsys.readouterr().err
+    monkeypatch.setattr(eg, "FRONTIER_CAP", 31)
+    assert cli_dispatch(["exact", "frontier", "--n", "3", "--k", "3", "--out", str(out)]) == 0
+    assert out.read_text().count("\n") == 32
+
+
 def test_deep_n2_states_answered(tmp_path, capsys):
     """Under the default 10^6 cap, answers that search n = 2 up to D^12."""
     assert cli_dispatch(DEEP_N2[0]) == 1

@@ -276,7 +276,25 @@ def test_levels_closed_under_permuting_coordinates(n, k_max):
 
 def test_frontier_sizes_n3():
     builder = FrontierBuilder(3)
-    assert [len(builder.get(k)) for k in range(5)] == [3, 6, 13, 31, 100]
+    assert [len(builder.get(k)) for k in range(6)] == [3, 6, 13, 31, 100, 349]
+
+
+def test_array_step_blocks(monkeypatch):
+    """Small blocks, so each step merges many blocks into its front and
+    drops prefixes and points against it, build the same levels as one
+    block per step, on int64 and on Python ints alike, also when the cover
+    tables take coarse grids of at most 2 values per coordinate."""
+    want = {n: [FrontierBuilder(n)._level(k) for k in range(top)] for n, top in ((3, 5), (4, 3))}
+    big = {(F(2**40, 7), F(-1, 2**40), INF), (F(3), INF, F(-2**45, 3)), (F(0), F(1), F(5, 9))}
+    for bits in (20, 2):
+        monkeypatch.setattr("perpetual.exact_game._TABLE_BITS", bits)
+        monkeypatch.setattr("perpetual.exact_game._BLOCK", 40)
+        for n, levels in want.items():
+            builder = FrontierBuilder(n)
+            assert [builder._level(k) for k in range(len(levels))] == levels
+        monkeypatch.setattr("perpetual.exact_game._BLOCK", 4)
+        for points in (big, _closure(big)):
+            assert next_frontier(points, 3) == _oracle_next_frontier(points, 3)
 
 
 def _covered(lower, upper, n):
@@ -332,17 +350,39 @@ def test_next_frontier_accepts_any_rational_points():
         assert next_frontier(pts, 2) == _oracle_next_frontier(pts, 2)
     pts3 = {(F(1, 3), F(5, 7), INF), (F(2), F(-1, 4), F(1, 6)), (INF, F(0), F(3, 2))}
     assert next_frontier(pts3, 3) == _oracle_next_frontier(pts3, 3)
+    rng = random.Random(6)
+    for _ in range(10):
+        pts4 = {tuple(INF if rng.random() < 0.15 else F(rng.randint(-5, 12), rng.randint(1, 5))
+                      for _ in range(4)) for _ in range(rng.randint(1, 4))}
+        for prune in (True, False):
+            assert next_frontier(pts4, 4, prune=prune) == _oracle_next_frontier(pts4, 4, prune)
+    # scaled to n times the common denominator, these coordinates pass 2^63
+    big = {(F(2**30, 7), F(-1, 2**40), INF), (F(3), INF, F(-2**35, 3)), (F(0), F(1), F(5, 9))}
+    assert max(abs(v.numerator) * 3 * 7 * 9 * 2**40 // v.denominator
+               for p in big for v in p if not is_inf(v)) > 2**63
+    for prune in (True, False):
+        assert next_frontier(big, 3, prune=prune) == _oracle_next_frontier(big, 3, prune)
 
 
-@pytest.mark.parametrize("n, most", [(2, 8), (3, 2)])
+@pytest.mark.parametrize("n, most", [(2, 8), (3, 2), (4, 2)])
 def test_next_frontier_folds_only_closed_point_sets(n, most):
     """Seeded point sets that are not closed under permuting coordinates
     take the unfolded step, and their closures the folded one; both equal
-    the Fraction oracle."""
+    the Fraction oracle.  For n = 4 each point takes its coordinates from
+    two drawn values, so a closure has at most 12 points."""
     rng = random.Random(40 + n)
-    for _ in range(12):
-        pts = {tuple(INF if rng.random() < 0.1 else F(rng.randint(-3, 12), rng.randint(1, 4))
-                     for _ in range(n)) for _ in range(rng.randint(2, most))}
+
+    def draw():
+        return INF if rng.random() < 0.1 else F(rng.randint(-3, 12), rng.randint(1, 4))
+
+    for _ in range(12 if n < 4 else 4):
+        if n < 4:
+            pts = {tuple(draw() for _ in range(n)) for _ in range(rng.randint(2, most))}
+        else:
+            pts = set()
+            for _ in range(most):
+                values = (draw(), draw())
+                pts.add(tuple(rng.choice(values) for _ in range(n)))
         assert pts != _closure(pts)
         for points in (pts, _closure(pts)):
             raw = _oracle_next_frontier(points, n, prune=False)
@@ -426,6 +466,19 @@ def test_frontier_cap_counts_the_kept_points(monkeypatch):
     assert len(builder.get(8)) == 325
     with pytest.raises(FrontierSizeExceeded):
         builder.get(9)
+
+
+def test_frontier_cap_counts_the_kept_points_n3(monkeypatch):
+    """The n >= 3 step checks the cap against the unfolded level it keeps,
+    not against its 137 distinct generated sorted forms: a cap of
+    |D^3| = 31 builds D^3, and one point less refuses it."""
+    monkeypatch.setattr("perpetual.exact_game.FRONTIER_CAP", 31)
+    assert len(FrontierBuilder(3).get(3)) == 31
+    monkeypatch.setattr("perpetual.exact_game.FRONTIER_CAP", 30)
+    builder = FrontierBuilder(3)
+    assert len(builder.get(2)) == 13
+    with pytest.raises(FrontierSizeExceeded):
+        builder.get(3)
 
 
 def test_pareto_prune_basic():
