@@ -19,16 +19,16 @@ Everything here is exact, and floating point is forbidden in this module --
 domination is a strict inequality and the reference value aux((2,2)) = 10 must
 be bit-certain.  Inside, the solver runs on integers: the LP only ever divides
 by n, so every D^k coordinate is a multiple of 1/n**k, and level k is kept as
-integer tuples at scale n**k.  Multiplying a level by n makes each division of
-the next LP an exact integer division.  An unbounded coordinate is the integer
-sentinel ``_INF``, which is never scaled and exceeds every finite coordinate;
-the array step swaps it for a finite sentinel, on int64 when the coordinates
-fit and on Python ints otherwise.  At the API boundary coordinates are
-``Fraction`` (or int) or the ``INF`` singleton: ``FrontierBuilder.get``
-converts a level once and caches it.  A queried state is kept as integer
-(numerator, denominator) pairs, and EXP forms its post-states on integers over
-one common denominator; a level probe turns such a state into integer
-thresholds at the level's scale.
+integer tuples at scale n**k.  A step reads a level at its own scale and
+evaluates the LP at n times it, where the LP has no division.  An unbounded
+coordinate is the integer sentinel ``_INF``, which is never scaled and exceeds
+every finite coordinate; the array step swaps it for a finite sentinel, on
+int64 when the coordinates fit and on Python ints otherwise.  At the API
+boundary coordinates are ``Fraction`` (or int) or the ``INF`` singleton:
+``FrontierBuilder.get`` converts a level once and caches it.  A queried state
+is kept as integer (numerator, denominator) pairs, and EXP forms its
+post-states on integers over one common denominator; a level probe turns such
+a state into integer thresholds at the level's scale.
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ import time
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from numbers import Rational
-from operator import ge, gt
+from operator import gt
 
 import numpy as np
 
@@ -115,12 +115,12 @@ def is_inf(v) -> bool:
 # Boundary conversions
 # ---------------------------------------------------------------------------
 
-def _scaled(points, n: int) -> tuple:
-    """``points`` as integer tuples at n times their least common denominator,
-    so every finite coordinate is a multiple of n; and that scale."""
-    scale = n * math.lcm(*{v.denominator for p in points for v in p if not is_inf(v)})
-    ints = [tuple(_INF if is_inf(v) else v.numerator * scale // v.denominator for v in p)
-            for p in points]
+def _scaled(points) -> tuple:
+    """``points`` as integer tuples at their least common denominator, and
+    that scale."""
+    scale = math.lcm(*{int(v.denominator) for p in points for v in p if not is_inf(v)})
+    ints = [tuple(_INF if is_inf(v) else int(v.numerator) * scale // int(v.denominator)
+                  for v in p) for p in points]
     if any(v != _INF and abs(v) >= _FINITE for p in ints for v in p):
         raise ValueError("coordinate too large for the exact solver")
     return ints, scale
@@ -136,16 +136,16 @@ def _to_fractions(level, scale: int) -> frozenset:
 # ---------------------------------------------------------------------------
 
 def _lp(x, mu, n: int, unit: int) -> tuple:
-    """(Y, z*) elementwise at scale ``unit`` (the integer standing for 1) on
-    integer arrays whose coordinates are multiples of n, so (x - mu) // n is
-    exact.  INF is a finite sentinel at least n * unit past every finite
-    coordinate: it gives Y(INF, mu) = mu + unit, Y(x, INF) = x and
-    Y(INF, INF) = INF."""
-    z = np.minimum(np.maximum((x - mu) // n, 0), unit)
-    y = np.minimum(x - (n - 1) * z, mu + z)
+    """(Y, z*) elementwise at scale ``unit`` (the integer standing for 1),
+    from integer arrays x, mu at scale ``unit`` / n: at scale ``unit`` they
+    read n x and n mu, so the LP's (x - mu) / n is x - mu.  INF is a finite
+    sentinel T at least ``unit`` past every finite coordinate: it gives
+    Y(T, mu) = n mu + unit, Y(x, T) = n x and Y(T, T) = n T."""
+    z = np.minimum(np.maximum(x - mu, 0), unit)
+    y = np.minimum(n * x - (n - 1) * z, n * mu + z)
     # exact feasibility check on every value
-    assert (y + (n - 1) * z <= x).all()
-    assert (y - z <= mu).all()
+    assert (y + (n - 1) * z <= n * x).all()
+    assert (y - z <= n * mu).all()
     return y, z
 
 
@@ -158,11 +158,12 @@ def lp_solve(x: tuple, i: int) -> tuple:
     Returns (Y, z*) with Y extended-rational and z* a Fraction in [0, 1].
     """
     n = len(x)
-    (xs,), scale = _scaled([x], n)
-    top = max((v for v in xs if v != _INF), default=0) + n * scale
+    (xs,), scale = _scaled([x])
+    unit = n * scale
+    top = max((v for v in xs if v != _INF), default=0) + unit
     xs = np.array([top if v == _INF else v for v in xs], dtype=object)
-    (y,), (z,) = _lp(xs[i:i + 1], np.delete(xs, i).min(keepdims=True), n, scale)
-    return INF if y == top else Fraction(y, scale), Fraction(z, scale)
+    (y,), (z,) = _lp(xs[i:i + 1], np.delete(xs, i).min(keepdims=True), n, unit)
+    return INF if y == n * top else Fraction(y, unit), Fraction(z, unit)
 
 
 # ---------------------------------------------------------------------------
@@ -175,28 +176,16 @@ def _axis_level(n: int) -> list:
                   reverse=True)
 
 
-def _pareto_front(points) -> list:
-    """The Pareto-maximal points of ``points``, sorted descending.
-
-    In lexicographic-descending order every point that weakly covers q comes
-    before q, and a covered point's coverer covers everything it does, so q
-    is compared only with the points already kept."""
-    kept = []
-    for q in sorted(set(points), reverse=True):
-        if not any(all(map(ge, o, q)) for o in kept):
-            kept.append(q)
-    return kept
-
-
 def _step(pts: list, n: int, unit: int, prune: bool) -> list:
-    """The next level from ``pts``, integer tuples at scale ``unit`` whose
-    finite coordinates are multiples of n, sorted descending: for every
-    ordered n-tuple of points, coordinate i of the generated point is the LP
-    value of the tuple's i-th coordinates.  Returns the level sorted
-    descending, at the same scale.  For n = 2 a pruned ``pts`` is a
-    staircase, closed under permuting coordinates exactly when it reads the
-    same mirrored and reversed; only then does the step take the heap merge
-    ``_step2``, and the level is the kept half (y0 >= y1, descending)
+    """The next level from ``pts``, distinct integer tuples at scale
+    ``unit`` / n, sorted descending: for every ordered n-tuple of points,
+    coordinate i of the generated point is the LP value of the tuple's i-th
+    coordinates.  Returns the level sorted descending, at scale ``unit``.
+    Pruning the input first would change nothing, as the LP is monotone in
+    its inputs.  For n = 2 an input that reads the same mirrored and reversed
+    has strictly falling first and strictly rising second coordinates: it is
+    a mirror-closed staircase.  Only then does the pruned step take the heap
+    merge ``_step2``, and the level is the kept half (y0 >= y1, descending)
     followed by its mirrors, reversed, the diagonal point once.  Every other
     input takes the array step ``_stepn``.  Each step counts the unfolded
     level it keeps against ``FRONTIER_CAP`` as it keeps points, so no count
@@ -262,21 +251,21 @@ def _stepn(pts: list, n: int, unit: int, prune: bool) -> list:
     """``_step`` on integer arrays, a block of tuples at a time: those whose
     first n - 1 points' indices fall in a range, against every last point.
 
-    Coordinates are offset by the least finite one and INF is the finite
-    sentinel ``top`` that ``_lp`` expects, so each LP value lies in [0, top]
-    and a point packs into one key below ``span ** n``: on int64 when that
-    fits, on Python ints (``dtype=object``) otherwise.  A permutation-closed
-    input generates a permutation-closed set, whose maximal points are the
-    permutations of its maximal sorted forms: the step keeps sorted forms and
-    unfolds them at the end.  Pruned, it keeps the front of the points
-    generated so far, counted unfolded against the cap after each block; a
-    block first drops the tuple prefixes whose image of the all-INF point, a
-    bound on all their images as the LP is monotone, the front covers, then
-    the generated points it covers."""
+    Inputs are offset by their least finite coordinate ``lo`` and INF is the
+    finite sentinel ``top`` that ``_lp`` expects, so each LP value lies in
+    [0, n * top], offset by n * lo, and a point packs into one key below
+    ``span ** n``: on int64 when that fits, on Python ints (``dtype=object``)
+    otherwise.  A permutation-closed input generates a permutation-closed
+    set, whose maximal points are the permutations of its maximal sorted
+    forms: the step keeps sorted forms and unfolds them at the end.  Pruned,
+    it keeps the front of the points generated so far, counted unfolded
+    against the cap after each block; a block first drops the tuple prefixes
+    whose image of the all-INF point, a bound on all their images as the LP
+    is monotone, the front covers, then the generated points it covers."""
     finite = [v for p in pts for v in p if v != _INF]
     lo = min(finite, default=0)
-    top = max(finite, default=0) - lo + n * unit
-    span = top + 1
+    top = max(finite, default=0) - lo + unit
+    span = n * top + 1
     dtype = np.int64 if span ** n < 1 << 63 else object
     level = np.array([[top if v == _INF else v - lo for v in p] for p in pts],
                      dtype=dtype).reshape(-1, n)
@@ -319,7 +308,7 @@ def _stepn(pts: list, n: int, unit: int, prune: bool) -> list:
             out = _unique(kept[:, orders].reshape(-1, n), span) if folded else kept
             if len(out) > FRONTIER_CAP:
                 raise FrontierSizeExceeded(f"frontier exceeds {FRONTIER_CAP} points")
-    return [tuple(_INF if v == top else v + lo for v in p) for p in out.tolist()]
+    return [tuple(_INF if v == n * top else v + n * lo for v in p) for p in out.tolist()]
 
 
 def _step2(pts: list, unit: int) -> list:
@@ -327,44 +316,45 @@ def _step2(pts: list, unit: int) -> list:
     y0 >= y1: a heap merge of the rows' staircases.
 
     Row ia pairs a = pts[ia] with each b = pts[ib] of its window; with
-    b0 <= a0 and b1 >= a1, ``_lp`` gives y0 = (a0 + b0) / 2, or b0 + unit
-    once a0 - b0 > 2 unit, and y1 likewise (coordinates are even, so the
-    halves are exact; an ``_INF`` a0 or b1 takes the second case).  A b
-    before a gives (a0, b1), below a itself.  The window ends at the first
-    b with b1 >= a1 + 2 unit (the later ones all give y1 = a1 + unit, and a
-    lower y0), and at the last ib with b0 >= p0[ia+1] - 2 unit: past it rows
-    ia and ia + 1 both give y0 = b0 + unit, and row ia + 1, whose window
-    reaches at least as far, the larger y1.  As point N-1-i is point i
-    mirrored, the pairs (ia, ib) and (N-1-ib, N-1-ia) give mirror points, so
-    only ia + ib <= N - 1 is evaluated.  A pair cut by any of these leads,
-    by a mirror (which lowers ib) or a step to row ia + 1 (which keeps ib),
-    to an evaluated pair whose point covers its own.  No evaluated point
-    needs folding: with ib <= N-1-ia, b comes no later than a mirrored, so
-    b0 >= a1 and b1 <= a0, and as the LP value is monotone in both inputs,
+    b0 <= a0 and b1 >= a1, ``_lp`` gives y0 = a0 + b0, or 2 b0 + unit once
+    a0 - b0 > unit, and y1 likewise (an ``_INF`` a0 or b1 takes the second
+    case).  A b before a gives (2 a0, 2 b1), below 2 a.  The window ends at
+    the first b with b1 >= a1 + unit (the later ones all give
+    y1 = 2 a1 + unit, and a lower y0), and at the last ib with
+    b0 >= p0[ia+1] - unit: past it rows ia and ia + 1 both give
+    y0 = 2 b0 + unit, and row ia + 1, whose window reaches at least as far,
+    the larger y1.  As point N-1-i is point i mirrored, the pairs (ia, ib)
+    and (N-1-ib, N-1-ia) give mirror points, so only ia + ib <= N - 1 is
+    evaluated.  A pair cut by any of these leads, by a mirror (which lowers
+    ib) or a step to row ia + 1 (which keeps ib), to an evaluated pair whose
+    point covers its own.  No evaluated point needs folding: with
+    ib <= N-1-ia, b comes no later than a mirrored, so b0 >= a1 and
+    b1 <= a0, and as the LP value is monotone in both inputs,
     y0 >= lp(a0, a1) >= y1.
 
     Along a row y0 strictly falls and y1 never falls, so a heap keyed on
     (-y0, -y1), started from every row's first point (the pair (a, a) gives
-    a), pops the generated points in descending order, and a popped point is
-    kept exactly when its y1 beats the best kept so far.  After each pop the
-    row jumps, by one ``bisect``, to its next ib whose y1 = min((a1 + b1) / 2,
-    a1 + unit) can beat that best; no point jumped over could be kept.
-    ``best`` starts at -``_INF``, below every coordinate, negative ones
-    included; an ``_INF`` best puts every threshold out of reach."""
+    2 a, and ``_INF`` stays ``_INF``), pops the generated points in
+    descending order, and a popped point is kept exactly when its y1 beats
+    the best kept so far.  After each pop the row jumps, by one ``bisect``,
+    to its next ib whose y1 = min(a1 + b1, 2 a1 + unit) can beat that best;
+    no point jumped over could be kept.  ``best`` starts at -``_INF``, below
+    every coordinate, negative ones included; an ``_INF`` best puts every
+    threshold out of reach."""
     firsts = [-p0 for p0, _ in pts]
     one = [p1 for _, p1 in pts]
-    two = 2 * unit
     last = len(pts) - 1
     ends = []
     for ia, (a0, a1) in enumerate(pts):
-        end = min(bisect_left(one, a1 + two),
-                  bisect_right(firsts, two - pts[ia + 1][0]) - 1 if ia < last else last,
+        end = min(bisect_left(one, a1 + unit),
+                  bisect_right(firsts, unit - pts[ia + 1][0]) - 1 if ia < last else last,
                   last - ia)
         if end < ia:
             break
         ends.append(end)
     # ascending in -a0, so already a heap
-    heap = [(-a0, -a1, ia, ia) for ia, (a0, a1) in enumerate(pts[:len(ends)])]
+    heap = [(-min(2 * a0, _INF), -min(2 * a1, _INF), ia, ia)
+            for ia, (a0, a1) in enumerate(pts[:len(ends)])]
     kept = []
     best = -_INF
     while heap:
@@ -377,11 +367,11 @@ def _step2(pts: list, unit: int) -> list:
             if 2 * len(kept) - (-k0 == best) > FRONTIER_CAP:
                 raise FrontierSizeExceeded(f"frontier exceeds {FRONTIER_CAP} points")
         a0, a1 = pts[ia]
-        ib = bisect_right(one, 2 * best - a1, ib + 1, ends[ia] + 1)
-        if a1 + unit > best and ib <= ends[ia]:
+        ib = bisect_right(one, best - a1, ib + 1, ends[ia] + 1)
+        if 2 * a1 + unit > best and ib <= ends[ia]:
             b0, b1 = pts[ib]
-            heapq.heapreplace(heap, (-((a0 + b0) // 2 if a0 - b0 <= two else b0 + unit),
-                                     -((a1 + b1) // 2 if b1 - a1 <= two else a1 + unit), ia, ib))
+            heapq.heapreplace(heap, (-(a0 + b0 if a0 - b0 <= unit else 2 * b0 + unit),
+                                     -(a1 + b1 if b1 - a1 <= unit else 2 * a1 + unit), ia, ib))
         else:
             heapq.heappop(heap)
     return kept
@@ -389,11 +379,10 @@ def _step2(pts: list, unit: int) -> list:
 
 def next_frontier(points, n: int, prune: bool = True) -> frozenset:
     """D^{k+1} from D^k: for every ordered n-tuple of D^k points, coordinate i
-    of the generated point is the LP value of the tuple's i-th coordinates."""
-    pts, unit = _scaled(points, n)
-    # pruning the inputs first is sound: every LP value is monotone in its inputs
-    pts = _pareto_front(pts) if prune else sorted(pts, reverse=True)
-    return _to_fractions(_step(pts, n, unit, prune), unit)
+    of the generated point is the LP value of the tuple's i-th coordinates.
+    ``points`` may hold points that others dominate."""
+    pts, scale = _scaled(points)
+    return _to_fractions(_step(sorted(set(pts), reverse=True), n, n * scale, prune), n * scale)
 
 
 class FrontierBuilder:
@@ -417,9 +406,7 @@ class FrontierBuilder:
         while len(self._levels) <= k:
             j = len(self._levels)
             start = time.perf_counter_ns()
-            # the previous level at scale n**j: every finite coordinate a multiple of n
-            pts = [tuple(v if v == _INF else v * n for v in p) for p in self._levels[-1]]
-            self._levels.append(_step(pts, n, n ** j, True))
+            self._levels.append(_step(self._levels[-1], n, n ** j, True))
             if self.progress:
                 self.progress(j, len(self._levels[j]), time.perf_counter_ns() - start)
         return self._levels[k]
@@ -506,7 +493,7 @@ def aux(x: tuple, n: int, k_max: int = K_MAX, builder: FrontierBuilder | None = 
     number of rounds in which an adversary can force a violation from x; 0
     when a coordinate of x is already negative, even beside an INF one."""
     builder = _checked(n, builder, k_max, x)
-    k = _horizon([None if is_inf(v) else (v.numerator, v.denominator) for v in x],
+    k = _horizon([None if is_inf(v) else (int(v.numerator), int(v.denominator)) for v in x],
                  builder, k_max)
     if k > k_max:
         raise KMaxExceeded(f"no D^k dominates the state for k <= {k_max}")
@@ -526,8 +513,8 @@ def exp_policy(delta: tuple, values: tuple, n: int, k_max: int = K_MAX,
     if any(map(is_inf, values)):
         raise ValueError("item values must be rationals in [0, 1]")
     den = math.lcm(*(v.denominator for v in (*delta, *values) if not is_inf(v)))
-    d = [None if is_inf(v) else v.numerator * (den // v.denominator) for v in delta]
-    u = [v.numerator * (den // v.denominator) for v in values]
+    d = [None if is_inf(v) else int(v.numerator) * (den // int(v.denominator)) for v in delta]
+    u = [int(v.numerator) * (den // int(v.denominator)) for v in values]
     if not all(0 <= uj <= den for uj in u):
         raise ValueError("item values must be rationals in [0, 1]")
     missed = [None if dj is None else (dj - uj, den) for dj, uj in zip(d, u)]

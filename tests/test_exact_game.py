@@ -28,7 +28,6 @@ from perpetual.exact_game import (
     exp_policy,
     is_inf,
     lp_solve,
-    _pareto_front,
     _step,
     next_frontier,
 )
@@ -57,17 +56,20 @@ def _oracle_lp_solve(x, i):
 
 
 def _oracle_prune(points):
-    """A sweep for n = 2; every pair of points otherwise."""
+    """A sweep for n = 2; otherwise each point against the points kept before
+    it, in descending order: every point that weakly covers q comes before q,
+    and a covered point's coverer covers everything it does."""
     pts = sorted(set(points), reverse=True)
+    kept = []
     if len(pts[0]) == 2:
-        kept, best1 = [], None
         for q in pts:
-            if best1 is None or q[1] > best1:
+            if not kept or q[1] > kept[-1][1]:
                 kept.append(q)
-                best1 = q[1]
         return frozenset(kept)
-    return frozenset(q for q in pts
-                     if not any(o != q and all(a >= b for a, b in zip(o, q)) for o in pts))
+    for q in pts:
+        if not any(all(a >= b for a, b in zip(o, q)) for o in kept):
+            kept.append(q)
+    return frozenset(kept)
 
 
 def _oracle_next_frontier(points, n, prune=True):
@@ -176,7 +178,7 @@ def test_windowed_step_matches_full_enumeration_n2():
     exactly the Pareto front of every generated pair."""
     builder = FrontierBuilder(2)
     for k in range(1, 11):
-        pts = [tuple(v if v == _INF else 2 * v for v in p) for p in builder._level(k - 1)]
+        pts = builder._level(k - 1)
         full = _step(pts, 2, 2 ** k, False)
         assert _step(pts, 2, 2 ** k, True) == _oracle_level(full) == builder._level(k)
 
@@ -190,11 +192,11 @@ def test_heap_step_matches_full_enumeration_on_random_staircases():
     seen = set()
     for _ in range(400):
         span = rng.choice([3, 10, 40, 200])
-        pts = {tuple(_INF if rng.random() < 0.08 else 2 * rng.randint(-span, span)
+        pts = {tuple(_INF if rng.random() < 0.08 else rng.randint(-span, span)
                      for _ in range(2)) for _ in range(rng.randint(1, 30))}
         if rng.random() < 0.5:
             pts |= {(b, a) for a, b in pts}
-        pts = _pareto_front(pts)
+        pts = _oracle_level(pts)
         seen.add(set(pts) == _closure(pts))
         unit = rng.choice([1, 2, 3, 8, 64])
         assert _step(pts, 2, unit, True) == _oracle_level(_step(pts, 2, unit, False)), (
@@ -227,10 +229,9 @@ class _CountedReads(list):
 def test_heap_step_work_n2():
     """D^12 from D^11 (3111 points) reads far fewer points than the
     1,685,267 pairs of the mirror-restricted windows: about 55k, and about
-    78k without the window end at b0 >= p0[ia+1] - 2 unit."""
+    78k without the window end at b0 >= p0[ia+1] - unit."""
     builder = FrontierBuilder(2)
-    pts = [tuple(v if v == _INF else 2 * v for v in p) for p in builder._level(11)]
-    level = _CountedReads(pts)
+    level = _CountedReads(builder._level(11))
     assert _step(level, 2, 2 ** 12, True) == builder._level(12)
     assert 0 < level.reads < 60_000
 
@@ -240,7 +241,7 @@ def test_frontier_cap_refuses_n2_level_halfway(monkeypatch):
     diagonal one, pass the cap: with the cap at half of |D^12| = 6571 it
     stops well before the end of the D^12 step."""
     builder = FrontierBuilder(2)
-    pts = [tuple(v if v == _INF else 2 * v for v in p) for p in builder._level(11)]
+    pts = builder._level(11)
     full = _CountedReads(pts)
     assert _step(full, 2, 2 ** 12, True) == builder._level(12)
     monkeypatch.setattr("perpetual.exact_game.FRONTIER_CAP", len(builder._level(12)) // 2)
@@ -255,9 +256,9 @@ def test_folded_step_matches_full_enumeration_n3():
     permutations, keeps exactly the Pareto front of every generated point."""
     builder = FrontierBuilder(3)
     for k in range(1, 5):
-        pts = [tuple(v if v == _INF else 3 * v for v in p) for p in builder._level(k - 1)]
+        pts = builder._level(k - 1)
         full = _step(pts, 3, 3 ** k, False)
-        assert _step(pts, 3, 3 ** k, True) == _pareto_front(full) == builder._level(k)
+        assert _step(pts, 3, 3 ** k, True) == _oracle_level(full) == builder._level(k)
 
 
 def _closure(points):
@@ -364,6 +365,30 @@ def test_next_frontier_accepts_any_rational_points():
         assert next_frontier(big, 3, prune=prune) == _oracle_next_frontier(big, 3, prune)
 
 
+@pytest.mark.parametrize("n, k_max", [(2, 6), (3, 3)])
+def test_next_frontier_steps_from_unpruned_points(n, k_max):
+    """A built level with points it weakly dominates added (some with a
+    finite coordinate in place of an INF one), and the closure of that set,
+    both step to the next level: the LP is monotone, so dominated inputs
+    change nothing."""
+    rng = random.Random(60 + n)
+    builder = FrontierBuilder(n)
+    for k in range(1, k_max + 1):
+        level = builder.get(k - 1)
+        below = set()
+        for p in level:
+            i = rng.randrange(n)
+            v = F(k) if is_inf(p[i]) else p[i] - F(rng.randint(1, 2), n ** (k - 1))
+            below.add(p[:i] + (v,) + p[i + 1:])
+        for points in (level | below, _closure(level | below)):
+            assert next_frontier(points, n) == builder.get(k), k
+
+
+def test_next_frontier_deep_n2():
+    builder = FrontierBuilder(2)
+    assert next_frontier(builder.get(10), 2) == builder.get(11)
+
+
 @pytest.mark.parametrize("n, most", [(2, 8), (3, 2), (4, 2)])
 def test_next_frontier_folds_only_closed_point_sets(n, most):
     """Seeded point sets that are not closed under permuting coordinates
@@ -404,6 +429,8 @@ def test_frontier_csv_pinned(tmp_path):
         "51437b799b6202072c20fadbfc24436e159066e46259b3d900364077e2abb188", 1478)
     assert _csv_digest(tmp_path, 3, 4)[0] == (
         "6be92121faa902626ec60a529a79e8d4b50cda6b802b735871a4b1c6288047f9")
+    assert _csv_digest(tmp_path, 4, 4) == (
+        "7efe984ca22e13adcbb3e578b5ab615e8f1e671970a225dd0ca9c865dba3c8eb", 294)
 
 
 def test_pruned_frontier_pairwise_incomparable():
@@ -481,20 +508,6 @@ def test_frontier_cap_counts_the_kept_points_n3(monkeypatch):
         builder.get(3)
 
 
-def test_pareto_prune_basic():
-    pts = [(F(1), F(1)), (F(0), F(1)), (F(2), F(0)), (F(1), F(0))]
-    assert frozenset(_pareto_front(pts)) == frozenset({(F(1), F(1)), (F(2), F(0))})
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_pareto_prune_matches_quadratic_oracle(n):
-    rng = random.Random(10 + n)
-    for _ in range(40):
-        pts = [tuple(INF if rng.random() < 0.1 else F(rng.randint(0, 6), rng.randint(1, 3))
-                     for _ in range(n)) for _ in range(rng.randint(1, 40))]
-        assert frozenset(_pareto_front(pts)) == _oracle_prune(pts)
-
-
 # ---------------------------------------------------------------------------
 # AUX
 # ---------------------------------------------------------------------------
@@ -543,6 +556,19 @@ def test_coordinate_types(v, accepted):
         else:
             with pytest.raises(ValueError):
                 call(v)
+
+
+def test_numpy_coordinates_do_not_wrap():
+    """np.int64 coordinates are read as Python ints at the boundary, so
+    products past 2**63 answer as the same Python ints do."""
+    i64 = np.int64
+    with pytest.raises(KMaxExceeded):
+        aux((i64(2**62),) * 2, 2, k_max=3)
+    assert exp_policy((i64(2**62), i64(3)), (i64(0), i64(1)), 2) == 0
+    assert exp_policy((i64(2**62), i64(3)), (0, 1), 2) == 0
+    pts = {(2**62, 0), (0, 2**62)}
+    assert next_frontier({tuple(map(i64, p)) for p in pts}, 2) == next_frontier(pts, 2)
+    assert lp_solve((i64(2**62), i64(0)), 0) == lp_solve((2**62, 0), 0) == (F(1), F(1))
 
 
 def test_negative_k_max_rejected_before_any_search(monkeypatch):
