@@ -138,11 +138,6 @@ class PropxState(RoundState):
         _raise_missed(self.missed_max, scale, recipient)
 
 
-#: the raw-values entry points (state, values) of every state
-propx_candidates = efx_candidates = efc_candidates = RoundState.candidates_of
-propx_witness = efx_witness = efc_witness = RoundState.witness_of
-
-
 def propx_params(n: int, p: float = 0.0) -> PotentialParams:
     return PotentialParams(m=n, n_ref=n, sigma_sq=1.0, p=p)
 

@@ -10,6 +10,7 @@ any policy.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -25,6 +26,24 @@ from .prng import Xoshiro256StarStar
 # Streams
 # ---------------------------------------------------------------------------
 
+class ConfigInvalid(ValueError):
+    pass
+
+
+#: conversion -> (what the JSON value must be, the types it may load as: a bool is no number)
+_JSON_TYPES = {int: ("an integer", (int,)), float: ("a finite number", (int, float)),
+               str: ("a string", (str,)), list: ("a list of numbers", (list,))}
+
+
+def _typed(key: str, value, convert):
+    """``convert(value)`` once ``value`` has the JSON type ``key`` needs: a
+    config key or a stream param."""
+    what, types = _JSON_TYPES[convert]
+    if type(value) not in types or convert is float and not abs(value) <= sys.float_info.max:
+        raise ConfigInvalid(f"{key!r} must be {what}, got {value!r}")
+    return [_typed(key, v, float) for v in value] if convert is list else convert(value)
+
+
 def _nonneg(key, value):
     """``value`` (a float or a list of floats) once every entry is finite and >= 0."""
     if not all(math.isfinite(v) and v >= 0.0 for v in np.ravel(value)):
@@ -33,32 +52,30 @@ def _nonneg(key, value):
 
 
 def _round_robin_alt(spec):
-    n, eps = spec.n, _nonneg("eps", float(spec.params.get("eps", 0.01)))
+    n, eps = spec.n, _nonneg("eps", _typed("eps", spec.params.get("eps", 0.01), float))
     return lambda t: [1.0] * n if t % 2 == 1 else [eps] * n
 
 
 def _greedy_eps(spec):
-    n, eps = spec.n, _nonneg("eps", float(spec.params.get("eps", 0.01)))
+    n, eps = spec.n, _nonneg("eps", _typed("eps", spec.params.get("eps", 0.01), float))
     return lambda t: [1.0] * n if t == 1 else [1.0] + [eps] * (n - 1)
 
 
 def _table1(spec):
-    eps = _nonneg("eps", float(spec.params.get("eps", 0.01)))
+    eps = _nonneg("eps", _typed("eps", spec.params.get("eps", 0.01), float))
     return lambda t: ([1.0, 1.0] if t == 1
                       else [1.0, eps] if t % 2 == 1 or t == 2 else [eps, 1.0])
 
 
 def _benade_linear(spec):
-    if type(T := spec.params.get("T", spec.length)) is not int:
-        raise ValueError(f"'T' must be an integer, got {T!r}")
-    cutoff = math.isqrt(T)
-    rho = _nonneg("rho", float(spec.params.get("rho", 0.1)))
+    cutoff = math.isqrt(_typed("T", spec.params.get("T", spec.length), int))
+    rho = _nonneg("rho", _typed("rho", spec.params.get("rho", 0.1), float))
     return lambda t: [1.0, rho] if t <= cutoff else [0.0, 0.0]
 
 
 def _window_cycle(spec):
     n = spec.n
-    cycle = _nonneg("cycle", [float(x) for x in spec.params.get("cycle", (1.0, 0.3, 0.3))])
+    cycle = _nonneg("cycle", _typed("cycle", spec.params.get("cycle", [1.0, 0.3, 0.3]), list))
     if not cycle:
         raise ValueError("'cycle' must be nonempty")
     return lambda t: [cycle[(t - 1) % len(cycle)]] * n
@@ -66,8 +83,8 @@ def _window_cycle(spec):
 
 def _constant(spec):
     value = spec.params.get("value", 1.0)
-    row = _nonneg("value", [float(x) for x in value] if isinstance(value, (list, tuple))
-                  else [float(value)] * spec.n)
+    row = _nonneg("value", _typed("value", value, list) if isinstance(value, list)
+                  else [_typed("value", value, float)] * spec.n)
     if len(row) != spec.n:
         raise ValueError(f"'value' has {len(row)} entries, expected n = {spec.n}")
     return lambda t: row
@@ -78,14 +95,14 @@ def _uniform_random(spec):
 
 
 def _bernoulli(spec):
-    prob = float(spec.params.get("prob", 0.5))
+    prob = _typed("prob", spec.params.get("prob", 0.5), float)
     if not 0.0 <= prob <= 1.0:
         raise ValueError(f"'prob' must be in [0, 1], got {prob}")
     return lambda d: np.where(d < prob, 1.0, 0.0)
 
 
 def _choice(spec):
-    pool = _nonneg("values", np.array([float(x) for x in spec.params.get("values", ())]))
+    pool = _nonneg("values", np.array(_typed("values", spec.params.get("values", []), list)))
     if not pool.size:
         raise ValueError("needs a nonempty 'values' list")
     return lambda d: pool[np.minimum((d * len(pool)).astype(np.intp), len(pool) - 1)]

@@ -149,23 +149,6 @@ def _lp(x, mu, n: int, unit: int) -> tuple:
     return y, z
 
 
-def lp_solve(x: tuple, i: int) -> tuple:
-    """Maximize y subject to y + (n-1) z <= x_i, y - z <= x_j (j != i),
-    0 <= z <= 1.  Closed form: with mu = min_{j != i} x_j,
-    z* = clamp((x_i - mu)/n, 0, 1) and Y = min(x_i - (n-1) z*, mu + z*);
-    infinite coordinates are resolved before any subtraction.
-
-    Returns (Y, z*) with Y extended-rational and z* a Fraction in [0, 1].
-    """
-    n = len(x)
-    (xs,), scale = _scaled([x])
-    unit = n * scale
-    top = max((v for v in xs if v != _INF), default=0) + unit
-    xs = np.array([top if v == _INF else v for v in xs], dtype=object)
-    (y,), (z,) = _lp(xs[i:i + 1], np.delete(xs, i).min(keepdims=True), n, unit)
-    return INF if y == n * top else Fraction(y, unit), Fraction(z, unit)
-
-
 # ---------------------------------------------------------------------------
 # Frontiers
 # ---------------------------------------------------------------------------

@@ -290,15 +290,9 @@ def verify_moment_witness(z_prev, candidates: CandidateSet, w: MomentWitness,
     return WitnessReport(*(getattr(block, f.name)[0].item() for f in fields(WitnessReport)))
 
 
-def safe_div(x: float, y: float) -> float:
-    """Total scale division: x / y when y > 0, else 0 (the 0/0 convention
-    used by every scale-normalized deficit)."""
-    return x / y if y > 0 else 0.0
-
-
 def normalized(d, scale) -> np.ndarray:
-    """Elementwise [d]_+ / scale with the 0/0 convention of ``safe_div``:
-    entries whose scale is not positive are 0.  ``scale`` broadcasts against
-    ``d``, which sets the shape."""
+    """Elementwise [d]_+ / scale, with the 0/0 convention of every
+    scale-normalized deficit: entries whose scale is not positive are 0.
+    ``scale`` broadcasts against ``d``, which sets the shape."""
     d = np.maximum(d, 0.0)
     return np.divide(d, scale, out=np.zeros(d.shape), where=scale > 0)

@@ -2,15 +2,16 @@
 
 Streams must be bit-exact across platforms and implementations, so we pin the
 generator explicitly instead of relying on ``random`` or numpy defaults:
-xoshiro256** seeded from a splitmix64 expansion of the 64-bit user seed.
-Doubles are produced the canonical way, ``(x >> 11) * 2**-53``.  The engine is
-linear over GF(2), so a block of 256 steps is an XOR of table rows, one per
-3-bit group of the state (the method of four Russians): each state word has 22
-groups, bits 3k..3k+2, the last holding bit 63 alone.  The 704 x 260 uint64
-group table (1.46 MB) has a row for each group and value; it is built in place
-once per process, on the first draw.  Row indices are taken by shifts on the
-uint64 state words, so they do not depend on byte order.  numpy applies the
-scrambler ``rotl(s1 * 5, 7) * 9``.
+xoshiro256** seeded from a splitmix64 expansion of the 64-bit user seed.  Draws
+come in blocks: ``u64s(m)`` and ``doubles(m)`` serve the next m outputs,
+exactly as m single draws would.  Doubles are produced the canonical way,
+``(x >> 11) * 2**-53``.  The engine is linear over GF(2), so a block of 256
+steps is an XOR of table rows, one per 3-bit group of the state (the method of
+four Russians): each state word has 22 groups, bits 3k..3k+2, the last holding
+bit 63 alone.  The 704 x 260 uint64 group table (1.46 MB) has a row for each
+group and value; it is built in place once per process, on the first draw.  Row
+indices are taken by shifts on the uint64 state words, so they do not depend on
+byte order.  numpy applies the scrambler ``rotl(s1 * 5, 7) * 9``.
 """
 from __future__ import annotations
 
@@ -78,15 +79,3 @@ class Xoshiro256StarStar:
     def doubles(self, m: int) -> np.ndarray:
         """The next ``m`` outputs as doubles in [0, 1): the 53 high bits times 2**-53."""
         return (self.u64s(m) >> np.uint64(11)) * 2.0 ** -53
-
-    def next_u64(self) -> int:
-        return int(self.u64s(1)[0])
-
-    def next_double(self) -> float:
-        return float(self.doubles(1)[0])
-
-    def next_index(self, bound: int) -> int:
-        """Uniform integer in [0, bound) derived from one double draw."""
-        if bound < 1:
-            raise ValueError(f"bound must be >= 1, got {bound}")
-        return min(int(self.next_double() * bound), bound - 1)

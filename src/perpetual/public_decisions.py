@@ -57,8 +57,5 @@ class PdmState(RoundState):
         self.util += v[:, outcome]
         self.run_max[:] = scale
 
-
-pdm_candidates, pdm_witness = RoundState.candidates_of, RoundState.witness_of
-
 #: one deficit per agent and n reference outcomes, sigma^2 = 1: the PROP x c parameters
 pdm_params = propx_params

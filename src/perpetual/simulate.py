@@ -3,7 +3,6 @@ state-update loop, per-round metrics, and deterministic CSV output."""
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
@@ -11,7 +10,8 @@ from operator import itemgetter
 import numpy as np
 
 from . import allocation, public_decisions as pdm_mod
-from .baselines import BENADE_T, POLICY_NAMES, StreamSpec, make_policy, stream_generate
+from .baselines import (BENADE_T, POLICY_NAMES, ConfigInvalid, StreamSpec, _typed, make_policy,
+                        stream_generate)
 from .discounted import c_gamma
 from .exact_game import K_MAX
 from .framework import (ABS_TOL, PotentialParams, RoundState, check_witness_rows,
@@ -31,20 +31,6 @@ _OPTIONAL_KEYS = {"c": float, "p": float, "theta": list, "num_outcomes": int, "g
                   "output": str, "benade_T": int, "k_max": int}
 _TOP_KEYS = {"instantiation", "policy", "stream", "n", "length", *_OPTIONAL_KEYS}
 _STREAM_KEYS = {"kind", "seed", "params"}
-#: conversion -> (what the JSON value must be, the types it may load as: a bool is no number)
-_JSON_TYPES = {int: ("an integer", (int,)), float: ("a finite number", (int, float)),
-               str: ("a string", (str,)), list: ("a list of numbers", (list,))}
-
-
-class ConfigInvalid(ValueError):
-    pass
-
-
-def _typed(key: str, value, convert):
-    what, types = _JSON_TYPES[convert]
-    if type(value) not in types or convert is float and not abs(value) <= sys.float_info.max:
-        raise ConfigInvalid(f"{key!r} must be {what}, got {value!r}")
-    return [_typed(key, v, float) for v in value] if convert is list else convert(value)
 
 
 def _check_object(raw, keys: set, what: str) -> None:

@@ -1,16 +1,27 @@
 """Oracles shared by the test modules: full-history ones, each recomputing from
 the whole round history what a state keeps as running aggregates, a one-round
 one for the state updates, a round-by-round one for the block-wise witness
-check, and linear ``Fraction`` scans for the exact solver's AUX and EXP."""
+check, the windowed deficits and the inflated ledger of the limited-memory
+results, the ``Fraction`` LP, and linear ``Fraction`` scans for the exact
+solver's AUX and EXP."""
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 
 from perpetual.allocation import EfcThresholdState, EfxState, PropxState
-from perpetual.exact_game import is_inf
-from perpetual.framework import safe_div, verify_moment_witness
+from perpetual.discounted import _check_gamma
+from perpetual.exact_game import _INF, INF, _lp, _scaled, is_inf
+from perpetual.framework import normalized, verify_moment_witness
 from perpetual.public_decisions import PdmState
 from perpetual.simulate import _play, build_harness
+
+
+def safe_div(x: float, y: float) -> float:
+    """Total scale division: x / y when y > 0, else 0 (the 0/0 convention
+    of every scale-normalized deficit)."""
+    return x / y if y > 0 else 0.0
 
 
 def efk_oracle(bundles, i, j, k):
@@ -94,6 +105,58 @@ def naive_efc(rounds, n, theta):
     return z
 
 
+def windowed_deficits(rounds, n: int, window: int) -> np.ndarray:
+    """Each agent's deficit over the last ``window`` of ``rounds``, a list of
+    (values, recipient): 1/n of its windowed total less its windowed receipts."""
+    last = rounds[-window:]
+    prop = sum((np.asarray(v, float) for v, _ in last), np.zeros(n)) / n
+    got = np.array([sum(v[i] for v, r in last if r == i) for i in range(n)], float)
+    return prop - got
+
+
+#: the inflation check's relative tolerance, and its round cap (beta^t overflows past desk scale)
+INFLATION_REL_TOL = 1e-9
+INFLATION_MAX_ROUNDS = 200
+
+
+def inflation_equiv_check(gamma: float, rounds) -> tuple[bool, float]:
+    """Dual-ledger equivalence: the decay ledger (aggregates multiplied by
+    gamma each round) and the beta-inflated ledger (beta = 1/gamma; the
+    round-t contribution enters weighted by beta^t and is never decayed)
+    describe the same normalized deficits after rescaling,
+    z^{t,gamma} = beta^(-t) * z-bar^t.
+
+    ``rounds`` is an iterable of (values, recipient); only the first
+    ``INFLATION_MAX_ROUNDS`` are checked.
+    Returns (pass, worst relative difference over all prefixes).
+    """
+    _check_gamma(gamma)
+    beta = 1.0 / gamma
+    decay = None
+    worst = 0.0
+    weight = 1.0  # beta^t
+    for t, (values, recipient) in enumerate(rounds, start=1):
+        if t > INFLATION_MAX_ROUNDS:
+            break
+        x = np.asarray(values, dtype=float)
+        if decay is None:
+            decay = PropxState(len(x), gamma)
+            bar_util = np.zeros(len(x))
+            bar_total = np.zeros(len(x))
+        decay.apply(x, recipient)
+        weight *= beta
+        bar_total += weight * x
+        bar_util[recipient] += weight * x[recipient]
+        # the scale is undecayed in both ledgers
+        z_bar = normalized(bar_total / decay.n - bar_util, decay.missed_max)
+        z = decay.profile()
+        z_from_bar = z_bar / weight
+        denom = np.maximum(np.abs(z), np.abs(z_from_bar))
+        rel = np.where(denom > 0, np.abs(z - z_from_bar) / np.maximum(denom, 1e-300), 0.0)
+        worst = max(worst, float(np.max(rel)))
+    return worst <= INFLATION_REL_TOL, worst
+
+
 def applied_oracle(state, values, action) -> dict:
     """The aggregates ``state`` holds after the round (values, action), by
     update formulas that read the raw values and no prepared item: attribute
@@ -137,6 +200,24 @@ def verify_moments_oracle(cfg):
     for _ in _play(cfg, h, check):
         pass
     return ok, worst
+
+
+def lp_solve(x: tuple, i: int) -> tuple:
+    """Maximize y subject to y + (n-1) z <= x_i, y - z <= x_j (j != i),
+    0 <= z <= 1.  Closed form: with mu = min_{j != i} x_j,
+    z* = clamp((x_i - mu)/n, 0, 1) and Y = min(x_i - (n-1) z*, mu + z*);
+    infinite coordinates are resolved before any subtraction.  Solved by
+    the exact solver's integer LP, ``exact_game._lp``.
+
+    Returns (Y, z*) with Y extended-rational and z* a Fraction in [0, 1].
+    """
+    n = len(x)
+    (xs,), scale = _scaled([x])
+    unit = n * scale
+    top = max((v for v in xs if v != _INF), default=0) + unit
+    xs = np.array([top if v == _INF else v for v in xs], dtype=object)
+    (y,), (z,) = _lp(xs[i:i + 1], np.delete(xs, i).min(keepdims=True), n, unit)
+    return INF if y == n * top else Fraction(y, unit), Fraction(z, unit)
 
 
 def surplus_update(delta: tuple, values: tuple, recipient: int) -> tuple:

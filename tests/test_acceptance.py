@@ -12,15 +12,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from perpetual import allocation, discounted as disc, exact_game as eg, public_decisions as pdm_mod
+from perpetual import allocation, exact_game as eg, public_decisions as pdm_mod
 from perpetual.baselines import StreamSpec, make_policy, run_lb_game, stream_generate
 from perpetual.cli import cli_dispatch
-from perpetual.discounted import (
-    WindowState,
-    c_gamma,
-    inflation_equiv_check,
-    windowed_deficit,
-)
+from perpetual.discounted import c_gamma
 from perpetual.framework import (
     choose_action,
     ct_threshold,
@@ -30,7 +25,17 @@ from perpetual.framework import (
 )
 from perpetual.prng import Xoshiro256StarStar
 
-from oracles import dominates, efk_oracle, naive_efc, naive_efx, naive_pdm, naive_propx
+from oracles import (
+    dominates,
+    efk_oracle,
+    inflation_equiv_check,
+    lp_solve,
+    naive_efc,
+    naive_efx,
+    naive_pdm,
+    naive_propx,
+    windowed_deficits,
+)
 
 
 def _report(num: int, desc: str, ok: bool, detail: str = ""):
@@ -50,7 +55,7 @@ def _uniform(n, length, seed):
 @functools.lru_cache(maxsize=None)
 def _propx_run(n, seed):
     """The potential rule on a 1e4-round uniform stream, through the same path
-    as ``simulate`` (PropxState -> propx_candidates -> choose_action).
+    as ``simulate`` (PropxState -> candidates_of -> choose_action).
     Returns the worst prefix slack max_{d_i > 0} (d_i - ct * U_i) and the
     worst one-step growth slack of Psi; criteria 01 and 02 share the run."""
     state = allocation.PropxState(n)
@@ -59,7 +64,7 @@ def _propx_run(n, seed):
     psi = profile_psi(state.profile(), params)
     worst_prefix = worst_growth = -math.inf
     for t, x in enumerate(_uniform(n, 10_000, seed), 1):
-        state.apply(x, choose_action(allocation.propx_candidates(state, x), params))
+        state.apply(x, choose_action(state.candidates_of(x), params))
         nxt = profile_psi(state.profile(), params)
         worst_growth = max(worst_growth, nxt - psi - growth)
         psi = nxt
@@ -85,12 +90,12 @@ def test_criterion_01_prefix_proportionality_bound():
 # 2. one-step potential growth
 # ---------------------------------------------------------------------------
 
-def _generic_growth_slack(state, candidates, params, rounds):
+def _generic_growth_slack(state, params, rounds):
     bound = one_step_growth_bound(params)
     worst = -math.inf
     psi = profile_psi(state.profile(), params)
     for values in rounds:
-        cands = candidates(state, values)
+        cands = state.candidates_of(values)
         state.apply(values, choose_action(cands, params))
         nxt = profile_psi(state.profile(), params)
         worst = max(worst, nxt - psi - bound)
@@ -105,15 +110,13 @@ def test_criterion_02_one_step_growth_bound():
             worst = max(worst, _propx_run(n, seed)[1])
     n = 3
     worst = max(worst, _generic_growth_slack(
-        allocation.EfxState(n), allocation.efx_candidates,
-        allocation.efx_params(n), _uniform(n, 1000, seed=90)))
+        allocation.EfxState(n), allocation.efx_params(n), _uniform(n, 1000, seed=90)))
     worst = max(worst, _generic_growth_slack(
-        pdm_mod.PdmState(n, 4), pdm_mod.pdm_candidates, pdm_mod.pdm_params(n),
+        pdm_mod.PdmState(n, 4), pdm_mod.pdm_params(n),
         stream_generate(StreamSpec("uniform_random", n, 1000, seed=91, width=4))))
     theta = [0.25, 0.5, 1.0]
     worst = max(worst, _generic_growth_slack(
-        allocation.EfcThresholdState(n, theta), allocation.efc_candidates,
-        allocation.efc_params(n, len(theta)),
+        allocation.EfcThresholdState(n, theta), allocation.efc_params(n, len(theta)),
         stream_generate(StreamSpec("choice", n, 1000, seed=92,
                                    params={"values": theta}))))
     _report(2, "psi growth per round <= 2 sqrt(e) p sigma^2 m^(1/p) / n on all runs",
@@ -215,7 +218,7 @@ def test_criterion_07_classical_ef_up_to_k():
         for t, v in enumerate(stream_generate(
                 StreamSpec("choice", n, 2000, seed=seed,
                            params={"values": theta})), 1):
-            a = choose_action(allocation.efc_candidates(state, v), params)
+            a = choose_action(state.candidates_of(v), params)
             state.apply(v, a)
             bundles[a].append(list(v))
             k = math.ceil(ct_threshold(t, params))
@@ -247,14 +250,14 @@ def test_criterion_08_discounted_uniform_bound():
     for stream in streams:
         state = allocation.PropxState(n, gamma)
         for v in stream:
-            cands = allocation.propx_candidates(state, v)
+            cands = state.candidates_of(v)
             state.apply(v, choose_action(cands, params))
             worst = max(worst, float(np.max(state.profile())) - bound)
     # dual-ledger equivalence on a fresh policy-driven prefix
     state = allocation.PropxState(n, gamma)
     run = []
     for v in _uniform(n, 200, seed=303):
-        a = choose_action(allocation.propx_candidates(state, v), params)
+        a = choose_action(state.candidates_of(v), params)
         state.apply(v, a)
         run.append((v, a))
     infl_ok, infl_worst = inflation_equiv_check(gamma, run)
@@ -270,17 +273,17 @@ def test_criterion_08_discounted_uniform_bound():
 
 def test_criterion_09_window_counterexample():
     n, W = 2, 3
-    win = WindowState(n, window=W)
+    history = []
     total = np.zeros(n)
     util = np.zeros(n)
     ok = True
     for t, v in enumerate(stream_generate(StreamSpec("window_cycle", n, 300)), 1):
         a = 0 if t % 3 == 1 else 1
-        win.apply(v, a)
+        history.append((v, a))
         total += np.asarray(v)
         util[a] += v[a]
         if t >= 3:
-            if max(windowed_deficit(win, i) for i in range(n)) > 0.2 + 1e-9:
+            if windowed_deficits(history, n, W).max() > 0.2 + 1e-9:
                 ok = False
         if t % 3 == 0:
             K = t // 3
@@ -295,12 +298,12 @@ def test_criterion_09_window_counterexample():
 # 10. oracle equivalence suite
 # ---------------------------------------------------------------------------
 
-def _run_candidate_oracle(state, candidates, params, stream, naive, actions):
+def _run_candidate_oracle(state, params, stream, naive, actions):
     history = []
     ok = True
     for values in stream:
         x = np.asarray(values, float)
-        cands = candidates(state, x)
+        cands = state.candidates_of(x)
         for a in actions:
             if not np.allclose(cands.profile(a), naive(history, a, x),
                                rtol=1e-12, atol=1e-12):
@@ -311,13 +314,13 @@ def _run_candidate_oracle(state, candidates, params, stream, naive, actions):
     return ok
 
 
-def _witness_suite(state, candidates, witness, params, stream, gamma=1.0):
+def _witness_suite(state, params, stream, gamma=1.0):
     for values in stream:
-        rep = verify_moment_witness(state.profile(), candidates(state, values),
-                                    witness(state, values), params, gamma=gamma)
+        rep = verify_moment_witness(state.profile(), state.candidates_of(values),
+                                    state.witness_of(values), params, gamma=gamma)
         if not rep.ok:
             return False
-        state.apply(values, choose_action(candidates(state, values), params))
+        state.apply(values, choose_action(state.candidates_of(values), params))
     return True
 
 
@@ -328,27 +331,23 @@ def test_criterion_10_oracle_equivalence_suite():
 
     # fast candidate evaluation vs full-history recomputation, 50 rounds each
     ok &= _run_candidate_oracle(
-        allocation.PropxState(5), allocation.propx_candidates,
-        allocation.propx_params(5), _uniform(5, 50, seed=1),
+        allocation.PropxState(5), allocation.propx_params(5), _uniform(5, 50, seed=1),
         lambda h, a, x: naive_propx(h + [(x, a)], 5), range(5))
     ok &= _run_candidate_oracle(
-        allocation.EfxState(4), allocation.efx_candidates,
-        allocation.efx_params(4), _uniform(4, 50, seed=2),
+        allocation.EfxState(4), allocation.efx_params(4), _uniform(4, 50, seed=2),
         lambda h, a, x: naive_efx(h + [(x, a)], 4), range(4))
     theta = [0.25, 0.5, 1.0]
     ok &= _run_candidate_oracle(
-        allocation.EfcThresholdState(3, theta), allocation.efc_candidates,
-        allocation.efc_params(3, 3),
+        allocation.EfcThresholdState(3, theta), allocation.efc_params(3, 3),
         stream_generate(StreamSpec("choice", 3, 50, seed=3,
                                    params={"values": theta})),
         lambda h, a, x: naive_efc(h + [(x, a)], 3, theta), range(3))
     ok &= _run_candidate_oracle(
-        pdm_mod.PdmState(4, 3), pdm_mod.pdm_candidates, pdm_mod.pdm_params(4),
+        pdm_mod.PdmState(4, 3), pdm_mod.pdm_params(4),
         stream_generate(StreamSpec("uniform_random", 4, 50, seed=4, width=3)),
         lambda h, a, x: naive_pdm(h + [(x, a)], 4), range(3))
     ok &= _run_candidate_oracle(
-        allocation.PropxState(3, 0.9), allocation.propx_candidates,
-        allocation.propx_params(3), _uniform(3, 50, seed=5),
+        allocation.PropxState(3, 0.9), allocation.propx_params(3), _uniform(3, 50, seed=5),
         lambda h, a, x: naive_propx(h + [(x, a)], 3, 0.9), range(3))
 
     # lp_solve vs grid oracle
@@ -357,7 +356,7 @@ def test_criterion_10_oracle_equivalence_suite():
     for _ in range(25):
         x = tuple(Fraction(rng.randint(0, 32), 8) for _ in range(2))
         for i in range(2):
-            y, _ = eg.lp_solve(x, i)
+            y, _ = lp_solve(x, i)
             mu = x[1 - i]
             best = max(min(x[i] - Fraction(k, q), mu + Fraction(k, q))
                        for k in range(q + 1))
@@ -380,23 +379,17 @@ def test_criterion_10_oracle_equivalence_suite():
                     ok = False
 
     # moment witnesses on 1e3 random rounds per instantiation
-    ok &= _witness_suite(allocation.PropxState(3), allocation.propx_candidates,
-                         allocation.propx_witness, allocation.propx_params(3),
+    ok &= _witness_suite(allocation.PropxState(3), allocation.propx_params(3),
                          _uniform(3, 1000, seed=6))
-    ok &= _witness_suite(allocation.EfxState(3), allocation.efx_candidates,
-                         allocation.efx_witness, allocation.efx_params(3),
+    ok &= _witness_suite(allocation.EfxState(3), allocation.efx_params(3),
                          _uniform(3, 1000, seed=7))
-    ok &= _witness_suite(allocation.EfcThresholdState(3, theta),
-                         allocation.efc_candidates, allocation.efc_witness,
-                         allocation.efc_params(3, 3),
+    ok &= _witness_suite(allocation.EfcThresholdState(3, theta), allocation.efc_params(3, 3),
                          stream_generate(StreamSpec("choice", 3, 1000, seed=8,
                                                     params={"values": theta})))
-    ok &= _witness_suite(pdm_mod.PdmState(3, 3), pdm_mod.pdm_candidates,
-                         pdm_mod.pdm_witness, pdm_mod.pdm_params(3),
+    ok &= _witness_suite(pdm_mod.PdmState(3, 3), pdm_mod.pdm_params(3),
                          stream_generate(StreamSpec("uniform_random", 3, 1000,
                                                     seed=9, width=3)))
-    ok &= _witness_suite(allocation.PropxState(2, 0.9), allocation.propx_candidates,
-                         allocation.propx_witness, allocation.propx_params(2),
+    ok &= _witness_suite(allocation.PropxState(2, 0.9), allocation.propx_params(2),
                          _uniform(2, 1000, seed=10), gamma=0.9)
 
     _report(10, "fast paths match naive recomputation; witnesses verify on "

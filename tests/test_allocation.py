@@ -13,15 +13,9 @@ from perpetual.allocation import (
     PropxState,
     ValueNotInLedger,
     check_efk,
-    efc_candidates,
     efc_params,
-    efc_witness,
-    efx_candidates,
     efx_params,
-    efx_witness,
-    propx_candidates,
     propx_params,
-    propx_witness,
 )
 from perpetual.baselines import StreamSpec, stream_generate
 from perpetual.framework import DimensionMismatch, choose_action, verify_moment_witness
@@ -33,7 +27,7 @@ from oracles import applied_oracle, naive_efc, naive_efx, naive_propx
 
 def _random_items(n, rounds, seed):
     rng = Xoshiro256StarStar(seed)
-    return [np.array([rng.next_double() for _ in range(n)]) for _ in range(rounds)]
+    return [rng.doubles(n) for _ in range(rounds)]
 
 
 # ---------------------------------------------------------------------------
@@ -42,7 +36,7 @@ def _random_items(n, rounds, seed):
 
 def test_propx_fresh_unit_item():
     s = PropxState(2)
-    cands = propx_candidates(s, [1.0, 1.0])
+    cands = s.candidates_of([1.0, 1.0])
     z0 = cands.profile(0)  # give to agent 0
     assert z0[0] == 0.0  # recipient's deficit is negative
     assert z0[1] == pytest.approx(0.5)  # d = 1/2, U = 1
@@ -52,7 +46,7 @@ def test_propx_zero_item_noop():
     s = PropxState(2)
     s.apply([0.3, 0.7], 0)
     before = s.profile()
-    cands = propx_candidates(s, [0.0, 0.0])
+    cands = s.candidates_of([0.0, 0.0])
     for a in cands.action_ids():
         assert np.allclose(cands.profile(a), before)
 
@@ -63,7 +57,7 @@ def test_propx_candidates_match_naive_recomputation(n):
     params = propx_params(n)
     items, allocs = [], []
     for t, x in enumerate(_random_items(n, 50, seed=100 + n)):
-        cands = propx_candidates(s, x)
+        cands = s.candidates_of(x)
         for a in range(n):
             naive = naive_propx([*zip(items, allocs), (x, a)], n)
             fast = cands.profile(a)
@@ -76,10 +70,10 @@ def test_propx_candidates_match_naive_recomputation(n):
 
 def test_propx_witness_by_hand():
     s = PropxState(2)
-    w = propx_witness(s, [1.0, 0.0])
+    w = s.witness_of([1.0, 0.0])
     assert np.allclose(w.delta[0], [-0.5, 0.5])  # s_1 = 1
     assert np.allclose(w.delta[1], [0.0, 0.0])  # s_2 = 0
-    w = propx_witness(s, [0.0, 0.0])
+    w = s.witness_of([0.0, 0.0])
     assert np.allclose(w.delta, 0.0)
 
 
@@ -90,8 +84,8 @@ def test_propx_witness_always_verifies(n, seed):
     params = propx_params(n)
     for x in _random_items(n, 100, seed=seed):
         z_prev = s.profile()
-        cands = propx_candidates(s, x)
-        rep = verify_moment_witness(z_prev, cands, propx_witness(s, x), params)
+        cands = s.candidates_of(x)
+        rep = verify_moment_witness(z_prev, cands, s.witness_of(x), params)
         assert rep.ok, rep
         # first moment holds with equality for this construction
         assert abs(rep.worst_first_moment) < 1e-12
@@ -233,7 +227,7 @@ def test_envy_from_deficit_inequality():
     total = np.zeros(n)
     params = efx_params(n)
     for x in _random_items(n, 120, seed=9):
-        a = choose_action(efx_candidates(efx, x), params)
+        a = choose_action(efx.candidates_of(x), params)
         efx.apply(x, a)
         total += x
         for i in range(n):
@@ -248,7 +242,7 @@ def test_envy_from_deficit_inequality():
 
 def test_efx_fresh_unit_item():
     s = EfxState(2)
-    cands = efx_candidates(s, [1.0, 1.0])
+    cands = s.candidates_of([1.0, 1.0])
     z = cands.profile(0)  # give to agent 0
     assert z[s.quality_index(1, 0)] == pytest.approx(1.0)
     assert z[s.quality_index(0, 1)] == 0.0
@@ -258,7 +252,7 @@ def test_efx_zero_item_noop():
     s = EfxState(3)
     s.apply([0.5, 0.2, 0.9], 1)
     before = s.profile()
-    cands = efx_candidates(s, [0.0, 0.0, 0.0])
+    cands = s.candidates_of([0.0, 0.0, 0.0])
     for a in cands.action_ids():
         assert np.allclose(cands.profile(a), before)
 
@@ -269,7 +263,7 @@ def test_efx_candidates_match_naive(n):
     params = efx_params(n)
     items, allocs = [], []
     for x in _random_items(n, 30, seed=200 + n):
-        cands = efx_candidates(s, x)
+        cands = s.candidates_of(x)
         logs = cands.log_phi(params)
         p = params.p
         for a in range(n):
@@ -286,7 +280,7 @@ def test_efx_candidates_match_naive(n):
 
 def test_efx_witness_by_hand():
     s = EfxState(2)
-    w = efx_witness(s, [1.0, 0.0])
+    w = s.witness_of([1.0, 0.0])
     q = s.quality_index(0, 1)
     assert w.delta[q, 1] == pytest.approx(1.0)  # alpha = 1 (scale 0, x = 1)
     assert w.delta[q, 0] == pytest.approx(-1.0)
@@ -300,10 +294,10 @@ def test_efx_witness_always_verifies(n, seed):
     params = efx_params(n)
     for x in _random_items(n, 80, seed=seed):
         rep = verify_moment_witness(
-            s.profile(), efx_candidates(s, x), efx_witness(s, x), params
+            s.profile(), s.candidates_of(x), s.witness_of(x), params
         )
         assert rep.ok, rep
-        s.apply(x, choose_action(efx_candidates(s, x), params))
+        s.apply(x, choose_action(s.candidates_of(x), params))
 
 
 def test_pair_scale_nondecreasing():
@@ -322,7 +316,7 @@ def test_pair_scale_nondecreasing():
 
 def test_efc_fresh_unit_item():
     s = EfcThresholdState(2, [1.0])
-    cands = efc_candidates(s, [1.0, 1.0])
+    cands = s.candidates_of([1.0, 1.0])
     z = cands.profile(0)
     assert z[s.quality_index(1, 0, 0)] == pytest.approx(1.0)
     assert z[s.quality_index(0, 1, 0)] == 0.0
@@ -333,9 +327,9 @@ def test_efc_ledger_enforced():
     with pytest.raises(ValueNotInLedger):
         s.apply([0.7, 0.5], 0)
     with pytest.raises(ValueNotInLedger):
-        efc_candidates(s, [0.7, 0.5])
+        s.candidates_of([0.7, 0.5])
     with pytest.raises(ValueNotInLedger):
-        efc_witness(s, [0.5, 0.7])
+        s.witness_of([0.5, 0.7])
     with pytest.raises(ValueNotInLedger):
         s.apply([0.25, 0.5], 0)  # below the smallest entry
     with pytest.raises(ValueNotInLedger):
@@ -360,7 +354,7 @@ def test_efc_candidates_match_naive():
     spec = StreamSpec("choice", n, 40, seed=77, params={"values": theta})
     items, allocs = [], []
     for x in stream_generate(spec):
-        cands = efc_candidates(s, x)
+        cands = s.candidates_of(x)
         for a in range(n):
             naive = naive_efc([*zip(items, allocs), (x, a)], n, theta)
             assert np.array_equal(cands.profile(a), naive)
@@ -377,10 +371,10 @@ def test_efc_witness_always_verifies(seed):
     params = efc_params(n, len(theta))
     for x in stream_generate(StreamSpec("choice", n, 80, seed=seed, params={"values": theta})):
         rep = verify_moment_witness(
-            s.profile(), efc_candidates(s, x), efc_witness(s, x), params
+            s.profile(), s.candidates_of(x), s.witness_of(x), params
         )
         assert rep.ok, rep
-        s.apply(x, choose_action(efc_candidates(s, x), params))
+        s.apply(x, choose_action(s.candidates_of(x), params))
 
 
 def test_check_efk_by_hand():

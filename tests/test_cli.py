@@ -229,6 +229,27 @@ def test_bad_stream_params_exit_2(tmp_path, capsys, n, stream, names):
     assert err.startswith("config error") and all(name in err for name in names)
 
 
+@pytest.mark.parametrize("stream,key", [
+    ({"kind": "choice", "seed": 1, "params": {"values": "12"}}, "'values'"),
+    ({"kind": "window_cycle", "params": {"cycle": "13"}}, "'cycle'"),
+    ({"kind": "table1", "params": {"eps": "0.5"}}, "'eps'"),
+    ({"kind": "round_robin_alt", "params": {"eps": True}}, "'eps'"),
+    ({"kind": "bernoulli", "seed": 1, "params": {"prob": "0.5"}}, "'prob'"),
+    ({"kind": "constant", "params": {"value": "1"}}, "'value'"),
+    ({"kind": "constant", "params": {"value": [True, False]}}, "'value'"),
+    ({"kind": "benade_linear", "params": {"rho": "0.1"}}, "'rho'"),
+])
+def test_stream_params_of_the_wrong_json_type_exit_2(tmp_path, capsys, monkeypatch, stream, key):
+    """Stream params pass the JSON type check of the top-level keys: a string
+    or a bool where a number or a list of numbers belongs is a config error
+    naming the kind and the key, and nothing is written."""
+    monkeypatch.chdir(tmp_path)
+    assert cli_dispatch(["simulate", write_config(tmp_path, stream=stream)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and stream["kind"] in err and key in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 @pytest.mark.parametrize("seed", [1.9, True, "7", -1, 2**64, 2**64 + 5, [3]])
 def test_seed_outside_64_bit_integers_exit_2(tmp_path, capsys, seed):
     cfg = write_config(tmp_path, stream={"kind": "uniform_random", "seed": seed})

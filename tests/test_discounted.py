@@ -7,26 +7,21 @@ import math
 import numpy as np
 import pytest
 
-from perpetual.allocation import PropxState, propx_candidates, propx_params, propx_witness
-from perpetual.discounted import (
-    GammaOutOfRange,
-    WindowState,
-    c_gamma,
-    c_gamma_prefix,
-    g_gamma,
-    inflation_equiv_check,
-    windowed_deficit,
-)
+from perpetual.allocation import PropxState, propx_params
+from perpetual.discounted import GammaOutOfRange, c_gamma, c_gamma_prefix, g_gamma
 from perpetual.framework import SQRT_E, PotentialParams, choose_action, verify_moment_witness
 from perpetual.prng import Xoshiro256StarStar
 
+from oracles import inflation_equiv_check, windowed_deficits
+
 
 def _random_run(n, rounds, seed):
+    """(values, recipient) rounds: n doubles, then one mapped to a recipient."""
     rng = Xoshiro256StarStar(seed)
     out = []
     for _ in range(rounds):
-        x = [rng.next_double() for _ in range(n)]
-        out.append((x, rng.next_index(n)))
+        *x, d = rng.doubles(n + 1)
+        out.append((x, min(int(d * n), n - 1)))
     return out
 
 
@@ -42,31 +37,25 @@ def _step(s, values, recipient):
 # ---------------------------------------------------------------------------
 
 def test_windowed_deficit_basic():
-    s = WindowState(2, window=2)
-    s.apply([1.0, 1.0], 0)
-    assert windowed_deficit(s, 0) == pytest.approx(-0.5)
-    assert windowed_deficit(s, 1) == pytest.approx(0.5)
-    s.apply([1.0, 1.0], 1)
-    assert windowed_deficit(s, 0) == pytest.approx(0.0)
+    rounds = [([1.0, 1.0], 0)]
+    assert windowed_deficits(rounds, 2, 2) == pytest.approx([-0.5, 0.5])
+    rounds.append(([1.0, 1.0], 1))
+    assert windowed_deficits(rounds, 2, 2)[0] == pytest.approx(0.0)
     # the first round falls out of the window
-    s.apply([0.4, 0.4], 0)
-    assert windowed_deficit(s, 1) == pytest.approx(0.7 - 1.0)
+    rounds.append(([0.4, 0.4], 0))
+    assert windowed_deficits(rounds, 2, 2)[1] == pytest.approx(0.7 - 1.0)
 
 
 def test_windowed_deficit_full_window_matches_replay():
     n, T = 3, 40
     run = _random_run(n, T, seed=71)
-    s = WindowState(n, window=T)  # W >= t: window equals full history
     total = np.zeros(n)
     util = np.zeros(n)
-    for x, r in run:
-        s.apply(x, r)
+    for t, (x, r) in enumerate(run, 1):
         total += np.asarray(x)
         util[r] += x[r]
-        for i in range(n):
-            assert windowed_deficit(s, i) == pytest.approx(
-                total[i] / n - util[i], abs=1e-12
-            )
+        # W >= t: the window is the full history
+        assert windowed_deficits(run[:t], n, T) == pytest.approx(total / n - util, abs=1e-12)
 
 
 def test_window_forgets_unfairness():
@@ -74,18 +63,13 @@ def test_window_forgets_unfairness():
     everything to agent 0 and the windowed deficit of agent 1 stays capped at
     W/n while the true deficit grows linearly."""
     n, W = 2, 5
-    s = WindowState(n, window=W)
+    rounds = []
     true_deficit = 0.0
     for t in range(1, 101):
-        s.apply([1.0, 1.0], 0)
+        rounds.append(([1.0, 1.0], 0))
         true_deficit += 0.5
-    assert windowed_deficit(s, 1) == pytest.approx(W / n)
+    assert windowed_deficits(rounds, n, W)[1] == pytest.approx(W / n)
     assert true_deficit == 50.0
-
-
-def test_window_validation():
-    with pytest.raises(ValueError):
-        WindowState(2, window=0)
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +121,8 @@ def test_discounted_candidates_match_step_profiles():
     params = propx_params(n)
     rng = Xoshiro256StarStar(9)
     for _ in range(50):
-        x = [rng.next_double() for _ in range(n)]
-        cands = propx_candidates(s, x)
+        x = rng.doubles(n).tolist()
+        cands = s.candidates_of(x)
         for a in range(n):
             assert np.allclose(
                 cands.profile(a), _step(s, x, a).profile(),
@@ -154,11 +138,11 @@ def test_discounted_witness_always_verifies(gamma):
     params = propx_params(n)
     for x, _ in _random_run(n, 120, seed=int(gamma * 100)):
         rep = verify_moment_witness(
-            s.profile(), propx_candidates(s, x), propx_witness(s, x),
+            s.profile(), s.candidates_of(x), s.witness_of(x),
             params, gamma=gamma,
         )
         assert rep.ok, rep
-        s.apply(x, choose_action(propx_candidates(s, x), params))
+        s.apply(x, choose_action(s.candidates_of(x), params))
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +197,7 @@ def test_discounted_run_respects_c_gamma(gamma, seed):
     params = propx_params(n)
     bound = c_gamma(params, gamma)
     for t, (x, _) in enumerate(_random_run(n, 2000, seed=seed), 1):
-        cands = propx_candidates(s, x)
+        cands = s.candidates_of(x)
         s.apply(x, choose_action(cands, params))
         prefix = c_gamma_prefix(params, gamma, t)
         assert float(np.max(s.profile())) <= prefix + 1e-9

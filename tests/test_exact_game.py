@@ -27,12 +27,11 @@ from perpetual.exact_game import (
     aux,
     exp_policy,
     is_inf,
-    lp_solve,
     _step,
     next_frontier,
 )
 
-from oracles import dominates, oracle_aux, oracle_exp_policy, surplus_update
+from oracles import dominates, lp_solve, oracle_aux, oracle_exp_policy, surplus_update
 
 F = Fraction
 
@@ -594,6 +593,14 @@ def test_aux_accepts_ints_and_inf():
     # a negative coordinate has already lost, even beside an INF one
     assert aux((F(-1), INF), 2, builder=b) == 0
     assert aux((INF, INF, F(-1, 3)), 3) == 0
+
+
+def test_readme_n3_answers():
+    """The README's n = 3 game values: ``exact aux --n 3 --state 1,1,1``
+    prints 2 and ``--state 2,2,2`` prints 5 (``D^5`` is built)."""
+    b = FrontierBuilder(3)
+    assert aux((1, 1, 1), 3, builder=b) == 2
+    assert aux((2, 2, 2), 3, builder=b) == 5
 
 
 RATIONALS = st.builds(F, st.integers(-36, 72), st.integers(1, 12))

@@ -330,22 +330,19 @@ def test_verify_moment_witness_matches_per_action_loop_on_instantiations(inst):
     if inst == "discounted":
         gamma = 0.7
         state, params = allocation.PropxState(n, gamma), allocation.propx_params(n)
-        build, witness = allocation.propx_candidates, allocation.propx_witness
         draw = lambda: rng.random(n)
     elif inst == "pdm":
         state, params = public_decisions.PdmState(n, 2), public_decisions.pdm_params(n)
-        build, witness = public_decisions.pdm_candidates, public_decisions.pdm_witness
         draw = lambda: rng.random((n, 2))
     else:
         theta = [0.25, 0.5, 1.0]
         state = allocation.EfcThresholdState(n, theta)
         params = allocation.efc_params(n, len(theta))
-        build, witness = allocation.efc_candidates, allocation.efc_witness
         draw = lambda: rng.choice([0.0, *theta], n)
     repeats = 0
     for _ in range(60):
         values = draw()
-        z_prev, cands, w = state.profile(), build(state, values), witness(state, values)
+        z_prev, cands, w = state.profile(), state.candidates_of(values), state.witness_of(values)
         repeats += len(set(w.ref_actions)) < len(w.ref_actions)
         report = verify_moment_witness(z_prev, cands, w, params, gamma=gamma)
         assert report == loop_witness_report(z_prev, cands, w, params, gamma=gamma)

@@ -92,21 +92,18 @@ def test_block_draws_equal_scalar_oracle(seed, calls):
 
 
 def test_scalar_wrappers_equal_scalar_oracle():
+    """One draw at a time, through ``u64s(1)`` and ``doubles(1)``."""
     rng = Xoshiro256StarStar(2024)
     s = _oracle_seed(2024)
-    for bound in (1, 2, 3, 7, 1000):
+    for _ in range(5):
         x, s = _oracle_step(s)
-        assert rng.next_u64() == x
+        assert rng.u64s(1).tolist() == [x]
         x, s = _oracle_step(s)
-        assert rng.next_double() == (x >> 11) * 2.0 ** -53
-        x, s = _oracle_step(s)
-        assert rng.next_index(bound) == int((x >> 11) * 2.0 ** -53 * bound)
+        assert rng.doubles(1).tolist() == [(x >> 11) * 2.0 ** -53]
     _assert_continues_from(rng, s)
 
 
-@pytest.mark.parametrize("refused", [lambda rng: rng.u64s(-3), lambda rng: rng.doubles(-1),
-                                     lambda rng: rng.next_index(0),
-                                     lambda rng: rng.next_index(-3)])
+@pytest.mark.parametrize("refused", [lambda rng: rng.u64s(-3), lambda rng: rng.doubles(-1)])
 def test_refused_call_leaves_the_stream_in_step(refused):
     rng = Xoshiro256StarStar(99)
     s = _oracle_seed(99)

@@ -4,10 +4,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from perpetual.allocation import PropxState, propx_candidates, propx_params
+from perpetual.allocation import PropxState, propx_params
 from perpetual.framework import DimensionMismatch, choose_action, verify_moment_witness
 from perpetual.prng import Xoshiro256StarStar
-from perpetual.public_decisions import PdmState, pdm_candidates, pdm_params, pdm_witness
+from perpetual.public_decisions import PdmState, pdm_params
 
 from oracles import naive_pdm
 
@@ -15,7 +15,7 @@ from oracles import naive_pdm
 def _random_rounds(n, C, rounds, seed):
     rng = Xoshiro256StarStar(seed)
     return [
-        np.array([rng.next_double() for _ in range(n * C)]).reshape(n, C)
+        rng.doubles(n * C).reshape(n, C)
         for _ in range(rounds)
     ]
 
@@ -23,7 +23,7 @@ def _random_rounds(n, C, rounds, seed):
 def test_pdm_identity_round():
     s = PdmState(2, 2)
     v = [[1.0, 0.0], [0.0, 1.0]]
-    cands = pdm_candidates(s, v)
+    cands = s.candidates_of(v)
     z = cands.profile(0)  # choose outcome A
     assert z[0] == 0.0
     assert z[1] == pytest.approx(0.5)  # d_2 = 1/2, V_2 = 1
@@ -33,7 +33,7 @@ def test_pdm_zero_round_noop():
     s = PdmState(2, 3)
     s.apply([[1.0, 0.2, 0.0], [0.4, 0.4, 0.9]], 2)
     before = s.profile()
-    cands = pdm_candidates(s, np.zeros((2, 3)))
+    cands = s.candidates_of(np.zeros((2, 3)))
     for o in cands.action_ids():
         assert np.allclose(cands.profile(o), before)
 
@@ -44,7 +44,7 @@ def test_pdm_candidates_match_naive():
     params = pdm_params(n)
     rounds, outcomes = [], []
     for v in _random_rounds(n, C, 20, seed=31):
-        cands = pdm_candidates(s, v)
+        cands = s.candidates_of(v)
         for o in range(C):
             naive = naive_pdm([*zip(rounds, outcomes), (v, o)], n)
             assert np.allclose(cands.profile(o), naive, rtol=1e-12, atol=1e-12)
@@ -56,11 +56,11 @@ def test_pdm_candidates_match_naive():
 
 def test_pdm_witness_identity_round():
     s = PdmState(2, 2)
-    w = pdm_witness(s, [[1.0, 0.0], [0.0, 1.0]])
+    w = s.witness_of([[1.0, 0.0], [0.0, 1.0]])
     assert w.ref_actions == (0, 1)  # favorites, lowest index on ties
     assert np.allclose(w.delta[0], [-0.5, 0.5])
     assert np.allclose(w.delta[1], [0.5, -0.5])
-    w0 = pdm_witness(s, np.zeros((2, 2)))
+    w0 = s.witness_of(np.zeros((2, 2)))
     assert np.allclose(w0.delta, 0.0)
 
 
@@ -71,10 +71,10 @@ def test_pdm_witness_always_verifies(seed):
     params = pdm_params(n)
     for v in _random_rounds(n, C, 100, seed=seed):
         rep = verify_moment_witness(
-            s.profile(), pdm_candidates(s, v), pdm_witness(s, v), params
+            s.profile(), s.candidates_of(v), s.witness_of(v), params
         )
         assert rep.ok, rep
-        s.apply(v, choose_action(pdm_candidates(s, v), params))
+        s.apply(v, choose_action(s.candidates_of(v), params))
 
 
 def test_run_max_independent_of_outcome_and_nondecreasing():
@@ -106,8 +106,8 @@ def test_item_allocation_embeds_into_pdm():
     params = propx_params(n)
     rng = Xoshiro256StarStar(60)
     for _ in range(60):
-        x = np.array([rng.next_double() for _ in range(n)])
-        a = choose_action(propx_candidates(prop, x), params)
+        x = rng.doubles(n)
+        a = choose_action(prop.candidates_of(x), params)
         prop.apply(x, a)
         v = np.zeros((n, n))
         for i in range(n):
@@ -121,7 +121,7 @@ def test_pdm_rejects_nonfinite_and_negative_values(bad):
     s = PdmState(2, 2)
     v = [[0.5, bad], [0.2, 0.1]]
     with pytest.raises(ValueError):
-        pdm_candidates(s, v)
+        s.candidates_of(v)
     with pytest.raises(ValueError):
         s.apply(v, 0)
 

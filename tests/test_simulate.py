@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from perpetual import simulate
-from perpetual.allocation import EfxState, efx_candidates, efx_params, efx_witness
+from perpetual.allocation import EfxState, efx_params
 from perpetual.baselines import (
     POLICY_NAMES,
     RoundRobinPolicy,
@@ -195,8 +195,8 @@ def test_verify_moments_follows_the_configured_policy():
     state, params, pol = EfxState(3), efx_params(3), RoundRobinPolicy(3)
     ok, worst = True, 0.0
     for values in stream_generate(cfg.stream):
-        report = verify_moment_witness(state.profile(), efx_candidates(state, values),
-                                       efx_witness(state, values), params, tol=1e-9)
+        report = verify_moment_witness(state.profile(), state.candidates_of(values),
+                                       state.witness_of(values), params, tol=1e-9)
         ok = ok and report.ok
         worst = max(worst, report.worst_shift_violation, report.worst_first_moment,
                     max(0.0, report.worst_second_moment - params.sigma_sq))
