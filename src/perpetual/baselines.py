@@ -68,7 +68,7 @@ def _table1(spec):
 
 
 def _benade_linear(spec):
-    cutoff = math.isqrt(_typed("T", spec.params.get("T", spec.length), int))
+    cutoff = math.isqrt(_nonneg("T", _typed("T", spec.params.get("T", spec.length), int)))
     rho = _nonneg("rho", _typed("rho", spec.params.get("rho", 0.1), float))
     return lambda t: [1.0, rho] if t <= cutoff else [0.0, 0.0]
 
@@ -193,44 +193,47 @@ def stream_generate(spec: StreamSpec):
 # ---------------------------------------------------------------------------
 
 class ItemPolicy:
-    """Minimal interface: choose a recipient for the round's values, then be
-    told the realized allocation.  Every policy sees the same undiscounted
-    proportionality aggregates (``state``) and the number of completed
-    rounds (``t``)."""
+    """Minimal interface: ``play`` prepares a round's values once on the
+    undiscounted proportionality aggregates (``state``), chooses a recipient
+    for the item, applies it and counts the round (``t``, rounds completed).
+    A policy chooses from the prepared item, ``(x, max(U, x))``."""
 
     def __init__(self, n: int):
         self.n = n
         self.state = PropxState(n)
         self.t = 0  # rounds completed
 
-    def choose(self, values) -> int:
+    def choose(self, item) -> int:
         raise NotImplementedError
 
-    def update(self, values, recipient: int) -> None:
-        self.state.apply(values, recipient)
+    def play(self, values) -> int:
+        item = self.state.prepare(values)
+        recipient = self.choose(item)
+        self.state.update(item, recipient)
         self.t += 1
+        return recipient
 
 
 class RoundRobinPolicy(ItemPolicy):
     """Agent t mod n (t counted from 0)."""
 
-    def choose(self, values) -> int:
+    def choose(self, item) -> int:
         return self.t % self.n
 
 
 class ConstantPolicy(ItemPolicy):
     """Always agent 0 -- the degenerate baseline."""
 
-    def choose(self, values) -> int:
+    def choose(self, item) -> int:
         return 0
 
 
 class UtilGreedyPolicy(ItemPolicy):
     """Maximize the post-allocation minimum utility; ties -> lowest index."""
 
-    def choose(self, values) -> int:
+    def choose(self, item) -> int:
         # row a: the bundle values after giving the item to agent a
-        post = self.state.bundle_value + np.diag(np.asarray(values, dtype=float))
+        post = self.state.bundle_value + np.diag(item[0])
         return int(np.argmax(post.min(axis=1)))
 
 
@@ -238,7 +241,7 @@ class DeficitGreedyPolicy(ItemPolicy):
     """Allocate to the agent with the largest current proportionality deficit
     d_i = total_i / n - util_i; ties -> lowest index."""
 
-    def choose(self, values) -> int:
+    def choose(self, item) -> int:
         return int(np.argmax(self.state.deficits()))
 
 
@@ -258,42 +261,31 @@ class Benade2Policy(ItemPolicy):
         self.f12 = 0.0  # agent 1's envy toward agent 2 (0-indexed: 0 -> 1)
         self.f21 = 0.0
 
-    def choose(self, values) -> int:
+    def choose(self, item) -> int:
         s = self.s
-        v1, v2 = float(values[0]), float(values[1])
+        v1, v2 = float(item[0][0]), float(item[0][1])
         # give to agent 0: f12 -= v1, f21 += v2 ; give to agent 1: mirrored
         give0 = np.logaddexp(s * (self.f12 - v1), s * (self.f21 + v2))
         give1 = np.logaddexp(s * (self.f12 + v1), s * (self.f21 - v2))
         return 0 if give0 <= give1 else 1
 
-    def update(self, values, recipient: int) -> None:
+    def play(self, values) -> int:
+        recipient = super().play(values)
         sign = -1.0 if recipient == 0 else 1.0  # giving to agent 0 lowers f12
         self.f12 += sign * float(values[0])
         self.f21 -= sign * float(values[1])
-        super().update(values, recipient)
+        return recipient
 
 
 class PotentialPropxPolicy(ItemPolicy):
-    """The p-potential rule on the PROP-times-c instantiation.  ``choose``
-    prepares the round once and keeps the item, and ``update`` for the same
-    values object applies it."""
-
-    _prepared = (None, None)  # (values, item) of the last choose
+    """The p-potential rule on the PROP-times-c instantiation."""
 
     @cached_property
     def params(self) -> PotentialParams:
         return propx_params(self.n)
 
-    def choose(self, values) -> int:
-        item = self.state.prepare(values)
-        self._prepared = (values, item)
+    def choose(self, item) -> int:
         return choose_action(self.state.candidates(item), self.params)
-
-    def update(self, values, recipient: int) -> None:
-        chosen, item = self._prepared
-        self._prepared = (None, None)
-        self.state.update(item if chosen is values else self.state.prepare(values), recipient)
-        self.t += 1
 
 
 class ExpExactPolicy(ItemPolicy):
@@ -310,14 +302,14 @@ class ExpExactPolicy(ItemPolicy):
         self.k_max = k_max
         self.builder = FrontierBuilder(n)
 
-    def choose(self, values) -> int:
+    def choose(self, item) -> int:
         n = self.n
         delta = tuple(
             n * Fraction(float(u)) - Fraction(float(g)) + n * self.c
             for u, g in zip(self.state.bundle_value, self.state.total_value)
         )
-        item = tuple(min(Fraction(float(v)), Fraction(1)) for v in values)
-        return exp_policy(delta, item, n, self.k_max, builder=self.builder)
+        values = tuple(min(Fraction(float(v)), Fraction(1)) for v in item[0])
+        return exp_policy(delta, values, n, self.k_max, builder=self.builder)
 
 
 #: default horizon T of the two-agent Benade rule
@@ -394,9 +386,7 @@ def run_lb_game(policy: ItemPolicy, n: int, c: float, max_rounds: int) -> LbGame
     for t in range(1, max_rounds + 1):
         x = lb_adversary_next(z, c)
         worst = max(worst, 0.5 - min(x), max(x) - (1.0 - 1e-15), sum(x) / n - 0.75)
-        items = np.asarray(x)
-        w = policy.choose(items)
-        policy.update(items, w)
+        policy.play(np.asarray(x))
         z = slacks()
         if min(z) < c:
             violation = t

@@ -15,20 +15,22 @@ heap merge evaluates one of each two mirror pairs of points; every other step
 evaluates the LP on integer arrays, a block of tuples at a time, and prunes
 each block against the front kept so far.
 
-Everything here is exact, and floating point is forbidden in this module --
-domination is a strict inequality and the reference value aux((2,2)) = 10 must
-be bit-certain.  Inside, the solver runs on integers: the LP only ever divides
-by n, so every D^k coordinate is a multiple of 1/n**k, and level k is kept as
-integer tuples at scale n**k.  A step reads a level at its own scale and
-evaluates the LP at n times it, where the LP has no division.  An unbounded
-coordinate is the integer sentinel ``_INF``, which is never scaled and exceeds
-every finite coordinate; the array step swaps it for a finite sentinel, on
-int64 when the coordinates fit and on Python ints otherwise.  At the API
-boundary coordinates are ``Fraction`` (or int) or the ``INF`` singleton:
-``FrontierBuilder.get`` converts a level once and caches it.  A queried state
-is kept as integer (numerator, denominator) pairs, and EXP forms its
-post-states on integers over one common denominator; a level probe turns such
-a state into integer thresholds at the level's scale.
+Everything here is exact -- domination is a strict inequality and the
+reference value aux((2,2)) = 10 must be bit-certain.  The one float is
+``INF`` (``math.inf``), the unbounded coordinate at the API and inside the
+solver alike; it compares exactly with every int and ``Fraction``, and no path
+subtracts INF from INF or multiplies it by 0, so no nan arises.  Inside, the
+solver runs on integers: the LP only ever divides by n, so every D^k
+coordinate is a multiple of 1/n**k, and level k is kept as integer tuples at
+scale n**k, INF as it is.  A step reads a level at its own scale and evaluates
+the LP at n times it, where the LP has no division; the array step swaps INF
+for a finite sentinel, on int64 when the coordinates fit and on Python ints
+otherwise.  At the API boundary coordinates are ``Fraction`` (or int) or
+``INF``, which ``float('inf')`` also reads as; every other float is refused.
+``FrontierBuilder.get`` converts a level to ``Fraction`` once and caches it.
+A queried state is kept as integer (numerator, denominator) pairs, and EXP
+forms its post-states on integers over one common denominator; a level probe
+turns such a state into integer thresholds at the level's scale.
 """
 from __future__ import annotations
 
@@ -52,54 +54,8 @@ class FrontierSizeExceeded(RuntimeError):
     pass
 
 
-class _Infinity:
-    """Positive infinity for extended-rational coordinates.  a + INF = INF,
-    min(a, INF) = a, INF - finite = INF; INF - INF is a hard error."""
-
-    __slots__ = ()
-
-    def __gt__(self, other):
-        return not isinstance(other, _Infinity)
-
-    def __lt__(self, other):
-        return False
-
-    def __ge__(self, other):
-        return True
-
-    def __le__(self, other):
-        return isinstance(other, _Infinity)
-
-    def __eq__(self, other):
-        return isinstance(other, _Infinity)
-
-    def __hash__(self):
-        return hash("extended-rational-inf")
-
-    def __add__(self, other):
-        return INF
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, _Infinity):
-            raise ArithmeticError("inf - inf is undefined")
-        return INF
-
-    def __rsub__(self, other):
-        raise ArithmeticError("finite - inf is not used here")
-
-    def __repr__(self):
-        return "inf"
-
-
-INF = _Infinity()
-
-#: INF inside the integer kernel, and the bound the boundary puts on scaled
-#: finite inputs: one LP step maps inputs below _FINITE to outputs far below
-#: _INF.
-_INF = 1 << 1024
-_FINITE = 1 << 512
+#: the one unbounded coordinate, at the API and inside the integer kernel
+INF = math.inf
 
 #: default largest horizon k that aux and exp_policy search
 K_MAX = 12
@@ -108,7 +64,8 @@ FRONTIER_CAP = 10**6
 
 
 def is_inf(v) -> bool:
-    return isinstance(v, _Infinity)
+    # the type test first: Fraction == float goes through numbers.Rational
+    return type(v) is float and v == INF
 
 
 # ---------------------------------------------------------------------------
@@ -119,15 +76,12 @@ def _scaled(points) -> tuple:
     """``points`` as integer tuples at their least common denominator, and
     that scale."""
     scale = math.lcm(*{int(v.denominator) for p in points for v in p if not is_inf(v)})
-    ints = [tuple(_INF if is_inf(v) else int(v.numerator) * scale // int(v.denominator)
-                  for v in p) for p in points]
-    if any(v != _INF and abs(v) >= _FINITE for p in ints for v in p):
-        raise ValueError("coordinate too large for the exact solver")
-    return ints, scale
+    return [tuple(INF if is_inf(v) else int(v.numerator) * scale // int(v.denominator)
+                  for v in p) for p in points], scale
 
 
 def _to_fractions(level, scale: int) -> frozenset:
-    value = {v: INF if v == _INF else Fraction(v, scale) for v in {v for p in level for v in p}}
+    value = {v: v if v == INF else Fraction(v, scale) for v in {v for p in level for v in p}}
     return frozenset(tuple(map(value.__getitem__, p)) for p in level)
 
 
@@ -155,7 +109,7 @@ def _lp(x, mu, n: int, unit: int) -> tuple:
 
 def _axis_level(n: int) -> list:
     """D^0 at scale 1, sorted descending."""
-    return sorted((tuple(0 if j == i else _INF for j in range(n)) for i in range(n)),
+    return sorted((tuple(0 if j == i else INF for j in range(n)) for i in range(n)),
                   reverse=True)
 
 
@@ -245,12 +199,12 @@ def _stepn(pts: list, n: int, unit: int, prune: bool) -> list:
     against the cap after each block; a block first drops the tuple prefixes
     whose image of the all-INF point, a bound on all their images as the LP
     is monotone, the front covers, then the generated points it covers."""
-    finite = [v for p in pts for v in p if v != _INF]
+    finite = [v for p in pts for v in p if v != INF]
     lo = min(finite, default=0)
     top = max(finite, default=0) - lo + unit
     span = n * top + 1
     dtype = np.int64 if span ** n < 1 << 63 else object
-    level = np.array([[top if v == _INF else v - lo for v in p] for p in pts],
+    level = np.array([[top if v == INF else v - lo for v in p] for p in pts],
                      dtype=dtype).reshape(-1, n)
     folded = prune and set(pts) == {q for p in pts for q in itertools.permutations(p)}
     # the coordinate orders a kept sorted form unfolds to
@@ -291,7 +245,7 @@ def _stepn(pts: list, n: int, unit: int, prune: bool) -> list:
             out = _unique(kept[:, orders].reshape(-1, n), span) if folded else kept
             if len(out) > FRONTIER_CAP:
                 raise FrontierSizeExceeded(f"frontier exceeds {FRONTIER_CAP} points")
-    return [tuple(_INF if v == n * top else v + n * lo for v in p) for p in out.tolist()]
+    return [tuple(INF if v == n * top else v + n * lo for v in p) for p in out.tolist()]
 
 
 def _step2(pts: list, unit: int) -> list:
@@ -300,7 +254,7 @@ def _step2(pts: list, unit: int) -> list:
 
     Row ia pairs a = pts[ia] with each b = pts[ib] of its window; with
     b0 <= a0 and b1 >= a1, ``_lp`` gives y0 = a0 + b0, or 2 b0 + unit once
-    a0 - b0 > unit, and y1 likewise (an ``_INF`` a0 or b1 takes the second
+    a0 - b0 > unit, and y1 likewise (an INF a0 or b1 takes the second
     case).  A b before a gives (2 a0, 2 b1), below 2 a.  The window ends at
     the first b with b1 >= a1 + unit (the later ones all give
     y1 = 2 a1 + unit, and a lower y0), and at the last ib with
@@ -317,13 +271,14 @@ def _step2(pts: list, unit: int) -> list:
 
     Along a row y0 strictly falls and y1 never falls, so a heap keyed on
     (-y0, -y1), started from every row's first point (the pair (a, a) gives
-    2 a, and ``_INF`` stays ``_INF``), pops the generated points in
+    2 a, INF included), pops the generated points in
     descending order, and a popped point is kept exactly when its y1 beats
     the best kept so far.  After each pop the row jumps, by one ``bisect``,
     to its next ib whose y1 = min(a1 + b1, 2 a1 + unit) can beat that best;
-    no point jumped over could be kept.  ``best`` starts at -``_INF``, below
-    every coordinate, negative ones included; an ``_INF`` best puts every
-    threshold out of reach."""
+    no point jumped over could be kept.  ``best`` starts at -INF, below
+    every coordinate, negative ones included.  A row ends once
+    2 a1 + unit <= best, before ``best - a1`` is formed: best reaches INF
+    only from the point (INF, INF), so INF - INF is never formed."""
     firsts = [-p0 for p0, _ in pts]
     one = [p1 for _, p1 in pts]
     last = len(pts) - 1
@@ -336,10 +291,10 @@ def _step2(pts: list, unit: int) -> list:
             break
         ends.append(end)
     # ascending in -a0, so already a heap
-    heap = [(-min(2 * a0, _INF), -min(2 * a1, _INF), ia, ia)
+    heap = [(-2 * a0, -2 * a1, ia, ia)
             for ia, (a0, a1) in enumerate(pts[:len(ends)])]
     kept = []
-    best = -_INF
+    best = -INF
     while heap:
         k0, k1, ia, ib = heap[0]  # (-y0, -y1, row, column)
         if -k1 > best:
@@ -350,8 +305,9 @@ def _step2(pts: list, unit: int) -> list:
             if 2 * len(kept) - (-k0 == best) > FRONTIER_CAP:
                 raise FrontierSizeExceeded(f"frontier exceeds {FRONTIER_CAP} points")
         a0, a1 = pts[ia]
-        ib = bisect_right(one, best - a1, ib + 1, ends[ia] + 1)
-        if 2 * a1 + unit > best and ib <= ends[ia]:
+        ib = (bisect_right(one, best - a1, ib + 1, ends[ia] + 1)
+              if 2 * a1 + unit > best else last + 1)
+        if ib <= ends[ia]:
             b0, b1 = pts[ib]
             heapq.heapreplace(heap, (-(a0 + b0 if a0 - b0 <= unit else 2 * b0 + unit),
                                      -(a1 + b1 if b1 - a1 <= unit else 2 * a1 + unit), ia, ib))
@@ -398,12 +354,11 @@ class FrontierBuilder:
         """Whether some point of level k strictly dominates the state ``x``,
         integer (numerator, denominator) pairs with None for INF.  At level k
         the state becomes integer thresholds t_i = floor(x_i * n**k): an
-        integer p exceeds x_i * n**k exactly when it exceeds t_i.  A threshold
-        past every finite coordinate is clamped below ``_INF``; an INF
-        coordinate is ``_INF`` itself, which nothing exceeds."""
+        integer p exceeds x_i * n**k exactly when it exceeds t_i, and an INF
+        coordinate is INF itself, which nothing exceeds."""
         level = self._level(k)
         scale = self.n ** k
-        t = [_INF if r is None else min(r[0] * scale // r[1], _INF - 1) for r in x]
+        t = [INF if r is None else r[0] * scale // r[1] for r in x]
         if self.n == 2:
             # the points with p0 > t0 are a prefix; its last point has the largest p1
             firsts = self._firsts.get(k)

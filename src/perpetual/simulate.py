@@ -173,9 +173,7 @@ def _play(cfg: RunConfig, h: Harness, observe=None):
                              T=cfg.benade_T, k_max=cfg.k_max)
 
         def decide(values, cands):
-            action = policy.choose(values)
-            policy.update(values, action)
-            return action
+            return policy.play(values)
     build = h.state.candidates if cfg.policy == "potential" or observe else lambda item: None
     observe = observe or (lambda item, cands: None)
     for t, values in enumerate(stream_generate(cfg.stream), start=1):

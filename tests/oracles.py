@@ -12,7 +12,7 @@ import numpy as np
 
 from perpetual.allocation import EfcThresholdState, EfxState, PropxState
 from perpetual.discounted import _check_gamma
-from perpetual.exact_game import _INF, INF, _lp, _scaled, is_inf
+from perpetual.exact_game import INF, _lp, _scaled, is_inf
 from perpetual.framework import normalized, verify_moment_witness
 from perpetual.public_decisions import PdmState
 from perpetual.simulate import _play, build_harness
@@ -214,8 +214,8 @@ def lp_solve(x: tuple, i: int) -> tuple:
     n = len(x)
     (xs,), scale = _scaled([x])
     unit = n * scale
-    top = max((v for v in xs if v != _INF), default=0) + unit
-    xs = np.array([top if v == _INF else v for v in xs], dtype=object)
+    top = max((v for v in xs if v != INF), default=0) + unit
+    xs = np.array([top if v == INF else v for v in xs], dtype=object)
     (y,), (z,) = _lp(xs[i:i + 1], np.delete(xs, i).min(keepdims=True), n, unit)
     return INF if y == n * top else Fraction(y, unit), Fraction(z, unit)
 

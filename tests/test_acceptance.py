@@ -170,8 +170,7 @@ def test_criterion_05_deficit_greedy_golden():
     pol = make_policy("deficit_greedy", 2)
     choices = []
     for v in stream_generate(StreamSpec("table1", 2, 6, params={"eps": eps})):
-        a = pol.choose(v)
-        pol.update(v, a)
+        a = pol.play(v)
         choices.append(a + 1)
     d = pol.state.deficits()
     ok = (choices == [1, 2, 2, 1, 2, 1]
@@ -192,8 +191,7 @@ def test_criterion_06_benade2_linear_envy():
     choices = []
     for v in stream_generate(StreamSpec("benade_linear", 2, 20,
                                         params={"T": 400, "rho": 0.1})):
-        a = pol.choose(v)
-        pol.update(v, a)
+        a = pol.play(v)
         cross[:, a] += v
         choices.append(a)
     envy = cross[1, 0] - cross[1, 1]

@@ -110,7 +110,7 @@ def test_stream_spec_validation():
     ("constant", 3, {"params": {"value": [1.0, 2.0]}}, "'value'"),
     ("table1", 3, {}, "n = 2"),
     ("benade_linear", 3, {}, "n = 2"),
-    ("benade_linear", 2, {"params": {"T": -4}}, "benade_linear"),
+    ("benade_linear", 2, {"params": {"T": -4}}, "'T'"),
     ("round_robin_alt", 2, {"params": {"eps": None}}, "round_robin_alt"),
     ("constant", 2, {"params": [1.0]}, "params"),
     ("uniform_random", 2, {}, "seed"),
@@ -200,8 +200,7 @@ def test_policy_round_robin():
     pol = RoundRobinPolicy(3)
     choices = []
     for _ in range(6):
-        a = pol.choose([1.0, 1.0, 1.0])
-        pol.update([1.0, 1.0, 1.0], a)
+        a = pol.play([1.0, 1.0, 1.0])
         choices.append(a)
     assert choices == [0, 1, 2, 0, 1, 2]
     assert pol.t == 6
@@ -209,7 +208,7 @@ def test_policy_round_robin():
 
 def test_util_greedy_fresh_tie():
     pol = UtilGreedyPolicy(2)
-    assert pol.choose([1.0, 1.0]) == 0
+    assert pol.choose(pol.state.prepare([1.0, 1.0])) == 0
 
 
 def test_util_greedy_counterexample_instance():
@@ -220,8 +219,7 @@ def test_util_greedy_counterexample_instance():
     spec = StreamSpec("greedy_eps", 2, 1 + math.ceil(1 / eps), params={"eps": eps})
     choices = []
     for v in stream_generate(spec):
-        a = pol.choose(v)
-        pol.update(v, a)
+        a = pol.play(v)
         choices.append(a)
     assert choices[0] == 0
     assert all(a == 1 for a in choices[1:])
@@ -238,9 +236,8 @@ def test_util_greedy_matches_two_way_oracle():
         post0 = min(util[0] + x[0], util[1])
         post1 = min(util[0], util[1] + x[1])
         expect = 0 if post0 >= post1 else 1
-        a = pol.choose(x)
+        a = pol.play(x)
         assert a == expect
-        pol.update(x, a)
         util[a] += x[a]
 
 
@@ -249,8 +246,7 @@ def test_deficit_greedy_table1_golden():
     pol = DeficitGreedyPolicy(2)
     choices = []
     for v in stream_generate(StreamSpec("table1", 2, 6, params={"eps": eps})):
-        a = pol.choose(v)
-        pol.update(v, a)
+        a = pol.play(v)
         choices.append(a + 1)  # 1-indexed like the worked example
     assert choices == [1, 2, 2, 1, 2, 1]
     d = pol.state.deficits()
@@ -263,11 +259,10 @@ def test_deficit_greedy_growth_every_two_rounds():
     pol = DeficitGreedyPolicy(2)
     maxima = []
     for t, v in enumerate(stream_generate(StreamSpec("table1", 2, 40, params={"eps": eps})), 1):
-        a = pol.choose(v)
+        a = pol.play(v)
         # from round 3 on the item always goes to the eps-valuing agent
         if t >= 3:
             assert v[a] == eps
-        pol.update(v, a)
         maxima.append(float(np.max(pol.state.deficits())))
     for t in range(6, 40, 2):
         assert maxima[t - 1] - maxima[t - 3] == pytest.approx((1 - eps) / 2, abs=1e-12)
@@ -280,7 +275,7 @@ def test_benade_params():
 
 def test_benade2_symmetric_tie():
     pol = Benade2Policy(2, 100)
-    assert pol.choose([0.5, 0.5]) == 0
+    assert pol.choose(pol.state.prepare([0.5, 0.5])) == 0
     with pytest.raises(ValueError):
         Benade2Policy(3, 100)
 
@@ -290,8 +285,7 @@ def test_benade2_linear_envy_window():
     cross = np.zeros((2, 2))
     choices = []
     for v in stream_generate(StreamSpec("benade_linear", 2, 20, params={"T": 400, "rho": 0.1})):
-        a = pol.choose(v)
-        pol.update(v, a)
+        a = pol.play(v)
         cross[:, a] += v
         choices.append(a)
     assert choices == [0] * 20
@@ -367,26 +361,30 @@ class _PreparedTwice(ItemPolicy):
     """The potential rule with candidates and update each preparing the
     round from its raw values."""
 
-    def choose(self, values) -> int:
-        return choose_action(self.state.candidates_of(values), propx_params(self.n))
+    def play(self, values) -> int:
+        action = choose_action(self.state.candidates_of(values), propx_params(self.n))
+        self.state.apply(values, action)
+        self.t += 1
+        return action
 
 
 def _recorded(policy):
     """``policy`` with the recipient of every round appended to ``policy.log``."""
-    decide, policy.log = policy.choose, []
+    play, policy.log = policy.play, []
 
-    def choose(values):
-        policy.log.append(decide(values))
+    def recorded(values):
+        policy.log.append(play(values))
         return policy.log[-1]
 
-    policy.choose = choose
+    policy.play = recorded
     return policy
 
 
 @pytest.mark.parametrize("n, c", [(2, 1.0), (3, 1.0), (2, 2.0), (5, 1.0)])
 def test_potential_policy_reuses_prepared_item(n, c):
-    """On criterion 04's games the policy that prepares each round once
-    decides and ends exactly as one preparing it in candidates and update."""
+    """On criterion 04's games the policy that prepares each round once in
+    ``play`` decides and ends exactly as one preparing it in candidates and
+    update."""
     limit = int(4900 * n * c * c)
     once, twice = _recorded(make_policy("potential", n)), _recorded(_PreparedTwice(n))
     res_once, res_twice = run_lb_game(once, n, c, limit), run_lb_game(twice, n, c, limit)
@@ -407,17 +405,12 @@ def test_potential_policy_prepares_each_round_once(monkeypatch):
     monkeypatch.setattr(PropxState, "prepare", counted)
     res = run_lb_game(make_policy("potential", 3), 3, 1.0, 4900 * 3)
     assert res.violation_round == len(calls) == LB_GOLDEN["potential", 3, 1.0]
-    # values other than those chosen on are prepared afresh
-    policy = make_policy("potential", 2)
-    policy.choose(np.array([1.0, 0.5]))
-    policy.update(np.array([0.25, 1.0]), 1)
-    assert policy.state.bundle_value.tolist() == [0.0, 1.0]
-    assert len(calls) == LB_GOLDEN["potential", 3, 1.0] + 2
 
 
 @pytest.mark.parametrize("policy, c, rounds", [
     ("potential", 1.0, 67), ("potential", 1.125, 87), ("potential", 1.25, 111),
-    ("potential", 1.375, 135), ("exp_exact", 1.0, 71)])
+    ("potential", 1.375, 135), ("exp_exact", 1.0, 71), ("exp_exact", 1.125, 91),
+    ("exp_exact", 1.25, 115), ("exp_exact", 1.375, 143)])
 def test_lb_game_readme_table_rounds(policy, c, rounds):
     """The README's n = 2 table, at the CLI's defaults (k_max 12, one round
     past 4900 n c^2)."""
@@ -452,8 +445,7 @@ def test_round_robin_violates_prop_on_alternating_stream():
     limit = math.ceil(4 * c / (1 - eps)) + 2
     for t, v in enumerate(stream_generate(
             StreamSpec("round_robin_alt", 2, limit + 2, params={"eps": eps})), 1):
-        a = pol.choose(v)
-        pol.update(v, a)
+        a = pol.play(v)
         tracker.apply(v, a)
         if first_violation is None and np.max(tracker.deficits()) > c:
             first_violation = t

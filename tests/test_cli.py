@@ -222,6 +222,7 @@ def test_nonfinite_item_exit_2(tmp_path, capsys):
     (2, {"kind": "benade_linear", "params": {"rho": -1}}, ("benade_linear", "'rho'")),
     (2, {"kind": "window_cycle", "params": {"cycle": [1, -0.3]}}, ("window_cycle", "'cycle'")),
     (2, {"kind": "choice", "seed": 1, "params": {"values": [-1]}}, ("choice", "'values'")),
+    (2, {"kind": "benade_linear", "params": {"T": -4}}, ("benade_linear", "'T'")),
 ])
 def test_bad_stream_params_exit_2(tmp_path, capsys, n, stream, names):
     assert cli_dispatch(["simulate", write_config(tmp_path, n=n, stream=stream)]) == 2

@@ -77,8 +77,7 @@ def test_policy_state_equals_naive_replay(case):
     total = [0.0] * n
     missed = [0.0] * n
     for values in items:
-        a = pol.choose(values)
-        pol.update(values, a)
+        a = pol.play(values)
         for i in range(n):
             total[i] += values[i]
             if i == a:
@@ -105,8 +104,7 @@ def test_util_greedy_equals_per_agent_loop(case):
             post[a] += values[a]
             if min(post) > best_min:
                 best, best_min = a, min(post)
-        assert pol.choose(values) == best
-        pol.update(values, best)
+        assert pol.play(values) == best
         util[best] += values[best]
     assert np.array_equal(pol.state.bundle_value, util)
 

@@ -200,8 +200,7 @@ def test_verify_moments_follows_the_configured_policy():
         ok = ok and report.ok
         worst = max(worst, report.worst_shift_violation, report.worst_first_moment,
                     max(0.0, report.worst_second_moment - params.sigma_sq))
-        action = pol.choose(values)
-        pol.update(values, action)
+        action = pol.play(values)
         state.apply(values, action)
     assert verify_moments_run(cfg) == (ok, worst)
     # the potential rule's trajectory gives another worst residual
@@ -464,8 +463,7 @@ def test_policy_tie_actions(name, kind, n):
     pol = make_policy(name, n, T=400, k_max=4 if n == 2 else 2)
     actions = []
     for v in stream_generate(StreamSpec(kind, n, len(expected), params=TIE_STREAM_PARAMS[kind])):
-        a = pol.choose(v)
-        pol.update(v, a)
+        a = pol.play(v)
         actions.append(str(a))
     assert "".join(actions) == expected
 
