@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: simulate, verify-moments, lowerbound, exact (aux | frontier | exp).
-Exit codes: 0 success, 1 assertion/guarantee failure, 2 config error.
+Exit codes: 0 success, 1 assertion/guarantee failure, 2 config error or out of memory.
 """
 from __future__ import annotations
 
@@ -91,11 +91,12 @@ def _cmd_aux(args) -> int:
 
 
 def _cmd_frontier(args) -> int:
-    pts = sorted((_builder(args) or eg.FrontierBuilder(args.n)).get(args.k), reverse=True)
+    level = (_builder(args) or eg.FrontierBuilder(args.n)).level(args.k)
+    scale = args.n ** args.k
     with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
         out.write(",".join(f"x{i}" for i in range(args.n)) + "\n")
-        for p in pts:
-            out.write(",".join(str(v) for v in p) + "\n")
+        for p in level:
+            out.write(",".join(str(v if v == eg.INF else Fraction(v, scale)) for v in p) + "\n")
     return 0
 
 
@@ -166,6 +167,9 @@ def cli_dispatch(argv=None) -> int:
         return 2
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return 2
 
 

@@ -27,10 +27,10 @@ the LP at n times it, where the LP has no division; the array step swaps INF
 for a finite sentinel, on int64 when the coordinates fit and on Python ints
 otherwise.  At the API boundary coordinates are ``Fraction`` (or int) or
 ``INF``, which ``float('inf')`` also reads as; every other float is refused.
-``FrontierBuilder.get`` converts a level to ``Fraction`` once and caches it.
-A queried state is kept as integer (numerator, denominator) pairs, and EXP
-forms its post-states on integers over one common denominator; a level probe
-turns such a state into integer thresholds at the level's scale.
+``FrontierBuilder.get`` is the ``Fraction`` view of a level for callers
+outside the solver.  A queried state, and each of EXP's post-states, is an
+integer tuple over one common denominator, INF as it is; a level probe turns
+it into integer thresholds at the level's scale.
 """
 from __future__ import annotations
 
@@ -75,9 +75,9 @@ def is_inf(v) -> bool:
 def _scaled(points) -> tuple:
     """``points`` as integer tuples at their least common denominator, and
     that scale."""
-    scale = math.lcm(*{int(v.denominator) for p in points for v in p if not is_inf(v)})
-    return [tuple(INF if is_inf(v) else int(v.numerator) * scale // int(v.denominator)
-                  for v in p) for p in points], scale
+    scale = math.lcm(*{v.denominator for p in points for v in p if not is_inf(v)})
+    return [tuple([INF if is_inf(v) else int(v.numerator) * scale // int(v.denominator)
+                   for v in p]) for p in points], scale
 
 
 def _to_fractions(level, scale: int) -> frozenset:
@@ -325,8 +325,8 @@ def next_frontier(points, n: int, prune: bool = True) -> frozenset:
 
 
 class FrontierBuilder:
-    """Lazily builds and caches D^0, D^1, ... for a fixed n: integer levels
-    for the solver, and each level's ``Fraction`` form once it is asked for."""
+    """Lazily builds and caches D^0, D^1, ... for a fixed n as integer
+    levels; ``get`` converts one to ``Fraction`` each time it is asked for."""
 
     def __init__(self, n: int, progress=None):
         if n < 2:
@@ -334,10 +334,9 @@ class FrontierBuilder:
         self.n = n
         self.progress = progress  # called as progress(k, points, ns) after building level k
         self._levels = [_axis_level(n)]
-        self._fractions: dict[int, frozenset] = {}
         self._firsts: dict[int, list] = {}  # n = 2 staircases: negated coordinate 0
 
-    def _level(self, k: int) -> list:
+    def level(self, k: int) -> list:
         """Level k: integer tuples at scale n**k, sorted descending."""
         if k < 0:
             raise ValueError("k must be >= 0")
@@ -350,15 +349,15 @@ class FrontierBuilder:
                 self.progress(j, len(self._levels[j]), time.perf_counter_ns() - start)
         return self._levels[k]
 
-    def _covers(self, k: int, x: list) -> bool:
+    def _covers(self, k: int, x: list, den: int) -> bool:
         """Whether some point of level k strictly dominates the state ``x``,
-        integer (numerator, denominator) pairs with None for INF.  At level k
-        the state becomes integer thresholds t_i = floor(x_i * n**k): an
-        integer p exceeds x_i * n**k exactly when it exceeds t_i, and an INF
+        integers over ``den`` with INF as it is.  At level k the state
+        becomes integer thresholds t_i = floor(x_i * n**k / den): an integer
+        p exceeds x_i * n**k / den exactly when it exceeds t_i, and an INF
         coordinate is INF itself, which nothing exceeds."""
-        level = self._level(k)
+        level = self.level(k)
         scale = self.n ** k
-        t = [INF if r is None else r[0] * scale // r[1] for r in x]
+        t = [INF if v == INF else v * scale // den for v in x]
         if self.n == 2:
             # the points with p0 > t0 are a prefix; its last point has the largest p1
             firsts = self._firsts.get(k)
@@ -369,10 +368,7 @@ class FrontierBuilder:
         return any(all(map(gt, p, t)) for p in level)
 
     def get(self, k: int) -> frozenset:
-        got = self._fractions.get(k)
-        if got is None:
-            got = self._fractions[k] = _to_fractions(self._level(k), self.n ** k)
-        return got
+        return _to_fractions(self.level(k), self.n ** k)
 
 
 # ---------------------------------------------------------------------------
@@ -397,31 +393,26 @@ def _checked(n: int, builder: FrontierBuilder | None, k_max: int, *vectors) -> F
     return builder
 
 
-def _lost(x: list) -> bool:
-    """Whether a coordinate of the state ``x`` is already negative."""
-    return any(r is not None and r[0] < 0 for r in x)
-
-
-def _horizon(x: list, builder: FrontierBuilder, k_max: int, lo: int = 0) -> int:
-    """aux on a checked state ``x`` of integer (numerator, denominator)
-    pairs, None for INF, given that no level below ``lo`` dominates it;
-    k_max + 1 when no D^k with k <= k_max does.  As the levels are nested,
-    it bisects over the levels already built up to k_max and past them scans
-    upward, so it builds no level that a scan from D^0 would not build."""
-    if _lost(x):
+def _horizon(x: list, den: int, builder: FrontierBuilder, k_max: int, lo: int = 0) -> int:
+    """aux on a checked state ``x``, integers over ``den`` with INF as it
+    is, given that no level below ``lo`` dominates it; k_max + 1 when no D^k
+    with k <= k_max does.  As the levels are nested, it bisects over the
+    levels already built up to k_max and past them scans upward, so it
+    builds no level that a scan from D^0 would not build."""
+    if min(x) < 0:
         return 0  # already lost, whatever the other coordinates are
     top = min(len(builder._levels) - 1, k_max)
-    if lo <= top and builder._covers(top, x):
+    if lo <= top and builder._covers(top, x, den):
         hi = top
         while lo < hi:
             mid = (lo + hi) // 2
-            if builder._covers(mid, x):
+            if builder._covers(mid, x, den):
                 hi = mid
             else:
                 lo = mid + 1
         return lo
     for k in range(max(lo, top + 1), k_max + 1):
-        if builder._covers(k, x):
+        if builder._covers(k, x, den):
             return k
     return k_max + 1
 
@@ -431,8 +422,8 @@ def aux(x: tuple, n: int, k_max: int = K_MAX, builder: FrontierBuilder | None = 
     number of rounds in which an adversary can force a violation from x; 0
     when a coordinate of x is already negative, even beside an INF one."""
     builder = _checked(n, builder, k_max, x)
-    k = _horizon([None if is_inf(v) else (int(v.numerator), int(v.denominator)) for v in x],
-                 builder, k_max)
+    (x,), den = _scaled([x])
+    k = _horizon(x, den, builder, k_max)
     if k > k_max:
         raise KMaxExceeded(f"no D^k dominates the state for k <= {k_max}")
     return k
@@ -444,27 +435,23 @@ def exp_policy(delta: tuple, values: tuple, n: int, k_max: int = K_MAX,
     (largest AUX; beyond-k_max counts as best); ties -> lowest index.  In
     the post-state the recipient gains (n-1) times their value and everyone
     else loses theirs, on integers over one common denominator of delta and
-    the item.  A later recipient wins only if D^best, at the best horizon so
-    far, does not dominate its post-state; only then is its horizon searched,
-    from best + 1 up."""
+    the item, whose values are checked finite before any is subtracted, so
+    an INF coordinate stays INF.  A later recipient wins only if D^best, at
+    the best horizon so far, does not dominate its post-state; only then is
+    its horizon searched, from best + 1 up."""
     builder = _checked(n, builder, k_max, delta, values)
-    if any(map(is_inf, values)):
-        raise ValueError("item values must be rationals in [0, 1]")
-    den = math.lcm(*(v.denominator for v in (*delta, *values) if not is_inf(v)))
-    d = [None if is_inf(v) else int(v.numerator) * (den // int(v.denominator)) for v in delta]
-    u = [int(v.numerator) * (den // int(v.denominator)) for v in values]
+    (d, u), den = _scaled([delta, values])
     if not all(0 <= uj <= den for uj in u):
         raise ValueError("item values must be rationals in [0, 1]")
-    missed = [None if dj is None else (dj - uj, den) for dj, uj in zip(d, u)]
+    missed = [dj - uj for dj, uj in zip(d, u)]
     best, best_tau = 0, -1
     for i in range(n):
         x = missed.copy()
-        if d[i] is not None:
-            x[i] = (d[i] + (n - 1) * u[i], den)
+        x[i] = d[i] + (n - 1) * u[i]
         if best_tau < 0:
-            best_tau = _horizon(x, builder, k_max)
-        elif not _lost(x) and not builder._covers(best_tau, x):
-            best, best_tau = i, _horizon(x, builder, k_max, best_tau + 1)
+            best_tau = _horizon(x, den, builder, k_max)
+        elif min(x) >= 0 and not builder._covers(best_tau, x, den):
+            best, best_tau = i, _horizon(x, den, builder, k_max, best_tau + 1)
         if best_tau > k_max:
             break
     return best

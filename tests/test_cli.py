@@ -339,6 +339,17 @@ def test_discounted_exit_code_uses_c_gamma(tmp_path, capsys):
     assert "bound violations: 1935" in capsys.readouterr().out
 
 
+def test_out_of_memory_exit_2(tmp_path, capsys, monkeypatch):
+    """A run too large for memory is refused with exit 2, not a traceback."""
+    def too_large(cfg):
+        raise MemoryError("Unable to allocate 298. GiB")
+
+    monkeypatch.setattr("perpetual.cli.run_simulation", too_large)
+    assert cli_dispatch(["simulate", write_config(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ") and "Traceback" not in err
+
+
 DEEP_N2 = [
     ["exact", "aux", "--n", "2", "--state", "3,3"],
     ["simulate", {"policy": "exp_exact", "length": 5,
@@ -365,6 +376,7 @@ def test_frontier_cap_exit_2_n3(tmp_path, capsys, monkeypatch):
     out = tmp_path / "d3.csv"
     assert cli_dispatch(["exact", "frontier", "--n", "3", "--k", "3", "--out", str(out)]) == 2
     assert "30 points" in capsys.readouterr().err
+    assert not out.exists()
     monkeypatch.setattr(eg, "FRONTIER_CAP", 31)
     assert cli_dispatch(["exact", "frontier", "--n", "3", "--k", "3", "--out", str(out)]) == 0
     assert out.read_text().count("\n") == 32

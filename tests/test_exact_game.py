@@ -177,9 +177,9 @@ def test_windowed_step_matches_full_enumeration_n2():
     exactly the Pareto front of every generated pair."""
     builder = FrontierBuilder(2)
     for k in range(1, 11):
-        pts = builder._level(k - 1)
+        pts = builder.level(k - 1)
         full = _step(pts, 2, 2 ** k, False)
-        assert _step(pts, 2, 2 ** k, True) == _oracle_level(full) == builder._level(k)
+        assert _step(pts, 2, 2 ** k, True) == _oracle_level(full) == builder.level(k)
 
 
 def test_heap_step_matches_full_enumeration_on_random_staircases():
@@ -208,7 +208,7 @@ def test_frontier_pinned_n2_deepest(tmp_path):
     ``exact frontier --n 2 --k 14`` writes), and |D^15|."""
     assert _csv_digest(tmp_path, 2, 14)[0] == (
         "59f4da5c6744e12eeb0324eaddf309ada4d2d1ff59b163e6b3c7b50feb9336ab")
-    assert len(FrontierBuilder(2)._level(15)) == 61653
+    assert len(FrontierBuilder(2).level(15)) == 61653
 
 
 class _CountedReads(list):
@@ -229,8 +229,8 @@ def test_heap_step_work_n2():
     1,685,267 pairs of the mirror-restricted windows: about 55k, and about
     78k without the window end at b0 >= p0[ia+1] - unit."""
     builder = FrontierBuilder(2)
-    level = _CountedReads(builder._level(11))
-    assert _step(level, 2, 2 ** 12, True) == builder._level(12)
+    level = _CountedReads(builder.level(11))
+    assert _step(level, 2, 2 ** 12, True) == builder.level(12)
     assert 0 < level.reads < 60_000
 
 
@@ -239,10 +239,10 @@ def test_frontier_cap_refuses_n2_level_halfway(monkeypatch):
     diagonal one, pass the cap: with the cap at half of |D^12| = 6571 it
     stops well before the end of the D^12 step."""
     builder = FrontierBuilder(2)
-    pts = builder._level(11)
+    pts = builder.level(11)
     full = _CountedReads(pts)
-    assert _step(full, 2, 2 ** 12, True) == builder._level(12)
-    monkeypatch.setattr("perpetual.exact_game.FRONTIER_CAP", len(builder._level(12)) // 2)
+    assert _step(full, 2, 2 ** 12, True) == builder.level(12)
+    monkeypatch.setattr("perpetual.exact_game.FRONTIER_CAP", len(builder.level(12)) // 2)
     level = _CountedReads(pts)
     with pytest.raises(FrontierSizeExceeded):
         _step(level, 2, 2 ** 12, True)
@@ -254,9 +254,9 @@ def test_folded_step_matches_full_enumeration_n3():
     permutations, keeps exactly the Pareto front of every generated point."""
     builder = FrontierBuilder(3)
     for k in range(1, 5):
-        pts = builder._level(k - 1)
+        pts = builder.level(k - 1)
         full = _step(pts, 3, 3 ** k, False)
-        assert _step(pts, 3, 3 ** k, True) == _oracle_level(full) == builder._level(k)
+        assert _step(pts, 3, 3 ** k, True) == _oracle_level(full) == builder.level(k)
 
 
 def _closure(points):
@@ -270,7 +270,7 @@ def test_levels_closed_under_permuting_coordinates(n, k_max):
     that puts each step on its folded path."""
     builder = FrontierBuilder(n)
     for k in range(k_max + 1):
-        assert set(builder._level(k)) == _closure(builder._level(k)), k
+        assert set(builder.level(k)) == _closure(builder.level(k)), k
 
 
 def test_levels_hold_only_ints_and_inf():
@@ -280,7 +280,7 @@ def test_levels_hold_only_ints_and_inf():
     for n, k_max in ((2, 12), (3, 5)):
         builder = FrontierBuilder(n)
         for k in range(k_max + 1):
-            for p in builder._level(k):
+            for p in builder.level(k):
                 assert all(type(v) is int or v == INF for v in p), (n, k, p)
         point = {(INF,) * n}
         assert next_frontier(point, n) == _oracle_next_frontier(point, n)
@@ -296,14 +296,14 @@ def test_array_step_blocks(monkeypatch):
     drops prefixes and points against it, build the same levels as one
     block per step, on int64 and on Python ints alike, also when the cover
     tables take coarse grids of at most 2 values per coordinate."""
-    want = {n: [FrontierBuilder(n)._level(k) for k in range(top)] for n, top in ((3, 5), (4, 3))}
+    want = {n: [FrontierBuilder(n).level(k) for k in range(top)] for n, top in ((3, 5), (4, 3))}
     big = {(F(2**40, 7), F(-1, 2**40), INF), (F(3), INF, F(-2**45, 3)), (F(0), F(1), F(5, 9))}
     for bits in (20, 2):
         monkeypatch.setattr("perpetual.exact_game._TABLE_BITS", bits)
         monkeypatch.setattr("perpetual.exact_game._BLOCK", 40)
         for n, levels in want.items():
             builder = FrontierBuilder(n)
-            assert [builder._level(k) for k in range(len(levels))] == levels
+            assert [builder.level(k) for k in range(len(levels))] == levels
         monkeypatch.setattr("perpetual.exact_game._BLOCK", 4)
         for points in (big, _closure(big)):
             assert next_frontier(points, 3) == _oracle_next_frontier(points, 3)
@@ -332,8 +332,8 @@ def test_frontier_levels_nested(n, k_max):
     a point of D^{k+1}: the property the bisection of aux rests on."""
     builder = FrontierBuilder(n)
     for k in range(k_max + 1):
-        lower = [tuple(n * v for v in p) for p in builder._level(k)]
-        assert _covered(lower, builder._level(k + 1), n), k
+        lower = [tuple(n * v for v in p) for p in builder.level(k)]
+        assert _covered(lower, builder.level(k + 1), n), k
 
 
 @pytest.mark.parametrize("n, k_max", [(2, 8), (3, 3)])
@@ -442,6 +442,19 @@ def test_frontier_csv_pinned(tmp_path):
         "6be92121faa902626ec60a529a79e8d4b50cda6b802b735871a4b1c6288047f9")
     assert _csv_digest(tmp_path, 4, 4) == (
         "7efe984ca22e13adcbb3e578b5ab615e8f1e671970a225dd0ca9c865dba3c8eb", 294)
+
+
+@pytest.mark.parametrize("n, k_max", [(2, 10), (3, 5), (4, 3)])
+def test_frontier_csv_lists_the_fraction_level(tmp_path, n, k_max):
+    """``exact frontier`` prints the points of ``get(k)``, sorted descending,
+    as ``str`` writes them, row for row."""
+    builder = FrontierBuilder(n)
+    out = tmp_path / "d.csv"
+    for k in range(k_max + 1):
+        assert cli_dispatch(["exact", "frontier", "--n", str(n), "--k", str(k),
+                             "--out", str(out)]) == 0
+        want = [",".join(map(str, p)) for p in sorted(builder.get(k), reverse=True)]
+        assert out.read_text().splitlines() == [",".join(f"x{i}" for i in range(n)), *want]
 
 
 def test_pruned_frontier_pairwise_incomparable():
@@ -628,6 +641,7 @@ _K_MAX = {2: 8, 3: 3}
 @example((2, [F(-1), INF]))
 @example((2, [INF, F(-1, 12)]))
 @example((3, [INF, F(-3), INF]))
+@example((3, [INF, F(5, 7), F(-1, 11)]))
 def test_integer_aux_matches_fraction_scan(case):
     """Thresholds floor(x_i * n**k) decide domination exactly as the Fraction
     comparison does, for negative, fractional and INF coordinates alike; a
@@ -785,6 +799,9 @@ def _exp_cases(draw):
 @example((2, (F(2), F(2)), (F(1), F(0)), "fresh", 0, 10))
 @example((2, (F(0), F(3)), (F(1), F(1)), "partial", 3, 9))
 @example((3, (INF, F(-1), F(1)), (F(1, 2), F(0), F(1)), "warm", 0, 3))
+# the winner's post-state subtracts an item value from INF
+@example((2, (INF, F(1, 3)), (F(1, 5), F(1, 2)), "warm", 0, 8))
+@example((3, (INF, F(5, 7), F(1, 11)), (F(1, 3), F(1, 4), F(2, 3)), "fresh", 0, 3))
 def test_exp_policy_matches_linear_fraction_scan(case):
     """exp_policy equals the argmax of the Fraction scan over every
     recipient's ``surplus_update`` post-state, ties to the lowest index, on
@@ -793,10 +810,10 @@ def test_exp_policy_matches_linear_fraction_scan(case):
     n, delta, item, kind, built, k_max = case
     if kind == "warm":
         builder = _BUILDERS[n]
-        builder._level(_K_MAX[n])
+        builder.level(_K_MAX[n])
     else:
         builder = FrontierBuilder(n)
-        builder._level(built)
+        builder.level(built)
     before = len(builder._levels)
     got = exp_policy(delta, item, n, k_max, builder)
     oracle = _ORACLE_BUILDERS[n]
