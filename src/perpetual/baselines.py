@@ -193,15 +193,14 @@ def stream_generate(spec: StreamSpec):
 # ---------------------------------------------------------------------------
 
 class ItemPolicy:
-    """Minimal interface: ``play`` prepares a round's values once on the
-    undiscounted proportionality aggregates (``state``), chooses a recipient
-    for the item, applies it and counts the round (``t``, rounds completed).
-    A policy chooses from the prepared item, ``(x, max(U, x))``."""
+    """A policy reads the undiscounted proportionality aggregates ``state``.  Its round
+    is ``choose(item)`` on an item ``(x, max(U, x))`` prepared on ``state``: pick the
+    recipient and advance the policy's own memory; whoever prepared the item applies
+    it.  ``play`` is a whole round on ``state``: prepare, choose, update."""
 
     def __init__(self, n: int):
         self.n = n
         self.state = PropxState(n)
-        self.t = 0  # rounds completed
 
     def choose(self, item) -> int:
         raise NotImplementedError
@@ -210,15 +209,16 @@ class ItemPolicy:
         item = self.state.prepare(values)
         recipient = self.choose(item)
         self.state.update(item, recipient)
-        self.t += 1
         return recipient
 
 
 class RoundRobinPolicy(ItemPolicy):
     """Agent t mod n (t counted from 0)."""
+    t = 0  # rounds chosen
 
     def choose(self, item) -> int:
-        return self.t % self.n
+        recipient, self.t = self.t % self.n, self.t + 1
+        return recipient
 
 
 class ConstantPolicy(ItemPolicy):
@@ -267,13 +267,10 @@ class Benade2Policy(ItemPolicy):
         # give to agent 0: f12 -= v1, f21 += v2 ; give to agent 1: mirrored
         give0 = np.logaddexp(s * (self.f12 - v1), s * (self.f21 + v2))
         give1 = np.logaddexp(s * (self.f12 + v1), s * (self.f21 - v2))
-        return 0 if give0 <= give1 else 1
-
-    def play(self, values) -> int:
-        recipient = super().play(values)
+        recipient = 0 if give0 <= give1 else 1
         sign = -1.0 if recipient == 0 else 1.0  # giving to agent 0 lowers f12
-        self.f12 += sign * float(values[0])
-        self.f21 -= sign * float(values[1])
+        self.f12 += sign * v1
+        self.f21 -= sign * v2
         return recipient
 
 

@@ -193,6 +193,7 @@ class MomentWitness:
 class RoundState:
     """``prepare(values)`` checks a round, the one place a bad round is rejected, and returns
     the item ``candidates``, ``witness`` and ``update(item, action)`` read until the update."""
+    gamma = 1.0  # the shift factor the state's witnesses are checked against
 
     def apply(self, values, action: int) -> None:
         self.update(self.prepare(values), action)

@@ -116,9 +116,9 @@ class Harness:
     """Instantiation-specific hooks used by the main loop."""
     state: RoundState
     params: PotentialParams
-    shift_gamma: float = 1.0
     candidates = staticmethod(RoundState.candidates_of)  # (state, round_values) -> CandidateSet
     witness = staticmethod(RoundState.witness_of)  # (state, round_values) -> MomentWitness
+    shift_gamma = property(lambda self: self.state.gamma)  # the witness check's shift factor
 
 
 #: instantiation -> harness constructor (RunConfig) -> Harness
@@ -133,8 +133,7 @@ _HARNESSES = {
     "pdm": lambda cfg: Harness(
         pdm_mod.PdmState(cfg.n, cfg.num_outcomes), pdm_mod.pdm_params(cfg.n, cfg.p)),
     "discounted": lambda cfg: Harness(
-        allocation.PropxState(cfg.n, cfg.gamma), allocation.propx_params(cfg.n, cfg.p),
-        shift_gamma=cfg.gamma),
+        allocation.PropxState(cfg.n, cfg.gamma), allocation.propx_params(cfg.n, cfg.p)),
 }
 INSTANTIATIONS = tuple(_HARNESSES)
 
@@ -164,23 +163,26 @@ def _play(cfg: RunConfig, h: Harness, observe=None):
     """The round loop of ``simulate`` and ``verify-moments``: prepare each
     round once, decide (the potential rule, or the configured item policy,
     picked here once), update, and yield (t, action).  ``observe(item, cands)``
-    sees each round's item and candidates, which the potential rule reuses."""
+    sees each round's item and candidates, which the potential rule reuses.  An item
+    policy reads a propx run's state; elsewhere it plays on its own undiscounted one."""
     if cfg.policy == "potential":
-        def decide(values, cands):
+        def decide(values, item, cands):
             return choose_action(cands, h.params)
     else:
         policy = make_policy(cfg.policy, cfg.n, c=cfg.c if cfg.c is not None else 1.0,
                              T=cfg.benade_T, k_max=cfg.k_max)
+        if cfg.instantiation == "propx":
+            policy.state = h.state
 
-        def decide(values, cands):
-            return policy.play(values)
+        def decide(values, item, cands):
+            return policy.choose(item) if policy.state is h.state else policy.play(values)
     build = h.state.candidates if cfg.policy == "potential" or observe else lambda item: None
     observe = observe or (lambda item, cands: None)
     for t, values in enumerate(stream_generate(cfg.stream), start=1):
         item = h.state.prepare(values)
         cands = build(item)
         observe(item, cands)
-        action = decide(values, cands)
+        action = decide(values, item, cands)
         h.state.update(item, action)
         yield t, action
 

@@ -7,11 +7,13 @@ import math
 import numpy as np
 import pytest
 
+from perpetual import baselines
 from perpetual.allocation import PropxState, propx_params
 from perpetual.baselines import (
     Benade2Policy,
     DeficitGreedyPolicy,
     ItemPolicy,
+    POLICY_NAMES,
     PrefixAlreadyUnfair,
     RoundRobinPolicy,
     StreamSpec,
@@ -206,6 +208,17 @@ def test_policy_round_robin():
     assert pol.t == 6
 
 
+def test_choose_is_a_policys_whole_round():
+    """No policy overrides the round protocol (``play`` is prepare, ``choose``,
+    update), and only round robin, which reads one, counts rounds."""
+    policies = [cls for cls in vars(baselines).values()
+                if isinstance(cls, type) and issubclass(cls, ItemPolicy)]
+    assert len(policies) == len(POLICY_NAMES) + 1
+    assert [cls.__name__ for cls in policies if "play" in vars(cls)] == ["ItemPolicy"]
+    for name in POLICY_NAMES:
+        assert hasattr(make_policy(name, 2), "t") == (name == "round_robin"), name
+
+
 def test_util_greedy_fresh_tie():
     pol = UtilGreedyPolicy(2)
     assert pol.choose(pol.state.prepare([1.0, 1.0])) == 0
@@ -364,7 +377,6 @@ class _PreparedTwice(ItemPolicy):
     def play(self, values) -> int:
         action = choose_action(self.state.candidates_of(values), propx_params(self.n))
         self.state.apply(values, action)
-        self.t += 1
         return action
 
 
@@ -389,7 +401,7 @@ def test_potential_policy_reuses_prepared_item(n, c):
     once, twice = _recorded(make_policy("potential", n)), _recorded(_PreparedTwice(n))
     res_once, res_twice = run_lb_game(once, n, c, limit), run_lb_game(twice, n, c, limit)
     assert res_once.violation_round == res_twice.violation_round == LB_GOLDEN["potential", n, c]
-    assert once.log == twice.log and once.t == twice.t
+    assert once.log == twice.log
     for key in ("bundle_value", "total_value", "missed_max"):
         assert np.array_equal(getattr(once.state, key), getattr(twice.state, key)), key
 

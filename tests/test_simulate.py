@@ -1,6 +1,7 @@
 """Config validation, the simulation loop, and CSV determinism."""
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from perpetual import simulate
-from perpetual.allocation import EfxState, efx_params
+from perpetual.allocation import EfxState, PropxState, efx_params
 from perpetual.baselines import (
     POLICY_NAMES,
     RoundRobinPolicy,
@@ -344,6 +345,65 @@ def test_a_block_holds_one_round_past_the_element_budget(monkeypatch):
                         lambda rows, *a, **k: sizes.append(len(rows)) or check(rows, *a, **k))
     assert verify_moments_run(RunConfig.from_dict(raw))[0]
     assert sizes == [1, 1, 1]
+
+
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_a_propx_run_keeps_one_state_prepared_once_a_round(policy, monkeypatch):
+    """Under every policy, ``simulate`` and ``verify-moments`` on propx prepare
+    each round once, on the run's own state."""
+    prepared = []
+    prepare = PropxState.prepare
+    monkeypatch.setattr(PropxState, "prepare",
+                        lambda state, values: prepared.append(state) or prepare(state, values))
+    cfg = RunConfig.from_dict(base_config(policy=policy, length=200, k_max=4,
+                                          stream={"kind": "uniform_random", "seed": 3}))
+    for run in (run_simulation, verify_moments_run):
+        prepared.clear()
+        run(cfg)
+        assert len(prepared) == 200 and len(set(map(id, prepared))) == 1, run.__name__
+
+
+def test_the_witness_shift_factor_is_the_states_discount():
+    for inst, extra in _EXTRA.items():
+        h = build_harness(RunConfig.from_dict(base_config(
+            instantiation=inst, n=3, **{"stream": {"kind": "uniform_random", "seed": 9}, **extra})))
+        assert h.shift_gamma == h.state.gamma == extra.get("gamma", 1.0), inst
+
+
+#: sha256 of the CSV of 2000-round uniform_random (seed 3) propx runs under item
+#: policies; k_max 6 is read by exp_exact only
+ITEM_POLICY_CSV_SHA256 = {
+    ("round_robin", 8): "9eabc6dc877c5f2081159d450398f2778082e8046abeace0e5783e9196cb2aed",
+    ("deficit_greedy", 8): "9ffb12089cfabfb3880473fec95ff248874a969c1ba3b2ea34dac77c5dc4ee3b",
+    ("benade2", 2): "038f4182515e972766f036b1ab4f26dc277618d99488a4f7932fb462e02f4286",
+    ("exp_exact", 2): "64d502e7dce4948911f6f9882c4600c158b2e2ecd3c8e5490d6ccb5bcda4c034",
+}
+
+
+@pytest.mark.parametrize("policy,n", sorted(ITEM_POLICY_CSV_SHA256))
+def test_item_policy_propx_csv_pinned(policy, n, tmp_path):
+    out = tmp_path / "run.csv"
+    run_simulation(RunConfig.from_dict(base_config(
+        policy=policy, n=n, length=2000, k_max=6, output=str(out),
+        stream={"kind": "uniform_random", "seed": 3})))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == ITEM_POLICY_CSV_SHA256[policy, n]
+
+
+def test_a_discounted_runs_policy_reads_its_own_undiscounted_state():
+    """A discounted run's item policy decides as the policy played alone over
+    the same stream, not as one reading the run's discounted state."""
+    cfg = RunConfig.from_dict(base_config(instantiation="discounted", gamma=0.5, n=8,
+                                          policy="deficit_greedy", length=300,
+                                          stream={"kind": "uniform_random", "seed": 3}))
+
+    def actions(policy):
+        return [policy.play(values) for values in stream_generate(cfg.stream)]
+
+    expected = actions(make_policy("deficit_greedy", 8))
+    assert [row["action"] for row in run_simulation(cfg)] == expected
+    on_discounted = make_policy("deficit_greedy", 8)
+    on_discounted.state = PropxState(8, 0.5)
+    assert actions(on_discounted) != expected
 
 
 def test_simulation_zero_length(tmp_path):
