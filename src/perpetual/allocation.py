@@ -179,6 +179,12 @@ class _PairState(RoundState):
         quality[self._pairs] = np.arange(self.m).reshape(-1, self.L)  # quality_index
         quality = quality.reshape(held.shape)
         self._touched = _touching(quality, quality, self._pairs)
+        # a round's gaps into and out of the recipient and their scales, stacked
+        # for one normalize; ``_patches`` gathers each action's patch from it
+        self._steps, self._scales = np.empty((2, 2, *held.shape))
+        self._patches = _touching(*np.arange(self._steps.size).reshape(self._steps.shape),
+                                  self._pairs)
+        self._view = None  # (gaps, profile) until the next update
         # flat positions in the (m, n) witness matrix of each row's +step (at
         # reference action j) and -step (at i), rows in (i, j, l) order
         i, j = np.divmod(self._pairs, n)
@@ -197,18 +203,31 @@ class _PairState(RoundState):
         own = self.held.reshape(self.n * self.n, self.L)[::self.n + 1]
         return self.held - own[:, None, :]
 
+    def _derived(self) -> tuple:
+        """(gaps, profile), computed on the first read after an update; the
+        profile is read-only and is replaced, never written, by the next."""
+        if self._view is None:
+            gaps = self._gaps()
+            profile = _take_pairs(normalized(gaps, self.scale), self._pairs).ravel()
+            profile.flags.writeable = False
+            self._view = gaps, profile
+        return self._view
+
     def profile(self) -> np.ndarray:
-        return _take_pairs(normalized(self._gaps(), self.scale), self._pairs).ravel()
+        return self._derived()[1]
 
     def candidates(self, item) -> CandidateSet:
         """Base = current profile; candidate r patches only the 2(n-1)L entries
         of the pairs that contain r: (i, r), whose gap grows by step_i (and
         whose scale rises to it), and (r, i), whose gap shrinks by step_r."""
         step, scale = item
-        gaps = self._gaps()
-        into = normalized(gaps + step, scale)
-        patch = _touching(into, normalized(gaps - step, self.scale), self._pairs)
-        return CandidateSet(self.profile(), self._touched, patch)
+        gaps, profile = self._derived()
+        np.add(gaps, step, out=self._steps[0])
+        np.subtract(gaps, step, out=self._steps[1])
+        self._scales[0] = scale
+        self._scales[1] = self.scale
+        patch = normalized(self._steps, self._scales).take(self._patches)
+        return CandidateSet(profile, self._touched, patch)
 
     def witness(self, item) -> MomentWitness:
         """Row (i, j, l): alpha = step_i / max{scale[i, j, l], step_i} at
@@ -243,6 +262,7 @@ class EfxState(_PairState):
 
     def update(self, item, recipient: int) -> None:
         _check_action(recipient, self.n)
+        self._view = None
         self.cross_value[:, recipient] += item[0][:, 0, 0]
         _raise_missed(self.pair_scale[:, recipient], item[1][:, recipient, 0], recipient)
 
@@ -289,6 +309,7 @@ class EfcThresholdState(_PairState):
 
     def update(self, item, recipient: int) -> None:
         _check_action(recipient, self.n)
+        self._view = None
         self.counts[:, recipient, :] += item[0][:, 0]
 
 

@@ -44,7 +44,8 @@ def default_p(m: int) -> float:
 @dataclass(frozen=True)
 class PotentialParams:
     """Fixed parameters of one instantiation: m = |Q|, reference-action count
-    n_ref, second-moment budget sigma_sq, and the exponent p (real, >= 1)."""
+    n_ref, second-moment budget sigma_sq (positive, finite), and the exponent
+    p (real, >= 1, with 4 p^2 finite: every potential term adds it)."""
 
     m: int
     n_ref: int
@@ -52,12 +53,14 @@ class PotentialParams:
     p: float = field(default=0.0)
 
     def __post_init__(self):
-        if self.m < 1 or self.n_ref < 1 or self.sigma_sq <= 0:
-            raise ValueError("m, n_ref must be positive and sigma_sq > 0")
+        if self.m < 1 or self.n_ref < 1:
+            raise ValueError("m, n_ref must be positive")
+        if not 0.0 < self.sigma_sq < math.inf:
+            raise ValueError(f"'sigma_sq' must be positive and finite, got {self.sigma_sq!r}")
         if self.p == 0.0:
             object.__setattr__(self, "p", default_p(self.m))
-        if self.p < 1.0:
-            raise ValueError("p must be >= 1")
+        if not (self.p >= 1.0 and 4.0 * self.p * self.p < math.inf):
+            raise ValueError(f"'p' must be >= 1 with 4 p^2 finite, got {self.p!r}")
 
 
 def psi_rows(z, params: PotentialParams) -> list[float]:

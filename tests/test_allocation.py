@@ -12,13 +12,14 @@ from perpetual.allocation import (
     EfxState,
     PropxState,
     ValueNotInLedger,
+    _take_pairs,
     check_efk,
     efc_params,
     efx_params,
     propx_params,
 )
 from perpetual.baselines import StreamSpec, stream_generate
-from perpetual.framework import DimensionMismatch, choose_action, verify_moment_witness
+from perpetual.framework import DimensionMismatch, choose_action, normalized, verify_moment_witness
 from perpetual.prng import Xoshiro256StarStar
 from perpetual.public_decisions import PdmState, pdm_params
 
@@ -211,6 +212,45 @@ def test_apply_rejects_action_ids_outside_range(bad):
         assert np.array_equal(state.profile(), before)
         state.apply(values, 2)  # the last id in range is accepted
         state.apply(values, np.int64(2))  # and so is a numpy integer
+
+
+def _pair_profile_from_scratch(state) -> np.ndarray:
+    return _take_pairs(normalized(state._gaps(), state.scale), state._pairs).ravel()
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+@pytest.mark.parametrize("raw", [False, True], ids=["prepared", "raw"])
+def test_pair_view_stays_current(n, raw):
+    """A pair state's profile is computed once per update: after every round
+    it equals the profile from scratch and the next round's candidate base,
+    and it is read-only.  A rejected round or action id leaves it as it was,
+    and an array returned before an update keeps its values after it."""
+    rng = np.random.default_rng(n)
+    for state in (EfxState(n), EfcThresholdState(n, [0.5]),
+                  EfcThresholdState(n, [0.25, 0.5, 1.0])):
+        bad_rounds = [np.full(n, math.nan), np.zeros(n + 1)]
+        if isinstance(state, EfcThresholdState):
+            bad_rounds.append(np.full(n, 0.3))  # off the ledger
+        for t in range(40):
+            values = _round_values(state, rng, t)
+            held = state.profile()
+            kept = held.copy()
+            for bad in bad_rounds:
+                with pytest.raises(ValueError):
+                    state.apply(bad, 0) if raw else state.prepare(bad)
+            item = state.prepare(values)
+            cands = state.candidates_of(values) if raw else state.candidates(item)
+            with pytest.raises(ValueError, match="action id"):
+                state.apply(values, n) if raw else state.update(item, n)
+            assert np.array_equal(state.profile(), kept), (state, t)
+            assert np.array_equal(cands.base, kept), (state, t)
+            action = int(rng.integers(n))
+            state.apply(values, action) if raw else state.update(item, action)
+            assert np.array_equal(held, kept), (state, t)
+            z = state.profile()
+            assert np.array_equal(z, _pair_profile_from_scratch(state)), (state, t)
+            with pytest.raises(ValueError):
+                z[0] = 1.0
 
 
 @pytest.mark.parametrize("theta", [[], [math.nan], [math.inf], [0.5, 0.5], [0.0], [-1.0],

@@ -311,6 +311,18 @@ def test_config_values_of_the_wrong_json_type_exit_2(tmp_path, capsys, monkeypat
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
+@pytest.mark.parametrize("cmd", ["simulate", "verify-moments"])
+def test_p_whose_square_overflows_exit_2(tmp_path, capsys, monkeypatch, cmd):
+    """A finite p with 4 p^2 past the doubles would make every potential
+    term NaN; it exits 2 naming 'p' before a round runs."""
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, n=4, length=5, p=1e200, output="run.csv",
+                       stream={"kind": "uniform_random", "seed": 3})
+    assert cli_dispatch([cmd, cfg]) == 2
+    assert "'p'" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 @pytest.mark.parametrize("policy", POLICY_NAMES)
 @pytest.mark.parametrize("cmd", ["simulate", "verify-moments"])
 def test_negative_c_is_a_config_error(tmp_path, capsys, cmd, policy):

@@ -357,3 +357,12 @@ def test_params_validation():
         PotentialParams(m=0, n_ref=2)
     with pytest.raises(ValueError):
         PotentialParams(m=2, n_ref=2, sigma_sq=0.0)
+
+
+@pytest.mark.parametrize("key,value", [("p", math.nan), ("p", math.inf), ("p", 1e200),
+                                       ("sigma_sq", math.nan), ("sigma_sq", math.inf)])
+def test_params_refuse_nonfinite_p_and_sigma_sq(key, value):
+    """A NaN or infinite p or sigma_sq, or a p whose 4 p^2 overflows, is
+    refused: every potential term would be NaN and every bound inf."""
+    with pytest.raises(ValueError, match=f"'{key}'"):
+        PotentialParams(m=2, n_ref=2, **{key: value})

@@ -389,6 +389,37 @@ def test_item_policy_propx_csv_pinned(policy, n, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == ITEM_POLICY_CSV_SHA256[policy, n]
 
 
+_EFC_LEDGER = [0.25, 0.5, 1.0]
+#: (instantiation, n, length) -> (extra config keys, CSV sha256, verify-moments
+#: result) of potential-rule runs on the pairwise kernel, all seed 3
+PAIR_KERNEL_PINS = {
+    ("efx", 32, 200): (
+        {"stream": {"kind": "uniform_random", "seed": 3}},
+        "0b5329cf2e65e3e194ec36a0971857a6e920dd706c22137861c7b8dc33e08de9",
+        (True, 4.440892098500626e-16)),
+    ("efx", 8, 2000): (
+        {"stream": {"kind": "uniform_random", "seed": 3}},
+        "d1d41fd0877c0aeeb9a7d9c547f469b268082cf0113de2d15c634d2975e15d81",
+        (True, 2.220446049250313e-16)),
+    ("efc", 8, 2000): (
+        {"stream": {"kind": "choice", "seed": 3, "params": {"values": _EFC_LEDGER}},
+         "theta": _EFC_LEDGER},
+        "f08d688e15910fc3a9483a8a7c92559615a846c0c29b39483063631131595b14",
+        (True, 0.0)),
+}
+
+
+@pytest.mark.parametrize("inst,n,length", sorted(PAIR_KERNEL_PINS))
+def test_pair_kernel_csv_and_verify_pinned(inst, n, length, tmp_path):
+    extra, sha256, verified = PAIR_KERNEL_PINS[inst, n, length]
+    out = tmp_path / "run.csv"
+    cfg = RunConfig.from_dict(base_config(instantiation=inst, n=n, length=length,
+                                          output=str(out), **extra))
+    run_simulation(cfg)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+    assert verify_moments_run(cfg) == verified
+
+
 def test_a_discounted_runs_policy_reads_its_own_undiscounted_state():
     """A discounted run's item policy decides as the policy played alone over
     the same stream, not as one reading the run's discounted state."""
