@@ -146,26 +146,15 @@ def propx_params(n: int, p: float = 0.0) -> PotentialParams:
 # Pairwise quality variables (Cases 3 and 4)
 # ---------------------------------------------------------------------------
 
-def _take_pairs(a: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """The (n (n-1), ...) rows of an (n, n, ...) array at the ordered pairs
-    i != j, in pair-major order; ``pairs`` is their flat (i, j) positions."""
-    return a.reshape(len(a) ** 2, -1).take(pairs, axis=0)
-
-
-def _touching(into: np.ndarray, out_of: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """Per action a, the entries of the ordered pairs that contain a, in patch
-    order: for each i != a, into[i, a, l] then out_of[a, i, l], interleaved
-    per layer l.  Returns shape (n, 2 (n-1) L)."""
-    both = np.stack([np.swapaxes(into, 0, 1), out_of], axis=-1)
-    return _take_pairs(both, pairs).reshape(len(into), -1)
-
-
 class _PairState(RoundState):
     """One quality variable per ordered pair (i, j), i != j, and layer l:
     [held[i, j, l] - held[i, i, l]]_+ / scale[i, j, l], where ``held`` is
     (n, n, L) and ``scale`` broadcasts against it.  A round adds its (n, 1, L)
     step to the recipient's column of ``held``; each subclass's ``prepare``
-    checks the round and returns that step and max{scale, step}."""
+    checks the round and returns that step and max{scale, step}.
+
+    The profile lists the variables in (i, j, l) order (``quality_index``);
+    ``_cells`` holds each variable's flat position in an (n, n, L) array."""
 
     def __init__(self, n: int, held: np.ndarray, scale):
         if n < 2:
@@ -174,29 +163,38 @@ class _PairState(RoundState):
         self.held = held
         self.scale = scale
         self.L = held.shape[2]
-        self._pairs = np.flatnonzero(~np.eye(n, dtype=bool))
-        quality = np.zeros((n * n, self.L), dtype=np.intp)
-        quality[self._pairs] = np.arange(self.m).reshape(-1, self.L)  # quality_index
-        quality = quality.reshape(held.shape)
-        self._touched = _touching(quality, quality, self._pairs)
+        off_diagonal = np.broadcast_to(~np.eye(n, dtype=bool)[..., None], held.shape)
+        self._cells = np.flatnonzero(off_diagonal)
         # a round's gaps into and out of the recipient and their scales, stacked
-        # for one normalize; ``_patches`` gathers each action's patch from it
+        # for one normalize; ``_patches`` gathers each action's patch from it:
+        # for each i != a, the cells of (i, a, l) and (a, i, l), per layer l
         self._steps, self._scales = np.empty((2, 2, *held.shape))
-        self._patches = _touching(*np.arange(self._steps.size).reshape(self._steps.shape),
-                                  self._pairs)
+        into, out_of = np.arange(self._steps.size).reshape(self._steps.shape)
+        self._patches = np.stack([into.swapaxes(0, 1).take(self._cells),
+                                  out_of.take(self._cells)], axis=-1).reshape(n, -1)
+        self._touched = self.quality_index(*np.unravel_index(self._patches % held.size,
+                                                             held.shape))
         self._view = None  # (gaps, profile) until the next update
         # flat positions in the (m, n) witness matrix of each row's +step (at
-        # reference action j) and -step (at i), rows in (i, j, l) order
-        i, j = np.divmod(self._pairs, n)
+        # reference action j) and -step (at i), rows in profile order
+        i, j, _ = np.unravel_index(self._cells, held.shape)
         rows = np.arange(self.m) * n
-        self._columns = rows + np.repeat(j, self.L), rows + np.repeat(i, self.L)
+        self._columns = rows + j, rows + i
 
     @property
     def m(self) -> int:
         return self.n * (self.n - 1) * self.L
 
-    def quality_index(self, i: int, j: int, l: int = 0) -> int:
-        return (i * (self.n - 1) + (j if j < i else j - 1)) * self.L + l
+    def quality_index(self, i, j, l=0):
+        """The profile position of pair (i, j)'s layer-l variable, elementwise
+        on integer arrays.  Raises ``ValueError`` unless i != j lie in [0, n)
+        and l in [0, L)."""
+        bad = (i == j) | (i < 0) | (j < 0) | (i >= self.n) | (j >= self.n) | (l < 0) | (l >= self.L)
+        if np.any(bad):
+            i, j, l = (np.broadcast_to(a, np.shape(bad))[bad][0] for a in (i, j, l))
+            raise ValueError(f"no quality variable for pair ({i}, {j}) at layer {l}: "
+                             f"need i != j in [0, {self.n}) and l in [0, {self.L})")
+        return (i * (self.n - 1) + j - (j > i)) * self.L + l
 
     def _gaps(self) -> np.ndarray:
         """gap[i, j, l] = held[i, j, l] - held[i, i, l]."""
@@ -208,7 +206,7 @@ class _PairState(RoundState):
         profile is read-only and is replaced, never written, by the next."""
         if self._view is None:
             gaps = self._gaps()
-            profile = _take_pairs(normalized(gaps, self.scale), self._pairs).ravel()
+            profile = normalized(gaps, self.scale).take(self._cells)
             profile.flags.writeable = False
             self._view = gaps, profile
         return self._view
@@ -234,7 +232,7 @@ class _PairState(RoundState):
         reference action j, -alpha at i, zeros elsewhere.  sigma^2 = 2."""
         step, scale = item
         alpha = normalized(np.broadcast_to(step, self.held.shape), scale)
-        per_row = _take_pairs(alpha, self._pairs).ravel()
+        per_row = alpha.take(self._cells)
         delta = np.zeros(self.m * self.n)
         delta[self._columns[0]] = per_row
         delta[self._columns[1]] = -per_row
@@ -325,5 +323,5 @@ def check_efk(s: EfcThresholdState, k: int) -> dict[tuple[int, int], bool]:
         raise ValueError("k must be >= 0")
     envy = s._gaps() @ s._widths
     top_k = np.minimum(s.counts, min(k, int(s.counts.max(initial=0)))) @ s._widths
-    ok = (np.maximum(envy, 0.0) <= top_k + ABS_TOL).ravel()
-    return {divmod(int(q), s.n): bool(ok[q]) for q in s._pairs}
+    ok = np.maximum(envy, 0.0) <= top_k + ABS_TOL
+    return {(i, j): bool(ok[i, j]) for i in range(s.n) for j in range(s.n) if i != j}

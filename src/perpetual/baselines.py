@@ -368,8 +368,12 @@ def run_lb_game(policy: ItemPolicy, n: int, c: float, max_rounds: int) -> LbGame
     proportionality fails (some Z_i < c).  The slacks Z are read off the
     policy's own state after each round.  Monitors, on every fair prefix:
     x in [1/2, 1), Phi nonincreasing, S < 3nc, mean revealed value < 3/4."""
-    if c < 1:
-        raise ValueError("the construction requires c >= 1")
+    if not 1 <= c < math.inf:
+        raise ValueError(f"the construction requires a finite c >= 1, got {c}")
+    if n != policy.n:
+        raise ValueError(f"n = {n}, but the policy plays {policy.n} agents")
+    if max_rounds < 1:
+        raise ValueError(f"max_rounds must be at least 1, got {max_rounds}")
     state = policy.state
 
     def slacks() -> list[float]:

@@ -12,7 +12,6 @@ from perpetual.allocation import (
     EfxState,
     PropxState,
     ValueNotInLedger,
-    _take_pairs,
     check_efk,
     efc_params,
     efx_params,
@@ -215,7 +214,7 @@ def test_apply_rejects_action_ids_outside_range(bad):
 
 
 def _pair_profile_from_scratch(state) -> np.ndarray:
-    return _take_pairs(normalized(state._gaps(), state.scale), state._pairs).ravel()
+    return normalized(state._gaps(), state.scale)[~np.eye(state.n, dtype=bool)].ravel()
 
 
 @pytest.mark.parametrize("n", [2, 3, 8])
@@ -288,6 +287,21 @@ def test_efx_fresh_unit_item():
     assert z[s.quality_index(0, 1)] == 0.0
 
 
+def test_quality_index_numbers_the_pairs_and_refuses_the_rest():
+    """The variables are numbered 0..m-1 in (i, j, l) order, i != j, for
+    scalars and elementwise on arrays; a diagonal or out-of-range (i, j, l)
+    has no variable and raises instead of aliasing another pair."""
+    for state in (EfxState(3), EfcThresholdState(3, [0.25, 0.5])):
+        ijl = [(i, j, l) for i in range(3) for j in range(3) if i != j for l in range(state.L)]
+        assert [state.quality_index(*p) for p in ijl] == list(range(state.m))
+        assert np.array_equal(state.quality_index(*np.array(ijl).T), np.arange(state.m))
+        for bad in ((1, 1, 0), (0, 3, 0), (-1, 0, 0), (0, 1, state.L), (0, 1, -1)):
+            with pytest.raises(ValueError, match=rf"pair \({bad[0]}, {bad[1]}\) at layer {bad[2]}"):
+                state.quality_index(*bad)
+        with pytest.raises(ValueError, match=r"pair \(2, 2\)"):
+            state.quality_index(np.array([0, 2, 1]), np.array([1, 2, 1]))
+
+
 def test_efx_zero_item_noop():
     s = EfxState(3)
     s.apply([0.5, 0.2, 0.9], 1)
@@ -325,6 +339,40 @@ def test_efx_witness_by_hand():
     assert w.delta[q, 1] == pytest.approx(1.0)  # alpha = 1 (scale 0, x = 1)
     assert w.delta[q, 0] == pytest.approx(-1.0)
     assert np.allclose(w.delta[s.quality_index(1, 0)], 0.0)  # x_2 = 0
+
+
+def _pair_witness_by_loops(state, x) -> np.ndarray:
+    """Row quality_index(i, j, l) holds alpha = step_i / max{scale[i, j, l], step_i}
+    at column j and -alpha at column i (0 where that maximum is 0)."""
+    n, L = state.n, state.L
+    if isinstance(state, EfcThresholdState):
+        step = [[float(v >= th) for th in state.theta] for v in x]
+        scale = np.ones((n, n, L))
+    else:
+        step, scale = [[v] for v in x], state.pair_scale[..., None]
+    delta = np.zeros((state.m, n))
+    for i in range(n):
+        for j in range(n):
+            for l in range(L):
+                top = max(scale[i, j, l], step[i][l])
+                if i != j and top > 0:
+                    q = state.quality_index(i, j, l)
+                    delta[q, j], delta[q, i] = step[i][l] / top, -step[i][l] / top
+    return delta
+
+
+@pytest.mark.parametrize("n,theta", [(2, None), (3, None), (8, None), (3, [0.5]),
+                                     (3, [0.25, 0.5, 1.0]), (8, [0.5]), (8, [0.25, 0.5, 1.0])])
+def test_pair_witness_entry_for_entry(n, theta):
+    """Every entry of the pair witness equals the matrix built by loops."""
+    state = EfxState(n) if theta is None else EfcThresholdState(n, theta)
+    rng = np.random.default_rng(n * 10 + state.L)
+    for t in range(30):
+        values = _round_values(state, rng, t)
+        w = state.witness_of(values)
+        assert w.ref_actions == tuple(range(state.n))
+        assert np.array_equal(w.delta, _pair_witness_by_loops(state, values)), t
+        state.apply(values, int(rng.integers(state.n)))
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])

@@ -435,6 +435,17 @@ def test_lb_game_requires_c_at_least_one():
         run_lb_game(make_policy("round_robin", 2), 2, 0.5, 100)
 
 
+@pytest.mark.parametrize("n,c,max_rounds", [(2, 1.0, 500), (4, 1.0, 500), (3, 1.0, 0),
+                                          (3, 1.0, -5), (3, math.nan, 500), (3, math.inf, 500)])
+def test_lb_game_refuses_bad_arguments(n, c, max_rounds):
+    """The slacks are read off the policy's n-agent state, so the game's n
+    must be the policy's; c must be finite; and a game plays at least one
+    round."""
+    with pytest.raises(ValueError, match="n = |max_rounds|finite c"):
+        run_lb_game(make_policy("potential", 3), n, c, max_rounds)
+    assert run_lb_game(make_policy("potential", 3), 3, 1.0, 1).rounds_played == 1
+
+
 def test_lb_game_envy_dominates_prop_deficit_at_violation():
     """At the first unfair round, max envy >= max proportionality deficit.
     With two agents the other bundle is worth v_i(G) - v_i(P_i) = 2 prop_i - util_i."""

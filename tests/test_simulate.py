@@ -409,15 +409,46 @@ PAIR_KERNEL_PINS = {
 }
 
 
-@pytest.mark.parametrize("inst,n,length", sorted(PAIR_KERNEL_PINS))
-def test_pair_kernel_csv_and_verify_pinned(inst, n, length, tmp_path):
-    extra, sha256, verified = PAIR_KERNEL_PINS[inst, n, length]
+_UNIFORM = {"kind": "uniform_random", "seed": 3}
+#: the same for potential-rule runs on the proportional states
+PROPORTIONAL_PINS = {
+    ("propx", 8, 2000): (
+        {"stream": _UNIFORM},
+        "54a12a19fb1c38b4d497bfa4b3148e10c91d611bb4db593c5ced4ec0e7b86868",
+        (True, 1.1102230246251565e-16)),
+    ("discounted", 8, 2000): (
+        {"stream": _UNIFORM, "gamma": 0.9},
+        "2dc99775d3e33b39af91f7c06aa984f233233f8b466fd49d697427faf7981398",
+        (True, 1.1102230246251565e-16)),
+    ("pdm", 8, 2000): (
+        {"stream": _UNIFORM, "num_outcomes": 4},
+        "a33777358e8d41f8b8160e96ddf5d2f1d036e321c111c306e6602141fa0b0201",
+        (True, 1.1102230246251565e-16)),
+    ("pdm", 64, 300): (
+        {"stream": _UNIFORM, "num_outcomes": 16},
+        "13e49d6bc010aa1b0e85abbbdda92f26038e8d74748534bcc99fe892f454ac65",
+        (True, 4.996003610813204e-16)),
+}
+
+
+def _check_pinned_run(pins, inst, n, length, tmp_path):
+    extra, sha256, verified = pins[inst, n, length]
     out = tmp_path / "run.csv"
     cfg = RunConfig.from_dict(base_config(instantiation=inst, n=n, length=length,
                                           output=str(out), **extra))
     run_simulation(cfg)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
     assert verify_moments_run(cfg) == verified
+
+
+@pytest.mark.parametrize("inst,n,length", sorted(PAIR_KERNEL_PINS))
+def test_pair_kernel_csv_and_verify_pinned(inst, n, length, tmp_path):
+    _check_pinned_run(PAIR_KERNEL_PINS, inst, n, length, tmp_path)
+
+
+@pytest.mark.parametrize("inst,n,length", sorted(PROPORTIONAL_PINS))
+def test_proportional_csv_and_verify_pinned(inst, n, length, tmp_path):
+    _check_pinned_run(PROPORTIONAL_PINS, inst, n, length, tmp_path)
 
 
 def test_a_discounted_runs_policy_reads_its_own_undiscounted_state():
